@@ -37,7 +37,7 @@ from .io import (
     to_tck,
 )
 from .events import Event, EventKind, EventSchedule, detect_all_events, pairwise_events
-from .connectivity import DynamicConnectivity, RebuildConnectivity, StepGraph
+from .connectivity import StepGraph
 from .reeb import (
     FsmState,
     ReebEdge,
@@ -67,7 +67,6 @@ __all__ = [
     "Config",
     "ContractError",
     "CohortComparison",
-    "DynamicConnectivity",
     "Event",
     "EventKind",
     "EventSchedule",
@@ -78,7 +77,6 @@ __all__ = [
     "MetricsReport",
     "ParseError",
     "Point3",
-    "RebuildConnectivity",
     "ReebEdge",
     "ReebGraph",
     "ReebVertex",

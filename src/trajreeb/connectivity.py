@@ -1,19 +1,22 @@
 """Fully dynamic graph connectivity over trajectory ids.
 
-Two interchangeable engines sit behind :class:`StepGraph`:
+:class:`StepGraph` keeps adjacency sets plus a component label per node and
+a member set per label:
 
-``DynamicConnectivity``
-    Spanning forests with edge levels (the Holm / de Lichtenberg / Thorup
-    scheme): every edge carries a level, forest ``F_i`` spans the edges of
-    level >= i, and deletions search for replacement edges level by level,
-    promoting scanned edges so each edge is charged O(log n) promotions over
-    its lifetime.  Amortized O(log^2 n) per update.  Each forest is an Euler
-    tour of every tree stored in a treap with parent pointers, so splits,
-    joins, size and root queries are all logarithmic.
-
-``RebuildConnectivity``
-    Adjacency sets plus a lazily recomputed component labelling.  Trivially
-    correct; used as the oracle and as a fallback engine.
+* Inserting an edge between two components relabels the smaller one into
+  the larger, so over any run of inserts a node is relabelled at most
+  log2(n) times.
+* Deleting an edge runs two searches in lockstep from its endpoints, one
+  vertex expansion per side per round (Even and Shiloach, JACM 1981).  The
+  searches stop as soon as one side reaches a vertex the other side has
+  seen, in which case the component is intact, or when one side runs out
+  of vertices.  That side's visited set is then a whole new component and
+  takes a fresh label, so a split costs O(smaller piece).  A deletion that
+  leaves the component intact costs as much as the searches needed to
+  meet: O(degree) when the endpoints share a neighbour, as they usually do
+  in coherent bundles, and up to O(component) on a long cycle.
+* ``connected``, ``root_key``, ``tree_size`` and ``component_of`` are dict
+  lookups.
 
 Mutations are single-writer: the event schedule is inherently ordered, so no
 locking is attempted.  Component snapshots returned by ``components()`` are
@@ -22,580 +25,9 @@ plain lists and safe to share.
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Iterator
 
 from .errors import ContractError
-
-
-# ---------------------------------------------------------------------------
-# Treap over Euler tour occurrences
-
-
-class _Node:
-    """One occurrence in an Euler tour sequence.
-
-    Vertex occurrences carry the per-vertex "has non-tree edges at this
-    level" flag; edge occurrences carry the "tree edge of exactly this
-    level" mark.  Both are OR-aggregated up the treap.
-    """
-
-    __slots__ = (
-        "prio", "left", "right", "parent",
-        "size", "vcnt", "is_vertex", "payload",
-        "flag_nt", "agg_nt", "flag_lv", "agg_lv",
-    )
-
-    def __init__(self, prio: float, payload, is_vertex: bool):
-        self.prio = prio
-        self.left = None
-        self.right = None
-        self.parent = None
-        self.size = 1
-        self.vcnt = 1 if is_vertex else 0
-        self.is_vertex = is_vertex
-        self.payload = payload
-        self.flag_nt = False
-        self.agg_nt = False
-        self.flag_lv = False
-        self.agg_lv = False
-
-
-def _update(n: _Node) -> None:
-    size = 1
-    vcnt = 1 if n.is_vertex else 0
-    agg_nt = n.flag_nt
-    agg_lv = n.flag_lv
-    l, r = n.left, n.right
-    if l is not None:
-        size += l.size
-        vcnt += l.vcnt
-        agg_nt |= l.agg_nt
-        agg_lv |= l.agg_lv
-    if r is not None:
-        size += r.size
-        vcnt += r.vcnt
-        agg_nt |= r.agg_nt
-        agg_lv |= r.agg_lv
-    n.size = size
-    n.vcnt = vcnt
-    n.agg_nt = agg_nt
-    n.agg_lv = agg_lv
-
-
-def _pull_up(n: _Node) -> None:
-    while n is not None:
-        _update(n)
-        n = n.parent
-
-
-def _root(n: _Node) -> _Node:
-    while n.parent is not None:
-        n = n.parent
-    return n
-
-
-def _rank(n: _Node) -> int:
-    """0-based position of occurrence `n` within its tour."""
-    r = n.left.size if n.left is not None else 0
-    while n.parent is not None:
-        p = n.parent
-        if n is p.right:
-            r += (p.left.size if p.left is not None else 0) + 1
-        n = p
-    return r
-
-
-def _merge(a: _Node | None, b: _Node | None) -> _Node | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.prio > b.prio:
-        m = _merge(a.right, b)
-        a.right = m
-        m.parent = a
-        _update(a)
-        return a
-    m = _merge(a, b.left)
-    b.left = m
-    m.parent = b
-    _update(b)
-    return b
-
-
-def _split(t: _Node | None, k: int) -> tuple[_Node | None, _Node | None]:
-    """Split tour `t` into (first k occurrences, rest)."""
-    if t is None:
-        return None, None
-    lsize = t.left.size if t.left is not None else 0
-    if k <= lsize:
-        l, r = _split(t.left, k)
-        t.left = r
-        if r is not None:
-            r.parent = t
-        _update(t)
-        t.parent = None
-        if l is not None:
-            l.parent = None
-        return l, t
-    l, r = _split(t.right, k - lsize - 1)
-    t.right = l
-    if l is not None:
-        l.parent = t
-    _update(t)
-    t.parent = None
-    if r is not None:
-        r.parent = None
-    return t, r
-
-
-class _EulerForest:
-    """Euler tour forest for one level of the level hierarchy.
-
-    The tour of a tree lists one occurrence per vertex plus two directed
-    occurrences per tree edge; link and cut are tour splices.
-    """
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._vnode: dict[int, _Node] = {}
-        self._enode: dict[tuple[int, int], tuple[_Node, _Node]] = {}
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vnode
-
-    def vertex_node(self, v: int) -> _Node:
-        n = self._vnode.get(v)
-        if n is None:
-            n = _Node(self._rng.random(), v, True)
-            self._vnode[v] = n
-        return n
-
-    def drop_vertex(self, v: int) -> None:
-        n = self._vnode.pop(v, None)
-        if n is not None and _root(n).size != 1:
-            raise ContractError(f"vertex {v} dropped while still linked")
-
-    def root_of(self, v: int) -> _Node | None:
-        n = self._vnode.get(v)
-        return None if n is None else _root(n)
-
-    def connected(self, u: int, v: int) -> bool:
-        ru, rv = self.root_of(u), self.root_of(v)
-        return ru is not None and ru is rv
-
-    def tree_size(self, v: int) -> int:
-        r = self.root_of(v)
-        return 1 if r is None else r.vcnt
-
-    def _reroot(self, node: _Node) -> _Node:
-        k = _rank(node)
-        if k == 0:
-            return _root(node)
-        a, b = _split(_root(node), k)
-        return _merge(b, a)
-
-    def link(self, u: int, v: int) -> None:
-        nu = self.vertex_node(u)
-        nv = self.vertex_node(v)
-        if _root(nu) is _root(nv):
-            raise ContractError(f"link({u},{v}): already connected in this forest")
-        tu = self._reroot(nu)
-        tv = self._reroot(nv)
-        e = (u, v) if u < v else (v, u)
-        a = _Node(self._rng.random(), e, False)
-        b = _Node(self._rng.random(), e, False)
-        self._enode[e] = (a, b)
-        self._merge4(tu, a, tv, b)
-
-    @staticmethod
-    def _merge4(t1, t2, t3, t4):
-        _merge(_merge(_merge(t1, t2), t3), t4)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self._enode
-
-    def cut(self, u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        try:
-            n1, n2 = self._enode.pop(e)
-        except KeyError:
-            raise ContractError(f"cut({u},{v}): not a tree edge of this forest") from None
-        r1, r2 = _rank(n1), _rank(n2)
-        if r1 > r2:
-            n1, n2 = n2, n1
-            r1, r2 = r2, r1
-        t = _root(n1)
-        pre, rest = _split(t, r1)
-        mid, post = _split(rest, r2 - r1 + 1)
-        # mid = [n1, inner..., n2]; discard the two edge occurrences
-        _, inner_tail = _split(mid, 1)
-        _split(inner_tail, inner_tail.size - 1)
-        _merge(pre, post)
-
-    # -- flag maintenance -------------------------------------------------
-
-    def set_nontree_flag(self, v: int, value: bool) -> None:
-        n = self.vertex_node(v)
-        if n.flag_nt != value:
-            n.flag_nt = value
-            _pull_up(n)
-
-    def set_level_mark(self, u: int, v: int, value: bool) -> None:
-        e = (u, v) if u < v else (v, u)
-        n = self._enode[e][0]
-        if n.flag_lv != value:
-            n.flag_lv = value
-            _pull_up(n)
-
-    @staticmethod
-    def _iter_flagged(root: _Node | None, want_edges: bool) -> Iterator[_Node]:
-        if root is None:
-            return
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            agg = n.agg_lv if want_edges else n.agg_nt
-            if not agg:
-                continue
-            flag = n.flag_lv if want_edges else n.flag_nt
-            if flag:
-                yield n
-            if n.left is not None:
-                stack.append(n.left)
-            if n.right is not None:
-                stack.append(n.right)
-
-    def level_edges(self, tree_root: _Node) -> list[tuple[int, int]]:
-        """Tree edges of exactly this level inside the given tree."""
-        return [n.payload for n in self._iter_flagged(tree_root, True)]
-
-    def nontree_vertices(self, tree_root: _Node) -> list[int]:
-        """Vertices in the tree holding non-tree edges at this level."""
-        return [n.payload for n in self._iter_flagged(tree_root, False)]
-
-    def members(self, v: int) -> list[int]:
-        """All vertices in v's tree (tour traversal, O(size))."""
-        r = self.root_of(v)
-        if r is None:
-            return [v]
-        out = []
-        stack = [r]
-        while stack:
-            n = stack.pop()
-            if n.is_vertex:
-                out.append(n.payload)
-            if n.left is not None:
-                stack.append(n.left)
-            if n.right is not None:
-                stack.append(n.right)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# HDT engine
-
-
-class DynamicConnectivity:
-    """Fully dynamic connectivity: spanning forests with edge levels."""
-
-    def __init__(self, seed: int = 0x5EED):
-        self._rng = random.Random(seed)
-        self._forests: list[_EulerForest] = [_EulerForest(self._rng)]
-        self._level: dict[tuple[int, int], int] = {}
-        self._tree: set[tuple[int, int]] = set()
-        self._nt_adj: list[dict[int, set[int]]] = [{}]
-        self._deg: dict[int, int] = {}
-
-    # -- nodes -------------------------------------------------------------
-
-    def has_node(self, v: int) -> bool:
-        return v in self._deg
-
-    def insert_node(self, v: int) -> None:
-        if v in self._deg:
-            raise ContractError(f"insert_node: node {v} already present")
-        self._deg[v] = 0
-        self._forests[0].vertex_node(v)
-
-    def delete_node(self, v: int) -> None:
-        if v not in self._deg:
-            raise ContractError(f"delete_node: node {v} absent")
-        if self._deg[v] != 0:
-            raise ContractError(f"delete_node: node {v} still has edges")
-        del self._deg[v]
-        for f in self._forests:
-            if f.has_vertex(v):
-                f.drop_vertex(v)
-
-    # -- edges -------------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self._level
-
-    def _forest(self, i: int) -> _EulerForest:
-        while len(self._forests) <= i:
-            self._forests.append(_EulerForest(self._rng))
-            self._nt_adj.append({})
-        return self._forests[i]
-
-    def insert_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ContractError(f"insert_edge: self edge at {u}")
-        if u not in self._deg or v not in self._deg:
-            raise ContractError(f"insert_edge({u},{v}): endpoint absent")
-        e = (u, v) if u < v else (v, u)
-        if e in self._level:
-            raise ContractError(f"insert_edge: edge {e} already present")
-        self._level[e] = 0
-        self._deg[u] += 1
-        self._deg[v] += 1
-        f0 = self._forests[0]
-        if f0.connected(u, v):
-            self._nt_add(0, u, v)
-        else:
-            self._tree.add(e)
-            f0.link(u, v)
-            f0.set_level_mark(u, v, True)
-
-    def delete_edge(self, u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        if e not in self._level:
-            raise ContractError(f"delete_edge: edge {e} absent")
-        lvl = self._level.pop(e)
-        self._deg[u] -= 1
-        self._deg[v] -= 1
-        if e not in self._tree:
-            self._nt_remove(lvl, u, v)
-            return
-        self._tree.discard(e)
-        self._forests[lvl].set_level_mark(u, v, False)
-        for i in range(lvl + 1):
-            self._forests[i].cut(u, v)
-        self._find_replacement(u, v, lvl)
-
-    def _nt_add(self, i: int, u: int, v: int) -> None:
-        f = self._forest(i)
-        adj = self._nt_adj[i]
-        for a, b in ((u, v), (v, u)):
-            s = adj.setdefault(a, set())
-            if not s:
-                f.set_nontree_flag(a, True)
-            s.add(b)
-
-    def _nt_remove(self, i: int, u: int, v: int) -> None:
-        f = self._forests[i]
-        adj = self._nt_adj[i]
-        for a, b in ((u, v), (v, u)):
-            s = adj[a]
-            s.discard(b)
-            if not s:
-                del adj[a]
-                f.set_nontree_flag(a, False)
-
-    def _attach_replacement(self, x: int, y: int, i: int) -> None:
-        """Turn the level-i non-tree edge (x, y) into a tree edge."""
-        self._nt_remove(i, x, y)
-        e = (x, y) if x < y else (y, x)
-        self._tree.add(e)
-        for j in range(i + 1):
-            self._forests[j].link(x, y)
-        self._forests[i].set_level_mark(x, y, True)
-
-    def _sample_replacement(self, i: int, small_root: _Node, other_root, budget: int = 16):
-        """Probe a few non-tree candidates before the full promote-and-scan.
-
-        Cycle-rich graphs almost always reconnect through a nearby edge;
-        finding one this way costs a handful of root checks and, unlike the
-        full scan, promotes nothing.  Bounded so the amortized analysis of
-        the slow path still applies when the probe misses.
-        """
-        fi = self._forests[i]
-        adj = self._nt_adj[i]
-        seen = 0
-        for node in fi._iter_flagged(small_root, False):
-            for y in adj.get(node.payload, ()):
-                if fi.root_of(y) is other_root:
-                    return node.payload, y
-                seen += 1
-                if seen >= budget:
-                    return None
-        return None
-
-    def _find_replacement(self, u: int, v: int, lvl: int) -> None:
-        for i in range(lvl, -1, -1):
-            fi = self._forests[i]
-            ru = fi.root_of(u)
-            rv = fi.root_of(v)
-            small = v if (rv.vcnt if rv else 1) <= (ru.vcnt if ru else 1) else u
-            small_root = rv if small == v else ru
-            other_root = ru if small == v else rv
-            if small_root is None:
-                small_root = fi.vertex_node(small)
-            cand = self._sample_replacement(i, small_root, other_root)
-            if cand is not None:
-                self._attach_replacement(cand[0], cand[1], i)
-                return
-            # promote tree edges of exactly level i inside the smaller tree
-            for (a, b) in fi.level_edges(small_root):
-                self._level[(a, b)] = i + 1
-                fi.set_level_mark(a, b, False)
-                fnext = self._forest(i + 1)
-                fnext.link(a, b)
-                fnext.set_level_mark(a, b, True)
-            # scan non-tree edges of level i incident to the smaller tree
-            adj = self._nt_adj[i]
-            for x in fi.nontree_vertices(small_root):
-                for y in list(adj.get(x, ())):
-                    if fi.root_of(y) is other_root:
-                        # replacement found: becomes a tree edge of level i
-                        self._attach_replacement(x, y, i)
-                        return
-                    # stays inside the smaller tree: promote
-                    self._nt_remove(i, x, y)
-                    self._nt_add(i + 1, x, y)
-                    self._level[(x, y) if x < y else (y, x)] = i + 1
-        # no replacement at any level: the component stays split
-
-    # -- queries -----------------------------------------------------------
-
-    def connected(self, u: int, v: int) -> bool:
-        if u not in self._deg or v not in self._deg:
-            raise ContractError(f"connected({u},{v}): node absent")
-        if u == v:
-            return True
-        return self._forests[0].connected(u, v)
-
-    def root_key(self, v: int):
-        """Opaque component key, valid until the next mutation."""
-        r = self._forests[0].root_of(v)
-        return id(r) if r is not None else ("lone", v)
-
-    def tree_size(self, v: int) -> int:
-        return self._forests[0].tree_size(v)
-
-    def members(self, v: int) -> list[int]:
-        if v not in self._deg:
-            raise ContractError(f"members: node {v} absent")
-        return self._forests[0].members(v)
-
-    def components(self) -> list[list[int]]:
-        seen: set[int] = set()
-        comps = []
-        for v in self._deg:
-            if v in seen:
-                continue
-            comp = sorted(self._forests[0].members(v))
-            seen.update(comp)
-            comps.append(comp)
-        comps.sort(key=lambda c: c[0])
-        return comps
-
-
-# ---------------------------------------------------------------------------
-# Rebuild engine (oracle / fallback)
-
-
-class RebuildConnectivity:
-    """Adjacency sets with lazily recomputed component labels."""
-
-    def __init__(self):
-        self._adj: dict[int, set[int]] = {}
-        self._label: dict[int, int] = {}
-        self._dirty = False
-
-    def has_node(self, v: int) -> bool:
-        return v in self._adj
-
-    def insert_node(self, v: int) -> None:
-        if v in self._adj:
-            raise ContractError(f"insert_node: node {v} already present")
-        self._adj[v] = set()
-        self._dirty = True
-
-    def delete_node(self, v: int) -> None:
-        if v not in self._adj:
-            raise ContractError(f"delete_node: node {v} absent")
-        if self._adj[v]:
-            raise ContractError(f"delete_node: node {v} still has edges")
-        del self._adj[v]
-        self._dirty = True
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def insert_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ContractError(f"insert_edge: self edge at {u}")
-        if u not in self._adj or v not in self._adj:
-            raise ContractError(f"insert_edge({u},{v}): endpoint absent")
-        if v in self._adj[u]:
-            raise ContractError(f"insert_edge: edge ({u},{v}) already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._dirty = True
-
-    def delete_edge(self, u: int, v: int) -> None:
-        if u not in self._adj or v not in self._adj[u]:
-            raise ContractError(f"delete_edge: edge ({u},{v}) absent")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._dirty = True
-
-    def _rebuild(self) -> None:
-        self._label = {}
-        for start in self._adj:
-            if start in self._label:
-                continue
-            queue = deque([start])
-            self._label[start] = start
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in self._label:
-                        self._label[y] = start
-                        queue.append(y)
-        self._dirty = False
-
-    def connected(self, u: int, v: int) -> bool:
-        if u not in self._adj or v not in self._adj:
-            raise ContractError(f"connected({u},{v}): node absent")
-        if self._dirty:
-            self._rebuild()
-        return self._label[u] == self._label[v]
-
-    def root_key(self, v: int):
-        if self._dirty:
-            self._rebuild()
-        return self._label[v]
-
-    def tree_size(self, v: int) -> int:
-        return len(self.members(v))
-
-    def members(self, v: int) -> list[int]:
-        if v not in self._adj:
-            raise ContractError(f"members: node {v} absent")
-        if self._dirty:
-            self._rebuild()
-        key = self._label[v]
-        return [x for x, lab in self._label.items() if lab == key]
-
-    def components(self) -> list[list[int]]:
-        if self._dirty:
-            self._rebuild()
-        groups: dict[int, list[int]] = {}
-        for x, lab in self._label.items():
-            groups.setdefault(lab, []).append(x)
-        comps = [sorted(g) for g in groups.values()]
-        comps.sort(key=lambda c: c[0])
-        return comps
-
-
-_BACKENDS = {"hdt": DynamicConnectivity, "rebuild": RebuildConnectivity}
 
 
 class StepGraph:
@@ -607,12 +39,11 @@ class StepGraph:
     disconnect events.
     """
 
-    def __init__(self, backend: str = "hdt"):
-        try:
-            self._conn = _BACKENDS[backend]()
-        except KeyError:
-            raise ValueError(f"unknown connectivity backend {backend!r}") from None
+    def __init__(self):
         self._adj: dict[int, set[int]] = {}
+        self._label: dict[int, int] = {}
+        self._members: dict[int, set[int]] = {}
+        self._next_label = 0
 
     @property
     def nodes(self) -> set[int]:
@@ -630,11 +61,20 @@ class StepGraph:
             raise ContractError(f"neighbors: node {v} absent")
         return frozenset(self._adj[v])
 
+    def _new_component(self, members: set[int]) -> None:
+        label = self._next_label
+        self._next_label += 1
+        self._members[label] = members
+        for x in members:
+            self._label[x] = label
+
+    # -- mutations ---------------------------------------------------------
+
     def insert_node(self, v: int) -> None:
         if v in self._adj:
             raise ContractError(f"insert_node: node {v} already present")
         self._adj[v] = set()
-        self._conn.insert_node(v)
+        self._new_component({v})
 
     def delete_node(self, v: int) -> None:
         if v not in self._adj:
@@ -642,7 +82,7 @@ class StepGraph:
         for u in sorted(self._adj[v]):
             self.delete_edge(v, u)
         del self._adj[v]
-        self._conn.delete_node(v)
+        del self._members[self._label.pop(v)]
 
     def insert_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -653,30 +93,72 @@ class StepGraph:
             raise ContractError(f"insert_edge: edge ({u},{v}) already present")
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._conn.insert_edge(u, v)
+        big, small = self._label[u], self._label[v]
+        if big == small:
+            return
+        if len(self._members[big]) < len(self._members[small]):
+            big, small = small, big
+        moved = self._members.pop(small)
+        self._members[big] |= moved
+        label = self._label
+        for x in moved:
+            label[x] = big
 
     def delete_edge(self, u: int, v: int) -> None:
         if u not in self._adj or v not in self._adj[u]:
             raise ContractError(f"delete_edge: edge ({u},{v}) absent")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._conn.delete_edge(u, v)
+        piece = self._split_off(u, v)
+        if piece is not None:
+            self._members[self._label[u]] -= piece
+            self._new_component(piece)
+
+    def _split_off(self, u: int, v: int) -> set[int] | None:
+        """Lockstep BFS from both endpoints of a deleted edge.
+
+        Returns the vertex set of the side that ran out first, a whole
+        component without the other endpoint, or None when the two searches
+        meet.
+        """
+        adj = self._adj
+        seen_u, seen_v = {u}, {v}
+        sides = ((deque((u,)), seen_u, seen_v), (deque((v,)), seen_v, seen_u))
+        while True:
+            for queue, seen, other in sides:
+                for y in adj[queue.popleft()]:
+                    if y not in seen:
+                        if y in other:
+                            return None
+                        seen.add(y)
+                        queue.append(y)
+                if not queue:
+                    return seen
+
+    # -- queries -----------------------------------------------------------
+
+    def _label_of(self, v: int, op: str) -> int:
+        try:
+            return self._label[v]
+        except KeyError:
+            raise ContractError(f"{op}: node {v} absent") from None
 
     def connected(self, u: int, v: int) -> bool:
-        return self._conn.connected(u, v)
+        return self._label_of(u, "connected") == self._label_of(v, "connected")
 
-    def root_key(self, v: int):
-        return self._conn.root_key(v)
+    def root_key(self, v: int) -> int:
+        """Opaque component key, valid until the next mutation."""
+        return self._label_of(v, "root_key")
 
     def tree_size(self, v: int) -> int:
         """Size of v's component."""
-        return self._conn.tree_size(v)
+        return len(self._members[self._label_of(v, "tree_size")])
 
     def component_of(self, v: int) -> set[int]:
-        if v not in self._adj:
-            raise ContractError(f"component_of: node {v} absent")
-        return set(self._conn.members(v))
+        return set(self._members[self._label_of(v, "component_of")])
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by minimum id."""
-        return self._conn.components()
+        comps = [sorted(m) for m in self._members.values()]
+        comps.sort(key=lambda c: c[0])
+        return comps

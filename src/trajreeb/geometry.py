@@ -129,11 +129,12 @@ class TrajectorySet:
 
     def __post_init__(self):
         trajs = tuple(self.trajectories)
-        ids = [t.id for t in trajs]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in trajs}
+        if len(by_id) != len(trajs):
             raise ValueError("trajectory ids must be unique")
         object.__setattr__(self, "trajectories", trajs)
         object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -142,10 +143,7 @@ class TrajectorySet:
         return iter(self.trajectories)
 
     def by_id(self, tid: int) -> Trajectory:
-        for t in self.trajectories:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
+        return self._by_id[tid]
 
     @property
     def step_range(self) -> tuple[int, int]:

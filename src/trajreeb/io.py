@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 
 import numpy as np
 
@@ -90,12 +91,17 @@ def _finish(point_lists: list[np.ndarray], source: str) -> TrajectorySet:
 # TCK
 
 
+# the header ends at the first line that is exactly END; values may contain
+# the letters END (e.g. "command_history: tckgen APPENDIX.mif")
+_TCK_END = re.compile(rb"^[ \t]*END[ \t]*\r?$", re.MULTILINE)
+
+
 def _parse_tck(data: bytes) -> TrajectorySet:
-    end = data.find(b"END")
-    if end < 0:
+    end = _TCK_END.search(data)
+    if end is None:
         raise FormatError("tck header: missing END")
     try:
-        header_text = data[:end].decode("ascii")
+        header_text = data[:end.start()].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"tck header: not ascii ({exc})") from None
     lines = header_text.splitlines()

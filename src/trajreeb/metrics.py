@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 
 import networkx as nx
 import numpy as np
-from scipy import stats
 
 from .geometry import TrajectorySet
 from .io import fmt17
@@ -185,6 +184,7 @@ def sweep(s: TrajectorySet, epsilons, *, method: str = "grid") -> list[MetricsRe
 
 def _two_sample_p(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(Mann-Whitney asymptotic p, Welch t-test p), two-sided."""
+    from scipy import stats  # imported here: only `compare` needs it, and it is slow to import
     if np.all(a == a[0]) and np.all(b == a[0]):
         return 1.0, 1.0  # every observation tied: no evidence either way
     va, vb = np.var(a, ddof=1), np.var(b, ddof=1)

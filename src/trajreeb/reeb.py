@@ -86,8 +86,13 @@ class ReebGraph:
         for e in self.edges:
             by_vertex_out.setdefault(e.u, []).append(e)
             by_vertex_in.setdefault(e.v, []).append(e)
+        appear: dict[int, ReebVertex] = {}
+        for v in self.vertices:
+            if v.kind is VertexKind.APPEAR:
+                appear.setdefault(v.witness, v)
         object.__setattr__(self, "_out", by_vertex_out)
         object.__setattr__(self, "_in", by_vertex_in)
+        object.__setattr__(self, "_appear", appear)
 
     def vertex(self, vid: int) -> ReebVertex:
         return self.vertices[vid]
@@ -112,10 +117,10 @@ class ReebGraph:
         return out
 
     def appear_vertex(self, tid: int) -> ReebVertex:
-        for v in self.vertices:
-            if v.kind is VertexKind.APPEAR and v.witness == tid:
-                return v
-        raise KeyError(f"no appear vertex for trajectory {tid}")
+        try:
+            return self._appear[tid]
+        except KeyError:
+            raise KeyError(f"no appear vertex for trajectory {tid}") from None
 
     def trajectory_path(self, tid: int) -> list[ReebEdge]:
         """Edges containing `tid`, in step order from Appear to Disappear."""
@@ -177,9 +182,9 @@ class _OpenEdge:
 
 
 class _Builder:
-    def __init__(self, s: TrajectorySet, backend: str):
+    def __init__(self, s: TrajectorySet):
         self.trajs = {t.id: t for t in s}
-        self.graph = StepGraph(backend=backend)
+        self.graph = StepGraph()
         self.vertices: list[ReebVertex] = []
         self.edges: list[ReebEdge] = []
         self.handle: dict[int, _OpenEdge] = {}
@@ -357,7 +362,6 @@ def build_reeb(
     epsilon: float,
     *,
     method: str = "grid",
-    backend: str = "hdt",
     schedule: EventSchedule | None = None,
 ) -> ReebGraph:
     """Construct the Reeb graph of a trajectory set at one epsilon."""
@@ -367,7 +371,7 @@ def build_reeb(
         raise ValueError("epsilon must be positive")
     if schedule is None:
         schedule = detect_all_events(s, epsilon, method=method)
-    b = _Builder(s, backend)
+    b = _Builder(s)
     for k in schedule.steps:
         evs = schedule.at_step(k)
         buckets: dict[EventKind, list[Event]] = {kind: [] for kind in EventKind}

@@ -1,14 +1,17 @@
 """Independent reference implementations used to check the package.
 
 Nothing here reuses package code paths: distances come from full per-step
-matrices, components from plain BFS over pair sets, the Reeb evolution from
-diffing consecutive partitions.  Deliberately slow and obvious.
+matrices, components from plain BFS over pair sets or a full relabelling
+after every update, the Reeb evolution from diffing consecutive partitions.
+Deliberately slow and obvious.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+
+from trajreeb.errors import ContractError
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,123 @@ def bfs_partition(nodes, pairs):
 def step_partition(trajs, epsilon, k):
     active = [tid for tid, pts, start in trajs if start <= k <= start + len(pts) - 1]
     return sorted(bfs_partition(active, pairs_at_step(trajs, epsilon, k)), key=min)
+
+
+# ---------------------------------------------------------------------------
+# Rebuild-on-query connectivity engine
+
+
+class RebuildConnectivity:
+    """Adjacency sets with lazily recomputed component labels."""
+
+    def __init__(self):
+        self._adj: dict[int, set[int]] = {}
+        self._label: dict[int, int] = {}
+        self._dirty = False
+
+    def has_node(self, v: int) -> bool:
+        return v in self._adj
+
+    def insert_node(self, v: int) -> None:
+        if v in self._adj:
+            raise ContractError(f"insert_node: node {v} already present")
+        self._adj[v] = set()
+        self._dirty = True
+
+    def delete_node(self, v: int) -> None:
+        if v not in self._adj:
+            raise ContractError(f"delete_node: node {v} absent")
+        if self._adj[v]:
+            raise ContractError(f"delete_node: node {v} still has edges")
+        del self._adj[v]
+        self._dirty = True
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self._adj and v in self._adj[u]
+
+    def insert_edge(self, u: int, v: int) -> None:
+        if u == v:
+            raise ContractError(f"insert_edge: self edge at {u}")
+        if u not in self._adj or v not in self._adj:
+            raise ContractError(f"insert_edge({u},{v}): endpoint absent")
+        if v in self._adj[u]:
+            raise ContractError(f"insert_edge: edge ({u},{v}) already present")
+        self._adj[u].add(v)
+        self._adj[v].add(u)
+        self._dirty = True
+
+    def delete_edge(self, u: int, v: int) -> None:
+        if u not in self._adj or v not in self._adj[u]:
+            raise ContractError(f"delete_edge: edge ({u},{v}) absent")
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
+        self._dirty = True
+
+    def _rebuild(self) -> None:
+        self._label = {}
+        for start in self._adj:
+            if start in self._label:
+                continue
+            queue = deque([start])
+            self._label[start] = start
+            while queue:
+                x = queue.popleft()
+                for y in self._adj[x]:
+                    if y not in self._label:
+                        self._label[y] = start
+                        queue.append(y)
+        self._dirty = False
+
+    def connected(self, u: int, v: int) -> bool:
+        if u not in self._adj or v not in self._adj:
+            raise ContractError(f"connected({u},{v}): node absent")
+        if self._dirty:
+            self._rebuild()
+        return self._label[u] == self._label[v]
+
+    def root_key(self, v: int):
+        if self._dirty:
+            self._rebuild()
+        return self._label[v]
+
+    def tree_size(self, v: int) -> int:
+        return len(self.members(v))
+
+    def members(self, v: int) -> list[int]:
+        if v not in self._adj:
+            raise ContractError(f"members: node {v} absent")
+        if self._dirty:
+            self._rebuild()
+        key = self._label[v]
+        return [x for x, lab in self._label.items() if lab == key]
+
+    def components(self) -> list[list[int]]:
+        if self._dirty:
+            self._rebuild()
+        groups: dict[int, list[int]] = {}
+        for x, lab in self._label.items():
+            groups.setdefault(lab, []).append(x)
+        comps = [sorted(g) for g in groups.values()]
+        comps.sort(key=lambda c: c[0])
+        return comps
+
+
+class RebuildStepGraph(RebuildConnectivity):
+    """RebuildConnectivity behind StepGraph's interface, so the same cases
+    run against the shipped engine and the oracle: deleting a node drops
+    its edges first."""
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        return {(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v}
+
+    def delete_node(self, v: int) -> None:
+        for u in sorted(self._adj.get(v, ())):
+            self.delete_edge(v, u)
+        super().delete_node(v)
+
+    def component_of(self, v: int) -> set[int]:
+        return set(self.members(v))
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_c2_dynamic_connectivity_vs_bfs(announce):
     """Criterion 2: 10,000 randomized operations on <= 200 nodes; the
     partition equals BFS recomputation after every operation."""
     rng = random.Random(424242)
-    g = StepGraph(backend="hdt")
+    g = StepGraph()
     nodes: set[int] = set()
     edges: set[tuple[int, int]] = set()
     edge_list: list[tuple[int, int]] = []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -253,3 +256,11 @@ def test_stdout_output(pair_csv, capsys):
     assert run(["build", "--input", str(pair_csv), "--epsilon", "1.5"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["epsilon"] == 1.5
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """Only `compare` needs scipy.stats, so importing the CLI must not pay
+    for it."""
+    code = "import sys, trajreeb.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -104,6 +104,13 @@ class TestTrajectorySet:
         assert s.active_ids(0) == [1]
         assert s.active_ids(2) == [0, 1]
 
+    def test_by_id(self):
+        ts = (tr.Trajectory(7, np.zeros((2, 3))), tr.Trajectory(3, np.ones((2, 3))))
+        s = tr.TrajectorySet(ts)
+        assert s.by_id(3) is ts[1] and s.by_id(7) is ts[0]
+        with pytest.raises(KeyError):
+            s.by_id(0)
+
 
 class TestConfig:
     def test_epsilon_positive(self):

@@ -155,6 +155,15 @@ def test_tck_missing_end():
         tr.parse(data, tr.FileFormat.TCK)
 
 
+def test_tck_header_value_containing_end():
+    header = (b"mrtrix tracks\ncommand_history: tckgen APPENDIX.mif out.tck\n"
+              b"datatype: Float32LE\nfile: . 96\nEND\n")
+    data = header + b" " * (96 - len(header)) + build_tck_fixture()[64:]
+    s = tr.parse(data, tr.FileFormat.TCK)
+    assert [len(t) for t in s] == [3, 2]
+    assert s.trajectories[1].points.tolist()[1] == [100.0, -0.5, 0.0625]
+
+
 def test_tck_partial_nan_is_parse_error():
     bad = struct.pack("<3f", 1.0, float("nan"), 2.0)
     data = build_tck_fixture()
