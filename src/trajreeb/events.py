@@ -7,15 +7,15 @@ epsilon-connected and either no predecessor step exists or the predecessor
 points were disconnected; Disconnect mirrors that on the way out.  Per pair,
 connects and disconnects strictly alternate, starting with Connect.
 
-Two detectors produce identical schedules:
-
-* ``method="grid"`` buckets each step's points into a uniform grid with cell
-  size epsilon and only tests the 27-cell neighborhood (the default);
-* ``method="brute"`` evaluates the full pairwise distance matrix per step
-  and is kept as the slow reference path.
-
-Both share one arithmetic convention (squared distances, see
-:mod:`trajreeb.geometry`) so their boundary decisions agree bit-for-bit.
+One detector serves every epsilon and every input.  Each step's points are
+bucketed into a uniform grid over coordinates relative to the step's
+minimum, with a cell side of at least epsilon, so every epsilon-connected
+pair lies in the same or a neighbouring cell (Bentley, Stanat and Williams,
+IPL 1977) and only the 27-cell neighbourhood is tested.  The side grows
+past epsilon when the step's span would need more cells than the packed
+cell code holds, which costs candidates, never pairs.  Candidates are
+decided by the squared-distance predicate of :mod:`trajreeb.geometry`, so
+boundary decisions agree bit-for-bit with every other code path.
 """
 
 from __future__ import annotations
@@ -155,140 +155,83 @@ def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Even
 # ---------------------------------------------------------------------------
 # Whole-set detection
 
-_CELL_BIAS = 1 << 20
-_NEIGHBOR_SHIFTS = [
+# Cell codes pack three 21-bit fields.  Capping the cell index at
+# 2**21 - 5 per axis keeps every +-1 neighbour offset inside int64 and
+# off every real cell's code.
+_CELLS_PER_AXIS = (1 << 21) - 4
+# the cell itself first, then the 13 neighbours whose codes are larger
+_SHIFTS = np.sort([
     dx + (dy << 21) + (dz << 42)
     for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
-    if (dz, dy, dx) > (0, 0, 0)
-]
+    if (dz, dy, dx) >= (0, 0, 0)
+])
 
 
 class _StepIndex:
-    """Per-step views of the active trajectories of a set."""
+    """Per-step views of the active trajectories of a set.
+
+    Columnar: all points in one array, trajectory i's point at global step
+    k in row ``offset[i] + k``.
+    """
 
     def __init__(self, s: TrajectorySet):
-        self.trajs = {t.id: t for t in s}
-        ids = np.fromiter((t.id for t in s), dtype=np.int64, count=len(s))
-        self.max_id = int(ids.max())
-        if self.max_id >= 1 << 31:
+        n = len(s)
+        self.ids = np.fromiter((t.id for t in s), dtype=np.int64, count=n)
+        if self.ids.max() >= 1 << 31:
             raise ContractError("trajectory ids must fit in 31 bits")
-        self.start_of = np.full(self.max_id + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        self.end_of = np.full(self.max_id + 1, -1, dtype=np.int64)
-        for t in s:
-            self.start_of[t.id] = t.start_step
-            self.end_of[t.id] = t.end_step
-        self.kmin = min(t.start_step for t in s)
-        self.kmax = max(t.end_step for t in s)
-        self._uniform = len({(t.start_step, len(t)) for t in s}) == 1
-        if self._uniform:
-            self._stack = np.stack([t.points for t in s])
-            self._stack_ids = ids
-            self._start = s.trajectories[0].start_step
-        else:
-            per_step: dict[int, list[int]] = {}
-            for t in s:
-                for k in range(t.start_step, t.end_step + 1):
-                    per_step.setdefault(k, []).append(t.id)
-            self._per_step = {k: np.asarray(v, dtype=np.int64) for k, v in per_step.items()}
+        self.start = np.fromiter((t.start_step for t in s), dtype=np.int64, count=n)
+        lengths = np.fromiter((len(t) for t in s), dtype=np.int64, count=n)
+        self.end = self.start + lengths - 1
+        self.offset = np.cumsum(lengths) - lengths - self.start
+        self.points = np.concatenate([t.points for t in s])
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, points) of trajectories active at step k."""
-        if self._uniform:
-            if self._start <= k <= self.kmax:
-                return self._stack_ids, self._stack[:, k - self._start, :]
-            return np.empty(0, dtype=np.int64), np.empty((0, 3))
-        ids = self._per_step.get(k)
-        if ids is None:
-            return np.empty(0, dtype=np.int64), np.empty((0, 3))
-        pts = np.empty((ids.shape[0], 3))
-        for row, tid in enumerate(ids):
-            t = self.trajs[int(tid)]
-            pts[row] = t.points[k - t.start_step]
-        return ids, pts
-
-    def active_mask(self, k: int) -> np.ndarray:
-        return (self.start_of <= k) & (self.end_of >= k)
+        """(ids, points) of trajectories active at step k, in set order."""
+        rows = np.flatnonzero((self.start <= k) & (self.end >= k))
+        return self.ids[rows], self.points[self.offset[rows] + k]
 
 
-def _pairs_brute(ids: np.ndarray, pts: np.ndarray, eps2: float) -> np.ndarray:
+def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Sorted packed codes of the epsilon-connected pairs among one step's
+    points."""
     n = ids.shape[0]
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    d = pts[:, None, :] - pts[None, :, :]
-    d2 = d[..., 0] * d[..., 0]
-    d2 += d[..., 1] * d[..., 1]
-    d2 += d[..., 2] * d[..., 2]
-    iu, ju = np.triu_indices(n, k=1)
-    hit = d2[iu, ju] <= eps2
-    return _pack_pairs(ids[iu[hit]], ids[ju[hit]])
-
-
-def _ragged_windows(src_pos: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Expand per-element index windows [lo_i, hi_i) into flat (i, j) pairs."""
-    cnt = hi - lo
-    keep = cnt > 0
-    if not keep.any():
-        return None
-    cnt = cnt[keep]
-    ii = np.repeat(src_pos[keep], cnt)
-    offsets = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    jj = np.repeat(lo[keep], cnt) + offsets
-    return ii, jj
-
-
-def _pairs_grid(ids: np.ndarray, pts: np.ndarray, epsilon: float, eps2: float) -> np.ndarray:
-    n = ids.shape[0]
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    cells = np.floor(pts / epsilon).astype(np.int64) + _CELL_BIAS
-    if cells.min() < 1 or cells.max() >= (1 << 21) - 1:
-        # epsilon much smaller than the coordinate span: cell codes would
-        # not pack into 21 bits per axis (a one-cell margin keeps the +-1
-        # neighbor offsets from crossing field boundaries), so test all
-        # pairs instead
-        return _pairs_brute(ids, pts, eps2)
+    rel = pts - pts.min(axis=0)
+    span = float(rel.max())
+    if not np.isfinite(span):
+        raise ValueError("coordinates at one step span more than the float64 range")
+    # the hair over 1 absorbs the rounding of rel and of the division, so
+    # points within epsilon still land at most one cell apart
+    side = max(epsilon, span / _CELLS_PER_AXIS) * (1 + 2**-20)
+    cells = (rel / side).astype(np.int64)
     code = cells[:, 0] + (cells[:, 1] << 21) + (cells[:, 2] << 42)
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
-    positions = np.arange(n)
-
-    cand: list[tuple[np.ndarray, np.ndarray]] = []
-    # within one cell: each sorted position pairs with the rest of its cell
-    hi_same = np.searchsorted(sorted_code, sorted_code, side="right")
-    res = _ragged_windows(positions, positions + 1, hi_same)
-    if res is not None:
-        cand.append(res)
-    # across the 13 forward neighbor offsets
-    for shift in _NEIGHBOR_SHIFTS:
-        target = sorted_code + shift
-        lo = np.searchsorted(sorted_code, target, side="left")
-        hi = np.searchsorted(sorted_code, target, side="right")
-        res = _ragged_windows(positions, lo, hi)
-        if res is not None:
-            cand.append(res)
-    if not cand:
-        return np.empty(0, dtype=np.int64)
-    ii = order[np.concatenate([c[0] for c in cand])]
-    jj = order[np.concatenate([c[1] for c in cand])]
+    # windows [lo, hi) of sorted positions: row 0 pairs each point with the
+    # rest of its own cell, the other rows with one neighbouring cell each
+    targets = sorted_code + _SHIFTS[:, None]
+    lo = np.searchsorted(sorted_code, targets, side="left")
+    lo[0] = np.arange(1, n + 1)
+    hi = np.searchsorted(sorted_code, targets, side="right")
+    cnt = (hi - lo).ravel()
+    ii = np.repeat(np.tile(np.arange(n), len(_SHIFTS)), cnt)
+    jj = np.repeat(lo.ravel() - (np.cumsum(cnt) - cnt), cnt) + np.arange(ii.shape[0])
+    ii, jj = order[ii], order[jj]
     d = pts[ii] - pts[jj]
     d2 = d[:, 0] * d[:, 0]
     d2 += d[:, 1] * d[:, 1]
     d2 += d[:, 2] * d[:, 2]
-    hit = d2 <= eps2
-    return _pack_pairs(ids[ii[hit]], ids[jj[hit]])
-
-
-def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return np.sort((lo << 31) + hi)
+    hit = d2 <= epsilon * epsilon
+    a, b = ids[ii[hit]], ids[jj[hit]]
+    return np.sort((np.minimum(a, b) << 31) + np.maximum(a, b))
 
 
 def _unpack_pair(code: int) -> tuple[int, int]:
     return int(code >> 31), int(code & ((1 << 31) - 1))
 
 
-def detect_all_events(s: TrajectorySet, epsilon: float, method: str = "grid") -> EventSchedule:
+def detect_all_events(s: TrajectorySet, epsilon: float) -> EventSchedule:
     """Full event schedule for a trajectory set at one epsilon.
 
     One Appear and one Disappear per trajectory plus the union of pairwise
@@ -298,34 +241,24 @@ def detect_all_events(s: TrajectorySet, epsilon: float, method: str = "grid") ->
         raise ValueError("trajectory set is empty")
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
-    if method not in ("grid", "brute"):
-        raise ValueError(f"unknown detection method {method!r}")
-    eps2 = epsilon * epsilon
     index = _StepIndex(s)
     events: list[Event] = []
     for t in s:
         events.append(Event(EventKind.APPEAR, t.start_step, (t.id,), as_point(t.points[0])))
         events.append(Event(EventKind.DISAPPEAR, t.end_step, (t.id,), as_point(t.points[-1])))
 
+    kmin, kmax = s.step_range
     prev = np.empty(0, dtype=np.int64)
-    for k in range(index.kmin, index.kmax + 1):
-        ids, pts = index.active(k)
-        if method == "grid":
-            cur = _pairs_grid(ids, pts, epsilon, eps2)
-        else:
-            cur = _pairs_brute(ids, pts, eps2)
-        new = np.setdiff1d(cur, prev, assume_unique=True)
-        gone = np.setdiff1d(prev, cur, assume_unique=True)
-        for code in new:
+    for k in range(kmin, kmax + 1):
+        cur = _pairs(*index.active(k), epsilon)
+        for code in np.setdiff1d(cur, prev, assume_unique=True):
             a, b = _unpack_pair(int(code))
-            events.append(Event(EventKind.CONNECT, k, (a, b), index.trajs[a].location_at(k)))
-        if gone.size:
-            mask = index.active_mask(k)
-            for code in gone:
-                a, b = _unpack_pair(int(code))
-                if mask[a] and mask[b]:
-                    events.append(
-                        Event(EventKind.DISCONNECT, k, (a, b), index.trajs[a].location_at(k))
-                    )
+            events.append(Event(EventKind.CONNECT, k, (a, b), s.by_id(a).location_at(k)))
+        for code in np.setdiff1d(prev, cur, assume_unique=True):
+            a, b = _unpack_pair(int(code))
+            ta = s.by_id(a)
+            # a pair whose member disappeared at k - 1 ends without a Disconnect
+            if ta.active_at(k) and s.by_id(b).active_at(k):
+                events.append(Event(EventKind.DISCONNECT, k, (a, b), ta.location_at(k)))
         prev = cur
     return EventSchedule(events)

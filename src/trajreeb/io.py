@@ -7,10 +7,12 @@ dropped and tallied in ``metadata["dropped_short"]``.
 Formats:
 
 * TCK -- ASCII ``key: value`` header opened by the magic line
-  ``mrtrix tracks`` and closed by ``END``; payload is little-endian float32
-  triplets starting at the byte offset declared by ``file: . <offset>``.
+  ``mrtrix tracks`` and closed by ``END``; payload is coordinate triplets
+  starting at the byte offset declared by ``file: . <offset>``.
   A (NaN, NaN, NaN) triplet separates streamlines and an (Inf, Inf, Inf)
-  triplet terminates the stream.  Only ``datatype: Float32LE`` is read.
+  triplet terminates the stream.  ``datatype`` is one of Float32LE,
+  Float32BE, Float64LE and Float64BE.  A declared ``count`` must equal the
+  number of streamlines in the payload, short ones included.
 * CSV -- header row ``id,point_index,x,y,z``, UTF-8, LF newlines, rows
   sorted by (id, point_index).  Unsorted rows are an error, never silently
   reordered.
@@ -94,6 +96,7 @@ def _finish(point_lists: list[np.ndarray], source: str) -> TrajectorySet:
 # the header ends at the first line that is exactly END; values may contain
 # the letters END (e.g. "command_history: tckgen APPENDIX.mif")
 _TCK_END = re.compile(rb"^[ \t]*END[ \t]*\r?$", re.MULTILINE)
+_TCK_DTYPES = {"Float32LE": "<f4", "Float32BE": ">f4", "Float64LE": "<f8", "Float64BE": ">f8"}
 
 
 def _parse_tck(data: bytes) -> TrajectorySet:
@@ -120,10 +123,12 @@ def _parse_tck(data: bytes) -> TrajectorySet:
     datatype = fields.get("datatype")
     if datatype is None:
         raise FormatError("tck header: missing field 'datatype'")
-    if datatype != "Float32LE":
+    if datatype not in _TCK_DTYPES:
         raise UnsupportedFormatError(
-            f"tck header: datatype {datatype!r} not supported (Float32LE only)"
+            f"tck header: datatype {datatype!r} not supported "
+            f"({', '.join(_TCK_DTYPES)})"
         )
+    dtype = np.dtype(_TCK_DTYPES[datatype])
 
     file_field = fields.get("file")
     if file_field is None:
@@ -139,9 +144,9 @@ def _parse_tck(data: bytes) -> TrajectorySet:
         raise FormatError(f"tck header: field 'file' offset {offset} out of range")
 
     payload = data[offset:]
-    if len(payload) % 12 != 0:
-        raise FormatError("tck payload: length is not a whole number of float32 triplets")
-    rows = np.frombuffer(payload, dtype="<f4").reshape(-1, 3).astype(np.float64)
+    if len(payload) % (3 * dtype.itemsize) != 0:
+        raise FormatError(f"tck payload: length is not a whole number of {datatype} triplets")
+    rows = np.frombuffer(payload, dtype=dtype).reshape(-1, 3).astype(np.float64)
     if rows.shape[0] == 0:
         raise FormatError("tck payload: empty")
 
@@ -165,6 +170,17 @@ def _parse_tck(data: bytes) -> TrajectorySet:
                 f"tck payload: non-finite coordinate in streamline {len(point_lists)}"
             )
         point_lists.append(seg)
+    count = fields.get("count")
+    if count is not None:
+        try:
+            declared = int(count)
+        except ValueError:
+            raise FormatError(f"tck header: malformed field 'count' ({count!r})") from None
+        if declared != len(point_lists):
+            raise FormatError(
+                f"tck header: count {declared} does not match the "
+                f"{len(point_lists)} streamlines in the payload"
+            )
     return _finish(point_lists, "tck")
 
 
@@ -261,7 +277,7 @@ def to_csv(s: TrajectorySet) -> str:
 def _parse_json(data: bytes) -> TrajectorySet:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad utf-8 or json, too deep, too many digits
         raise FormatError(f"json: {exc}") from None
     if not isinstance(obj, list):
         raise FormatError("json: top level must be an array of trajectories")
@@ -275,7 +291,7 @@ def _parse_json(data: bytes) -> TrajectorySet:
                 raise FormatError(f"json: trajectory {si} has a non-[x,y,z] point")
             try:
                 xyz = [float(c) for c in p]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"json: trajectory {si} has a non-numeric point") from None
             if not all(math.isfinite(c) for c in xyz):
                 raise ParseError(f"json: non-finite coordinate in streamline {si}")

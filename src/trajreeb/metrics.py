@@ -166,7 +166,7 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
     )
 
 
-def sweep(s: TrajectorySet, epsilons, *, method: str = "grid") -> list[MetricsReport]:
+def sweep(s: TrajectorySet, epsilons) -> list[MetricsReport]:
     """One report per epsilon, each built independently."""
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -175,7 +175,7 @@ def sweep(s: TrajectorySet, epsilons, *, method: str = "grid") -> list[MetricsRe
         raise ValueError("epsilon must be positive")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
-    return [compute_metrics(build_reeb(s, e, method=method)) for e in eps]
+    return [compute_metrics(build_reeb(s, e)) for e in eps]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .connectivity import StepGraph
 from .errors import ContractError, InvalidTransitionError
-from .events import Event, EventKind, EventSchedule, detect_all_events, _pairs_grid, _StepIndex, _unpack_pair
+from .events import Event, EventKind, EventSchedule, detect_all_events, _pairs, _StepIndex, _unpack_pair
 from .geometry import Point3, TrajectorySet
 
 
@@ -183,7 +183,7 @@ class _OpenEdge:
 
 class _Builder:
     def __init__(self, s: TrajectorySet):
-        self.trajs = {t.id: t for t in s}
+        self.s = s
         self.graph = StepGraph()
         self.vertices: list[ReebVertex] = []
         self.edges: list[ReebEdge] = []
@@ -191,7 +191,7 @@ class _Builder:
 
     def new_vertex(self, kind: VertexKind, step: int, witness: int) -> int:
         vid = len(self.vertices)
-        location = self.trajs[witness].location_at(step)
+        location = self.s.by_id(witness).location_at(step)
         self.vertices.append(ReebVertex(vid, step, kind, location, witness))
         return vid
 
@@ -361,7 +361,6 @@ def build_reeb(
     s: TrajectorySet,
     epsilon: float,
     *,
-    method: str = "grid",
     schedule: EventSchedule | None = None,
 ) -> ReebGraph:
     """Construct the Reeb graph of a trajectory set at one epsilon."""
@@ -370,7 +369,7 @@ def build_reeb(
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     if schedule is None:
-        schedule = detect_all_events(s, epsilon, method=method)
+        schedule = detect_all_events(s, epsilon)
     b = _Builder(s)
     for k in schedule.steps:
         evs = schedule.at_step(k)
@@ -405,27 +404,13 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")
-    index = _StepIndex(s)
-    ids, pts = index.active(k)
-    if ids.shape[0] == 0:
-        return []
-    parent = {int(t): int(t) for t in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for code in _pairs_grid(ids, pts, epsilon, epsilon * epsilon):
-        a, b = _unpack_pair(int(code))
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, set[int]] = {}
-    for t in parent:
-        groups.setdefault(find(t), set()).add(t)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+    ids, pts = _StepIndex(s).active(k)
+    g = StepGraph()
+    for tid in ids:
+        g.insert_node(int(tid))
+    for code in _pairs(ids, pts, epsilon):
+        g.insert_edge(*_unpack_pair(int(code)))
+    return [frozenset(c) for c in g.components()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from collections import deque
 import numpy as np
 
 from trajreeb.errors import ContractError
+from trajreeb.events import Event, EventKind, EventSchedule
+from trajreeb.geometry import Point3
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,39 @@ def bfs_partition(nodes, pairs):
 def step_partition(trajs, epsilon, k):
     active = [tid for tid, pts, start in trajs if start <= k <= start + len(pts) - 1]
     return sorted(bfs_partition(active, pairs_at_step(trajs, epsilon, k)), key=min)
+
+
+def oracle_schedule(trajs, epsilon):
+    """The event schedule from diffing consecutive per-step pair sets.
+
+    Returned as the package's EventSchedule so that it compares with
+    detect_all_events and replays through build_reeb.
+    """
+    spans = {tid: (start, start + len(pts) - 1) for tid, pts, start in trajs}
+    points = {tid: (pts, start) for tid, pts, start in trajs}
+
+    def location(tid, k):
+        pts, start = points[tid]
+        return Point3(*(float(c) for c in pts[k - start]))
+
+    events = []
+    for tid, (lo, hi) in spans.items():
+        events.append(Event(EventKind.APPEAR, lo, (tid,), location(tid, lo)))
+        events.append(Event(EventKind.DISAPPEAR, hi, (tid,), location(tid, hi)))
+    kmin = min(lo for lo, _ in spans.values())
+    kmax = max(hi for _, hi in spans.values())
+    prev = set()
+    for k in range(kmin, kmax + 1):
+        cur = pairs_at_step(trajs, epsilon, k)
+        for a, b in cur - prev:
+            events.append(Event(EventKind.CONNECT, k, (a, b), location(a, k)))
+        for a, b in prev - cur:
+            # both were active at k - 1; a pair ended by a disappearance
+            # has no Disconnect
+            if spans[a][1] >= k and spans[b][1] >= k:
+                events.append(Event(EventKind.DISCONNECT, k, (a, b), location(a, k)))
+        prev = cur
+    return EventSchedule(events)
 
 
 # ---------------------------------------------------------------------------

@@ -264,3 +264,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, trajreeb.cli; sys.exit('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_build_leaves_scipy_unloaded(tmp_path):
+    """`build` needs no scipy module at all: its import time is why the pair
+    finder is a numpy grid rather than a k-d tree."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_set(
+        [[(k, 0.4 * j, 0.0) for k in range(6)] for j in range(5)]
+    )))
+    code = (
+        "import sys; from trajreeb.cli import run; "
+        f"code = run(['build', '--epsilon', '1', '--input', {str(tck)!r}, "
+        f"'--output', {str(tmp_path / 'out.json')!r}]); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "sys.exit(f'exit {code}, scipy modules {loaded}' if code or loaded else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.json").stat().st_size > 0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import trajreeb as tr
 from trajreeb.events import EventKind
 
-from oracles import pairs_at_step, random_instance
+from oracles import oracle_schedule, random_instance
 
 
 def kinds_steps(events):
@@ -68,35 +69,73 @@ def test_schedule_matches_brute_force_pair_scan():
     for _ in range(20):
         trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 40))
         s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-        sched = tr.detect_all_events(s, eps, method="grid")
-        # oracle: per-pair scan built from per-step full distance tables
-        want = []
-        for t in s:
-            want.append(("appear", t.start_step, (t.id,)))
-            want.append(("disappear", t.end_step, (t.id,)))
-        kmin, kmax = s.step_range
-        prev = set()
-        for k in range(kmin, kmax + 1):
-            cur = pairs_at_step(trajs, eps, k)
-            for p in sorted(cur - prev):
-                want.append(("connect", k, p))
-            active = set(s.active_ids(k))
-            for p in sorted(prev - cur):
-                if p[0] in active and p[1] in active:
-                    want.append(("disconnect", k, p))
-            prev = cur
-        kind_order = {"appear": 0, "connect": 1, "disconnect": 2, "disappear": 3}
-        want.sort(key=lambda e: (e[1], kind_order[e[0]], e[2]))
-        got = [(str(e.kind), e.step, e.subjects) for e in sched]
-        assert got == [(k, s_, subj) for k, s_, subj in want]
+        got = [(str(e.kind), e.step, e.subjects) for e in tr.detect_all_events(s, eps)]
+        want = [(str(e.kind), e.step, e.subjects) for e in oracle_schedule(trajs, eps)]
+        assert got == want
+
+
+def lattice_instance(rng):
+    """Integer points, so many step distances tie with epsilon exactly."""
+    n, m = int(rng.integers(6, 16)), int(rng.integers(5, 15))
+    trajs = [(t, rng.integers(0, 4, (m, 3)).astype(float), 0) for t in range(n)]
+    return trajs, float(rng.choice([1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0]))
+
+
+def twin_instance(rng, ratio):
+    """Each random-instance trajectory plus a twin wobbling around the
+    epsilon boundary, with epsilon `ratio` times smaller than the spread."""
+    trajs, _ = random_instance(rng, n_range=(4, 10), m_range=(8, 30))
+    span = np.ptp(np.concatenate([p for _, p, _ in trajs]), axis=0).max()
+    eps = span / ratio
+    out = list(trajs)
+    for tid, pts, start in trajs:
+        jitter = rng.normal(0.0, 1.0, pts.shape)
+        jitter /= np.linalg.norm(jitter, axis=1, keepdims=True)
+        jitter *= eps * rng.uniform(0.7, 1.3, (len(pts), 1))
+        out.append((tid + len(trajs), pts + jitter, start))
+    return out, eps
 
 
 def test_grid_equals_brute():
     rng = np.random.default_rng(23)
-    for _ in range(15):
-        trajs, eps = random_instance(rng, n_range=(5, 30), m_range=(8, 50))
+    instances = [random_instance(rng, n_range=(5, 30), m_range=(8, 50)) for _ in range(15)]
+    instances += [lattice_instance(rng) for _ in range(10)]
+    for offset in (1e6, 1e9, -1e9):
+        trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 30))
+        instances.append(([(t, p + offset, st) for t, p, st in trajs], eps))
+    # span / epsilon above 2**21: cells grow past epsilon
+    instances += [twin_instance(rng, ratio) for ratio in (1e3, 2.0**21 + 1, 1e7, 1e12)]
+    for trajs, eps in instances:
         s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-        assert tr.detect_all_events(s, eps, "grid") == tr.detect_all_events(s, eps, "brute")
+        assert tr.detect_all_events(s, eps) == oracle_schedule(trajs, eps)
+
+
+@pytest.mark.parametrize(
+    "offset, span, ratio", [(0.0, 1e7, 1e7), (0.0, 1e7, 1e20), (1e13, 1.0, 1e7)]
+)
+def test_detect_memory_stays_linear_when_epsilon_is_tiny(offset, span, ratio):
+    """2000 points over `ratio` epsilons: the step's cells grow coarser than
+    epsilon instead of aliasing or falling back to a pairwise table."""
+    rng = np.random.default_rng(31)
+    eps = span / ratio
+    pts = offset + rng.uniform(0.0, span, (1000, 2, 3))
+    twins = pts + [0.5 * eps, 0.0, 0.0]  # trajectory i + 1000 sits by i
+    s = tr.make_set(list(pts) + list(twins))
+    tracemalloc.start()
+    try:
+        sched = tr.detect_all_events(s, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    connects = [e.subjects for e in sched if e.kind is EventKind.CONNECT]
+    assert connects == [(i, i + 1000) for i in range(1000)]
+
+
+def test_detect_rejects_a_step_span_beyond_float64():
+    s = tr.make_set([[(-1e308, 0, 0), (0, 0, 0)], [(1e308, 0, 0), (1, 0, 0)]])
+    with pytest.raises(ValueError, match="float64 range"):
+        tr.detect_all_events(s, 1.0)
 
 
 def test_replay_consistency(pair_set):

@@ -1,11 +1,14 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajreeb as tr
-from trajreeb.errors import FormatError, ParseError, UnsupportedFormatError
+from trajreeb.cli import run
+from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,21 @@ def test_json_nonfinite():
         tr.parse(b"[[[Infinity,0,0],[1,0,0]]]", tr.FileFormat.JSON)
 
 
+def test_json_deep_nesting_is_format_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100_000)
+    with pytest.raises(FormatError, match="json"):
+        tr.parse(deep.read_bytes(), tr.FileFormat.JSON)
+    assert run(["build", "--epsilon", "1", "--input", str(deep)]) == 1
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_json_huge_integer_is_format_error(digits):
+    data = b"[[[1" + b"0" * digits + b",0,0],[1,0,0]]]"
+    with pytest.raises(FormatError, match="json"):
+        tr.parse(data, tr.FileFormat.JSON)
+
+
 # ---------------------------------------------------------------------------
 # TCK
 
@@ -132,7 +150,7 @@ def test_tck_missing_magic():
 
 
 def test_tck_unsupported_datatype():
-    data = build_tck_fixture().replace(b"Float32LE", b"Float32BE")
+    data = build_tck_fixture().replace(b"Float32LE", b"Float16LE")
     with pytest.raises(UnsupportedFormatError, match="datatype"):
         tr.parse(data, tr.FileFormat.TCK)
 
@@ -180,6 +198,48 @@ def test_tck_writer_roundtrip():
     assert len(s2) == 4
     for a, b in zip(s, s2):
         assert np.array_equal(a.points, b.points)
+
+
+TCK_DTYPES = {"Float32LE": "<f4", "Float32BE": ">f4", "Float64LE": "<f8", "Float64BE": ">f8"}
+
+
+def tck_bytes(point_lists, datatype="Float32LE", count=None):
+    """TCK bytes with the payload in `datatype`; a count line only when
+    `count` is given."""
+    sep, stop = np.full((1, 3), np.nan), np.full((1, 3), np.inf)
+    rows = [r for pts in point_lists for r in (np.asarray(pts, float), sep)] + [stop]
+    payload = np.concatenate(rows).astype(TCK_DTYPES[datatype]).tobytes()
+    head = "mrtrix tracks\n" + (f"count: {count}\n" if count is not None else "")
+    head += f"datatype: {datatype}\nfile: . "
+    offset = len(head) + len("00000000\nEND\n")
+    return f"{head}{offset:08d}\nEND\n".encode("ascii") + payload
+
+
+@pytest.mark.parametrize("datatype", sorted(TCK_DTYPES))
+def test_tck_datatype_roundtrip(datatype):
+    rng = np.random.default_rng(12)
+    pts = [rng.normal(0, 5, (n, 3)) for n in (4, 2, 7)]
+    if datatype.startswith("Float32"):
+        pts = [p.astype(np.float32).astype(np.float64) for p in pts]
+    s = tr.parse(tck_bytes(pts, datatype, count=3), tr.FileFormat.TCK)
+    assert [t.points.tolist() for t in s] == [p.tolist() for p in pts]
+
+
+def test_tck_count_includes_dropped_short_streamlines():
+    pts = [[(0, 0, 0), (1, 0, 0)], [(5, 5, 5)], [(2, 0, 0), (3, 0, 0)]]
+    s = tr.parse(tck_bytes(pts, count=3), tr.FileFormat.TCK)
+    assert len(s) == 2 and s.metadata["dropped_short"] == "1"
+    with pytest.raises(FormatError, match="count 2 does not match the 3 streamlines"):
+        tr.parse(tck_bytes(pts, count=2), tr.FileFormat.TCK)
+
+
+@pytest.mark.parametrize(
+    "count", ["4", "1", "0003", "-2", "two", pytest.param("9" * 5000, id="5000-digits")]
+)
+def test_tck_count_mismatch(count):
+    pts = [[(0, 0, 0), (1, 0, 0)], [(2, 0, 0), (3, 0, 0)]]
+    with pytest.raises(FormatError, match="count"):
+        tr.parse(tck_bytes(pts, count=count), tr.FileFormat.TCK)
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +376,61 @@ def test_format_from_path():
     assert tr.format_from_path("a.CSV") is tr.FileFormat.CSV
     with pytest.raises(FormatError):
         tr.format_from_path("mystery.dat")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: mutated files fail with a TrajreebError, never anything else
+
+
+_FUZZ_SET = tr.make_set(
+    [[(k, 0.5 * j, 0.25 * (k % 2)) for k in range(5)] for j in range(4)]
+)
+VALID_BYTES = {
+    tr.FileFormat.TCK: tr.to_tck(_FUZZ_SET),
+    tr.FileFormat.CSV: tr.to_csv(_FUZZ_SET).encode(),
+    tr.FileFormat.JSON: tr.to_json(_FUZZ_SET).encode(),
+}
+
+# (operation, position, byte): 0 overwrites, 1 inserts, 2 deletes, 3 truncates
+EDITS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 1 << 16), st.integers(0, 255)),
+    min_size=1, max_size=8,
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        i = pos % (len(buf) + 1)
+        if op == 1:
+            buf.insert(i, byte)
+        elif op == 3:
+            del buf[i:]
+        elif i < len(buf):
+            if op == 0:
+                buf[i] = byte
+            else:
+                del buf[i]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("fmt", list(tr.FileFormat))
+@settings(max_examples=200, deadline=None)
+@given(edits=EDITS)
+def test_parse_mutated_bytes_raises_only_trajreeb_errors(fmt, edits):
+    try:
+        tr.parse(mutate(VALID_BYTES[fmt], edits), fmt)
+    except TrajreebError:
+        pass
+
+
+@pytest.mark.parametrize("fmt", list(tr.FileFormat))
+@settings(max_examples=60, deadline=None)
+@given(edits=EDITS)
+def test_cli_build_on_mutated_file_exits_0_or_1(fmt, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"in.{fmt.value}"
+        path.write_bytes(mutate(VALID_BYTES[fmt], edits))
+        code = run(["build", "--epsilon", "1", "--input", str(path),
+                    "--output", str(Path(tmp) / "out.json")])
+    assert code in (0, 1)

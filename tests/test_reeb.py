@@ -5,7 +5,9 @@ import trajreeb as tr
 from trajreeb.events import EventKind
 from trajreeb.reeb import VertexKind
 
-from oracles import as_plain, oracle_canonical, random_instance, step_partition
+from oracles import (
+    as_plain, oracle_canonical, oracle_schedule, random_instance, step_partition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +119,10 @@ def test_backends_and_methods_agree(pair_set):
     rng = np.random.default_rng(7)
     plain, eps = random_instance(rng, n_range=(10, 20), m_range=(10, 30))
     s = build_set(plain)
-    forms = {
-        method: tr.build_reeb(s, eps, method=method).canonical_form()
-        for method in ("grid", "brute")
-    }
-    assert forms["grid"] == forms["brute"]
+    got = tr.build_reeb(s, eps)
+    want = tr.build_reeb(s, eps, schedule=oracle_schedule(plain, eps))
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
 
 
 def test_determinism_including_ids(pair_set):
