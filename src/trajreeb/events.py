@@ -197,7 +197,8 @@ def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
     n = ids.shape[0]
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    rel = pts - pts.min(axis=0)
+    with np.errstate(over="ignore"):  # an overflow is the inf rejected below
+        rel = pts - pts.min(axis=0)
     span = float(rel.max())
     if not np.isfinite(span):
         raise ValueError("coordinates at one step span more than the float64 range")

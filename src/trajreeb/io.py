@@ -146,7 +146,8 @@ def _parse_tck(data: bytes) -> TrajectorySet:
     payload = data[offset:]
     if len(payload) % (3 * dtype.itemsize) != 0:
         raise FormatError(f"tck payload: length is not a whole number of {datatype} triplets")
-    rows = np.frombuffer(payload, dtype=dtype).reshape(-1, 3).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
+        rows = np.frombuffer(payload, dtype=dtype).reshape(-1, 3).astype(np.float64)
     if rows.shape[0] == 0:
         raise FormatError("tck payload: empty")
 

@@ -433,6 +433,61 @@ def best_partition_exhaustive(nodes, edge_list):
     return best_q, best_p
 
 
+def greedy_modularity_scan(g):
+    """Agglomerative modularity maximization with lowest-id tie-breaking,
+    rescanning every community pair on each merge: O(|V|*|E|).
+
+    Communities start as singletons and the connected pair with the largest
+    modularity gain merges first; ties go to the lexicographically smallest
+    (min id, min id) community pair.  Stops when no merge improves Q.
+    """
+    m = g.number_of_edges()
+    if m == 0:
+        return [{n} for n in sorted(g.nodes)]
+    comm_of = {n: i for i, n in enumerate(sorted(g.nodes))}
+    members: dict[int, set] = {i: {n} for n, i in comm_of.items()}
+    degree = {i: 0.0 for i in members}
+    links: dict[int, dict[int, float]] = {i: {} for i in members}
+    for u, v in g.edges:
+        cu, cv = comm_of[u], comm_of[v]
+        degree[cu] += 1
+        degree[cv] += 1
+        if cu != cv:
+            links[cu][cv] = links[cu].get(cv, 0.0) + 1.0
+            links[cv][cu] = links[cv].get(cu, 0.0) + 1.0
+
+    two_m = 2.0 * m
+    while True:
+        best_gain = 1e-12
+        best_pair = None
+        for a in links:
+            for b, e_ab in links[a].items():
+                if b <= a:
+                    continue
+                gain = 2.0 * (e_ab / two_m - (degree[a] * degree[b]) / (two_m * two_m))
+                key = tuple(sorted((min(members[a]), min(members[b]))))
+                if gain > best_gain + 1e-15 or (
+                    abs(gain - best_gain) <= 1e-15
+                    and best_pair is not None
+                    and key < best_pair[1]
+                ):
+                    best_gain = gain
+                    best_pair = ((a, b), key)
+        if best_pair is None:
+            break
+        a, b = best_pair[0]
+        members[a] |= members.pop(b)
+        degree[a] += degree.pop(b)
+        for c, w in links.pop(b).items():
+            if c == a:
+                continue
+            links[c].pop(b)
+            links[c][a] = links[c].get(a, 0.0) + w
+            links[a][c] = links[a].get(c, 0.0) + w
+        links[a].pop(b, None)
+    return sorted(members.values(), key=min)
+
+
 # ---------------------------------------------------------------------------
 # Textbook two-sample tests
 

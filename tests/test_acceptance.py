@@ -244,3 +244,16 @@ def test_c8_parser_fixtures(announce):
     assert tr.to_json(tr.parse(json_text.encode(), tr.FileFormat.JSON)) == json_text
     announce("[PASS] criterion 8: TCK fixture decoded exactly; CSV and JSON "
              "round-trips are bit-identical")
+
+
+def test_c9_metrics_scale(announce):
+    """Criterion 9: the feature vector of the 1000 x 132 bundle's Reeb graph
+    at epsilon 0.8 (|V| ~ 6k, the percolation regime) computes in <= 60 s."""
+    r = tr.build_reeb(tr.make_bundle(1000, 132), 0.8)
+    t0 = time.perf_counter()
+    rep = tr.compute_metrics(r)
+    elapsed = time.perf_counter() - t0
+    assert rep.n_vertices == len(r.vertices)
+    assert elapsed <= 60.0, f"metrics took {elapsed:.1f}s, limit is 60s"
+    announce(f"[PASS] criterion 9: metrics of a {rep.n_vertices}-vertex Reeb graph "
+             f"in {elapsed:.2f}s (limit 60s)")

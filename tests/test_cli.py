@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -284,3 +285,55 @@ def test_cli_build_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.json").stat().st_size > 0
+
+
+def _cli_subprocess(args):
+    """Run the CLI on `args` in a fresh interpreter with default warning
+    filters; exits with the command's code, or 3 if a scipy module loaded."""
+    code = (
+        "import sys; from trajreeb.cli import run; "
+        f"code = run({args!r}); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "sys.exit(3 if loaded else code)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_sweep_leaves_scipy_unloaded(tmp_path):
+    """`sweep` computes every feature with numpy and networkx: a
+    `scipy.sparse.csgraph` search would cost its import time and ~30 MB."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_bundle(12, 20, seed=2)))
+    out = tmp_path / "sweep.csv"
+    proc = _cli_subprocess(["sweep", "--input", str(tck), "--epsilon-range", "0.8:1.4:0.2",
+                            "--output", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
+def test_cli_tck_signalling_nan_separator_is_silent(tmp_path):
+    """A separator row of signalling NaNs (0x7f800001) is still a separator,
+    and its conversion to float64 warns nothing on stderr."""
+    data = tr.to_tck(tr.make_set([[(k, 0.4 * j, 0.0) for k in range(6)] for j in range(3)]))
+    quiet, signalling = struct.pack("<3f", *[float("nan")] * 3), struct.pack("<3I", *[0x7F800001] * 3)
+    assert quiet in data
+    tck = tmp_path / "snan.tck"
+    tck.write_bytes(data.replace(quiet, signalling, 1))
+    proc = _cli_subprocess(["build", "--epsilon", "1", "--input", str(tck),
+                            "--output", str(tmp_path / "out.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(graph_from_json((tmp_path / "out.json").read_text()).vertices) > 0
+
+
+def test_cli_coordinate_span_beyond_float64_is_one_line(tmp_path):
+    """x = +-1e308 at one step overflows the span: exit 1 with the one-line
+    diagnostic and no numpy warning before it."""
+    src = tmp_path / "huge.csv"
+    src.write_text("id,point_index,x,y,z\n0,0,1e308,0,0\n0,1,1e308,1,0\n"
+                   "1,0,-1e308,0,0\n1,1,-1e308,1,0\n")
+    proc = _cli_subprocess(["build", "--epsilon", "1", "--input", str(src),
+                            "--output", str(tmp_path / "out.json")])
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

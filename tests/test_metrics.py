@@ -1,7 +1,12 @@
+from collections import Counter
+from fractions import Fraction
+
+import networkx as nx
 import numpy as np
 import pytest
 
 import trajreeb as tr
+from trajreeb import metrics
 from trajreeb.metrics import (
     greedy_modularity_partition,
     modularity_value,
@@ -12,6 +17,7 @@ from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 from oracles import (
     best_partition_exhaustive,
+    greedy_modularity_scan,
     mann_whitney_p,
     oracle_canonical,
     random_instance,
@@ -83,8 +89,6 @@ def test_modularity_in_range_random():
 def test_betweenness_equal_on_vertex_transitive_cycle():
     r = fake_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     g = simple_graph(r)
-    import networkx as nx
-
     bc = nx.betweenness_centrality(g, normalized=True)
     assert len(set(round(v, 12) for v in bc.values())) == 1
 
@@ -129,6 +133,135 @@ def test_metrics_of_pair_instance(pair_set):
     rep = tr.compute_metrics(tr.build_reeb(pair_set, 1.5))
     assert rep.n_vertices == 6 and rep.n_edges == 5
     assert rep.epsilon == 1.5
+
+
+# ---------------------------------------------------------------------------
+# differential: CNM heap against the pair-rescan oracle, the shared
+# shortest-path pass against networkx and exact rationals
+
+
+def _relabel(g, rng):
+    """g on sparse, non-contiguous ids in shuffled insertion order."""
+    ids = rng.choice(10**6, g.number_of_nodes(), replace=False)
+    mapping = dict(zip(g.nodes, (int(i) for i in ids)))
+    h = nx.Graph()
+    h.add_nodes_from(mapping[v] for v in rng.permutation(list(g.nodes)).tolist())
+    h.add_edges_from((mapping[u], mapping[v]) for u, v in g.edges)
+    return h
+
+
+def _random_graph(rng, kind):
+    if kind == "gnm":
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        return nx.gnm_random_graph(n, m, seed=int(rng.integers(2**31)))
+    if kind == "cycle":
+        return nx.cycle_graph(int(rng.integers(3, 40)))
+    if kind == "cliques":
+        # equal sizes make many exactly tied gains
+        size = int(rng.integers(2, 6))
+        g = nx.disjoint_union_all(
+            [nx.complete_graph(size) for _ in range(int(rng.integers(1, 6)))])
+        if rng.random() < 0.5:
+            nodes = list(g.nodes)
+            for _ in range(int(rng.integers(1, 4))):
+                u, v = rng.choice(nodes, 2, replace=False)
+                g.add_edge(int(u), int(v))
+        return g
+    if kind == "stars":
+        return nx.disjoint_union_all(
+            [nx.star_graph(int(rng.integers(1, 12))) for _ in range(int(rng.integers(1, 4)))])
+    if kind == "grid":
+        return nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(int(rng.integers(1, 8)), int(rng.integers(1, 8))))
+    if kind == "tree":
+        n = int(rng.integers(1, 60))
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((i, int(rng.integers(0, i))) for i in range(1, n))
+        return g
+    raise AssertionError(kind)
+
+
+GRAPH_KINDS = ("gnm", "cycle", "cliques", "stars", "grid", "tree")
+
+
+def _differential_graphs():
+    rng = np.random.default_rng(2004)
+    graphs = []
+    for i in range(300):
+        g = _random_graph(rng, GRAPH_KINDS[i % len(GRAPH_KINDS)])
+        graphs.append(_relabel(g, rng) if rng.random() < 0.5 else g)
+    for seed in range(4):
+        s = tr.make_bundle(12 + 6 * seed, 30, spacing=1.0, seed=seed)
+        for eps in (0.6, 0.9, 1.2, 1.6):
+            graphs.append(simple_graph(tr.build_reeb(s, eps)))
+    return graphs
+
+
+def _exact_efficiency(g):
+    n = g.number_of_nodes()
+    if n < 2:
+        return Fraction(0)
+    by_distance = Counter(
+        d for _, targets in nx.all_pairs_shortest_path_length(g)
+        for d in targets.values() if d > 0)
+    return sum((Fraction(c, d) for d, c in by_distance.items()), Fraction(0)) / (n * (n - 1))
+
+
+def _check_against_references(g):
+    assert greedy_modularity_partition(g) == greedy_modularity_scan(g)
+    betweenness, efficiency = metrics._shortest_path_pass(g)
+    reference = nx.betweenness_centrality(g, normalized=True)
+    np.testing.assert_allclose(
+        betweenness, [reference[v] for v in sorted(g.nodes)], rtol=1e-12, atol=0)
+    exact = _exact_efficiency(g)
+    assert abs(Fraction(efficiency) - exact) <= Fraction(1e-14) * exact
+    assert efficiency == pytest.approx(nx.global_efficiency(g), rel=0, abs=1e-9)
+
+
+def test_metrics_match_oracles_on_random_graphs():
+    graphs = _differential_graphs()
+    assert len(graphs) >= 300
+    for g in graphs:
+        _check_against_references(g)
+
+
+@pytest.mark.parametrize("edges, nodes", [
+    ([], [7]),  # n = 1
+    ([], [3, 9]),  # n = 2, no edge
+    ([(3, 9)], []),  # n = 2, one edge
+    ([], range(0, 50, 7)),  # no edges at all
+    ([(0, 1), (1, 2)], [10, 20]),  # path plus isolated nodes
+    ([(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (7, 5)], [100]),  # disconnected
+])
+def test_metrics_edge_cases_match_oracles(edges, nodes):
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    _check_against_references(g)
+
+
+def test_shortest_path_pass_independent_of_block_size(monkeypatch):
+    # entry budgets below n (one source per block) up to blocks of 2-14
+    # sources, most of which do not divide n, so a last short block is common
+    rng = np.random.default_rng(66)
+    graphs = [_relabel(_random_graph(rng, kind), rng) for kind in GRAPH_KINDS * 3]
+    for entries in (1, 60, 7 * 61):
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+        for g in graphs:
+            _check_against_references(g)
+
+
+def test_metrics_report_of_reeb_graph_matches_networkx():
+    g_reeb = tr.build_reeb(tr.make_bundle(40, 40, spacing=1.0, seed=3), 1.0)
+    g = simple_graph(g_reeb)
+    rep = tr.compute_metrics(g_reeb)
+    reference = nx.betweenness_centrality(g, normalized=True)
+    assert rep.avg_betweenness == pytest.approx(
+        float(np.mean(list(reference.values()))), rel=1e-12, abs=0)
+    assert rep.global_efficiency == pytest.approx(nx.global_efficiency(g), rel=1e-11, abs=0)
+    assert rep.modularity == modularity_value(g, greedy_modularity_scan(g))
 
 
 # ---------------------------------------------------------------------------
