@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
 from .errors import ContractError, TrajreebError
@@ -90,6 +91,11 @@ def _check_epsilon(value: float) -> float:
     return float(value)
 
 
+# sweep keeps per-epsilon state through its detect pass, so the count of
+# epsilons bounds its memory
+_MAX_EPSILONS = 10_000
+
+
 def _parse_range(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -98,10 +104,16 @@ def _parse_range(spec: str) -> list[float]:
         a, b, step = (float(x) for x in parts)
     except ValueError:
         raise ValueError(f"epsilon range must be numeric, got {spec!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"epsilon range needs finite A, B and STEP, got {spec!r}")
     if a <= 0 or step <= 0 or b < a:
         raise ValueError("epsilon range needs 0 < A <= B and STEP > 0")
-    count = int((b - a) / step + 1e-9) + 1
-    return [a + i * step for i in range(count)]
+    if a + step == a:
+        raise ValueError(f"epsilon range STEP is too small to change A, got {spec!r}")
+    count = (b - a) / step + 1e-9
+    if count >= _MAX_EPSILONS:
+        raise ValueError(f"epsilon range holds more than {_MAX_EPSILONS} epsilons")
+    return [a + i * step for i in range(int(count) + 1)]
 
 
 def _load(args) -> TrajectorySet:

@@ -16,6 +16,12 @@ past epsilon when the step's span would need more cells than the packed
 cell code holds, which costs candidates, never pairs.  Candidates are
 decided by the squared-distance predicate of :mod:`trajreeb.geometry`, so
 boundary decisions agree bit-for-bit with every other code path.
+
+Detection runs over the steps once for any number of epsilons: each step's
+pairs come from one grid at the largest epsilon, with their squared
+distances, and each epsilon keeps those within its own radius.  The
+schedule it returns is four integer columns (step, kind, subjects);
+:class:`Event` objects are built only when a caller iterates it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Point3, Trajectory, TrajectorySet, as_point
+from .geometry import Point3, Trajectory, TrajectorySet
 
 
 class EventKind(enum.IntEnum):
@@ -74,44 +80,84 @@ class Event:
 
 
 class EventSchedule:
-    """Step-ordered event sequence; the input alphabet of the FSM."""
+    """Step-ordered event sequence; the input alphabet of the FSM.
+
+    Stored as four integer columns sorted by (step, kind, subjects): step,
+    kind, first subject ``a`` and second subject ``b`` (-1 for appear and
+    disappear).  :class:`Event` objects are built only when asked for.  A
+    schedule built from events keeps their locations; one built by
+    :func:`detect_all_events` derives each location from its trajectory
+    set, as the first subject's point at the event step.
+    """
 
     def __init__(self, events):
         evs = sorted(events, key=lambda e: e.sort_key)
-        self._events = tuple(evs)
-        steps: dict[int, list[Event]] = {}
-        for e in evs:
-            steps.setdefault(e.step, []).append(e)
-        self._by_step = steps
+        n = len(evs)
+        self._step = np.fromiter((e.step for e in evs), dtype=np.int64, count=n)
+        self._kind = np.fromiter((e.kind for e in evs), dtype=np.int64, count=n)
+        self._a = np.fromiter((e.subjects[0] for e in evs), dtype=np.int64, count=n)
+        self._b = np.fromiter((e.subjects[1] if len(e.subjects) == 2 else -1 for e in evs),
+                              dtype=np.int64, count=n)
+        self._locations = [e.location for e in evs]
+        self._set = None
+
+    @classmethod
+    def _from_columns(cls, s: TrajectorySet, step, kind, a, b) -> "EventSchedule":
+        out = cls.__new__(cls)
+        out._step, out._kind, out._a, out._b = step, kind, a, b
+        out._locations = None
+        out._set = s
+        return out
+
+    def _slice(self, lo: int, hi: int):
+        """Events lo..hi-1, built on the fly."""
+        cols = [c[lo:hi].tolist() for c in (self._step, self._kind, self._a, self._b)]
+        if self._locations is None:
+            by_id = self._set.by_id
+            locs = (by_id(a).location_at(k) for k, a in zip(cols[0], cols[2]))
+        else:
+            locs = self._locations[lo:hi]
+        for k, kind, a, b, loc in zip(*cols, locs):
+            yield Event(EventKind(kind), k, (a,) if b < 0 else (a, b), loc)
+
+    def _runs(self):
+        """(step, kind, first subjects, second subjects) of each run of one
+        kind at one step, in schedule order, as lists."""
+        cuts = np.flatnonzero(np.diff(self._step * 4 + self._kind)) + 1
+        bounds = [0, *cuts.tolist(), len(self)] if len(self) else []
+        step, kind, a, b = (c.tolist() for c in (self._step, self._kind, self._a, self._b))
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield step[lo], kind[lo], a[lo:hi], b[lo:hi]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._step.shape[0]
 
     def __iter__(self):
-        return iter(self._events)
+        return self._slice(0, len(self))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EventSchedule) and self._events == other._events
+        return isinstance(other, EventSchedule) and self.events == other.events
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return self._events
+        return tuple(self)
 
     @property
     def steps(self) -> list[int]:
-        return sorted(self._by_step)
+        return np.unique(self._step).tolist()
 
     def at_step(self, k: int) -> list[Event]:
-        return list(self._by_step.get(k, ()))
+        lo, hi = np.searchsorted(self._step, (k, k + 1)).tolist()
+        return list(self._slice(lo, hi))
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_dict()) for e in self._events) + "\n"
+        return "\n".join(json.dumps(e.to_dict()) for e in self) + "\n"
 
     def validate(self) -> None:
         """Check the alternation invariant: per pair, Connect and Disconnect
         strictly alternate, starting with Connect."""
         state: dict[tuple[int, int], EventKind] = {}
-        for e in self._events:
+        for e in self:
             if e.kind is EventKind.CONNECT:
                 if state.get(e.subjects) is EventKind.CONNECT:
                     raise ContractError(f"double connect for pair {e.subjects}")
@@ -191,12 +237,13 @@ class _StepIndex:
         return self.ids[rows], self.points[self.offset[rows] + k]
 
 
-def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
-    """Sorted packed codes of the epsilon-connected pairs among one step's
-    points."""
-    n = ids.shape[0]
+def _candidates(pts: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row pairs (ii, jj) of one step's points that share or neighbour a
+    grid cell, a superset of the epsilon-connected pairs, and their squared
+    distances."""
+    n = pts.shape[0]
     if n < 2:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     with np.errstate(over="ignore"):  # an overflow is the inf rejected below
         rel = pts - pts.min(axis=0)
     span = float(rel.max())
@@ -219,17 +266,101 @@ def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
     ii = np.repeat(np.tile(np.arange(n), len(_SHIFTS)), cnt)
     jj = np.repeat(lo.ravel() - (np.cumsum(cnt) - cnt), cnt) + np.arange(ii.shape[0])
     ii, jj = order[ii], order[jj]
+    # (-x)**2 == x**2 exactly, so d2 does not depend on which end comes first
     d = pts[ii] - pts[jj]
     d2 = d[:, 0] * d[:, 0]
     d2 += d[:, 1] * d[:, 1]
     d2 += d[:, 2] * d[:, 2]
+    return ii, jj, d2
+
+
+def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Codes of unordered id pairs: the smaller id above bit 31."""
+    return (np.minimum(a, b) << 31) + np.maximum(a, b)
+
+
+def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Sorted packed codes of the epsilon-connected pairs among one step's
+    points."""
+    ii, jj, d2 = _candidates(pts, epsilon)
     hit = d2 <= epsilon * epsilon
-    a, b = ids[ii[hit]], ids[jj[hit]]
-    return np.sort((np.minimum(a, b) << 31) + np.maximum(a, b))
+    return np.sort(_pack(ids[ii[hit]], ids[jj[hit]]))
+
+
+_LOW31 = (1 << 31) - 1
 
 
 def _unpack_pair(code: int) -> tuple[int, int]:
-    return int(code >> 31), int(code & ((1 << 31) - 1))
+    return int(code >> 31), int(code & _LOW31)
+
+
+def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
+    """One event schedule per epsilon of an increasing list, from one pass
+    over the steps.
+
+    Each step's pairs are found once, by the grid at the largest epsilon,
+    with their squared distances; every epsilon keeps those within its own
+    radius and diffs them against its previous step.  A grid at the largest
+    epsilon finds every pair of a smaller one, and thresholding the same d2
+    decides ties exactly as a separate pass would.
+    """
+    if len(s) == 0:
+        raise ValueError("trajectory set is empty")
+    if not all(e > 0 for e in epsilons):
+        raise ValueError("epsilon must be positive")
+    index = _StepIndex(s)
+    ids = index.ids
+    by_id = np.argsort(ids)
+    # trajectories ending at each step, by (step, id): a pair whose member
+    # ended at k - 1 ends without a Disconnect at k
+    by_end = np.lexsort((ids, index.end))
+    ended_ids, ended_at = ids[by_end], index.end[by_end]
+
+    kmin, kmax = s.step_range
+    squares = [e * e for e in epsilons]
+    prev = [np.empty(0, dtype=np.int64) for _ in epsilons]
+    # per epsilon: connect and disconnect codes of every step, in step order
+    parts: list[list[np.ndarray]] = [[] for _ in epsilons]
+    for k in range(kmin, kmax + 1):
+        step_ids, pts = index.active(k)
+        if len(epsilons) == 1:
+            curs = [_pairs(step_ids, pts, epsilons[0])]
+        else:
+            ii, jj, d2 = _candidates(pts, epsilons[-1])
+            hit = d2 <= squares[-1]
+            code = _pack(step_ids[ii[hit]], step_ids[jj[hit]])
+            order = np.argsort(code)
+            code, d2 = code[order], d2[hit][order]
+            curs = [code[d2 <= sq] for sq in squares]
+        lo, hi = np.searchsorted(ended_at, (k - 1, k)).tolist()
+        ended = ended_ids[lo:hi]
+        for j, cur in enumerate(curs):
+            gone = np.setdiff1d(prev[j], cur, assume_unique=True)
+            if ended.size and gone.size:
+                gone = gone[~(np.isin(gone >> 31, ended) | np.isin(gone & _LOW31, ended))]
+            parts[j] += (np.setdiff1d(cur, prev[j], assume_unique=True), gone)
+            prev[j] = cur
+
+    # appear and disappear of every trajectory, in id order; a stable sort
+    # by (step, kind) then yields the (step, kind, subjects) order, because
+    # pair codes come in step order and sorted within each step
+    n = len(s)
+    life_step = np.concatenate([index.start[by_id], index.end[by_id]])
+    life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
+    life_a = np.tile(ids[by_id], 2)
+    pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
+    pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
+    out = []
+    for chunks in parts:
+        sizes = [c.shape[0] for c in chunks]
+        code = np.concatenate(chunks)
+        step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
+        kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
+        order = np.argsort(step * 4 + kind, kind="stable")
+        a = np.concatenate([life_a, code >> 31])[order]
+        b = np.concatenate([np.full(2 * n, -1), code & _LOW31])[order]
+        out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
+    return out
 
 
 def detect_all_events(s: TrajectorySet, epsilon: float) -> EventSchedule:
@@ -238,28 +369,4 @@ def detect_all_events(s: TrajectorySet, epsilon: float) -> EventSchedule:
     One Appear and one Disappear per trajectory plus the union of pairwise
     connect/disconnect events, deterministically ordered.
     """
-    if len(s) == 0:
-        raise ValueError("trajectory set is empty")
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
-    index = _StepIndex(s)
-    events: list[Event] = []
-    for t in s:
-        events.append(Event(EventKind.APPEAR, t.start_step, (t.id,), as_point(t.points[0])))
-        events.append(Event(EventKind.DISAPPEAR, t.end_step, (t.id,), as_point(t.points[-1])))
-
-    kmin, kmax = s.step_range
-    prev = np.empty(0, dtype=np.int64)
-    for k in range(kmin, kmax + 1):
-        cur = _pairs(*index.active(k), epsilon)
-        for code in np.setdiff1d(cur, prev, assume_unique=True):
-            a, b = _unpack_pair(int(code))
-            events.append(Event(EventKind.CONNECT, k, (a, b), s.by_id(a).location_at(k)))
-        for code in np.setdiff1d(prev, cur, assume_unique=True):
-            a, b = _unpack_pair(int(code))
-            ta = s.by_id(a)
-            # a pair whose member disappeared at k - 1 ends without a Disconnect
-            if ta.active_at(k) and s.by_id(b).active_at(k):
-                events.append(Event(EventKind.DISCONNECT, k, (a, b), ta.location_at(k)))
-        prev = cur
-    return EventSchedule(events)
+    return _detect(s, [epsilon])[0]

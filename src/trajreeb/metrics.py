@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import networkx as nx
 import numpy as np
 
+from .events import _detect
 from .geometry import TrajectorySet
 from .io import fmt17
 from .reeb import ReebGraph, build_reeb
@@ -255,7 +256,8 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
 
 
 def sweep(s: TrajectorySet, epsilons) -> list[MetricsReport]:
-    """One report per epsilon, each built independently."""
+    """One report per epsilon; one detect pass serves them all, and each
+    graph is built from its own schedule."""
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
@@ -263,7 +265,9 @@ def sweep(s: TrajectorySet, epsilons) -> list[MetricsReport]:
         raise ValueError("epsilon must be positive")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
-    return [compute_metrics(build_reeb(s, e)) for e in eps]
+    schedules = _detect(s, eps)
+    return [compute_metrics(build_reeb(s, e, schedule=sched))
+            for e, sched in zip(eps, schedules)]
 
 
 # ---------------------------------------------------------------------------

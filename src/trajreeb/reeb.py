@@ -224,20 +224,19 @@ class _Builder:
 
     # -- phases ------------------------------------------------------------
 
-    def appear_phase(self, k: int, evs: list[Event]) -> None:
-        for e in evs:
-            tid = e.subjects[0]
+    def appear_phase(self, k: int, tids: list[int]) -> None:
+        for tid in tids:
             self.graph.insert_node(tid)
             vid = self.new_vertex(VertexKind.APPEAR, k, tid)
             self.open_edge(vid, k, frozenset((tid,)))
 
-    def connect_phase(self, k: int, evs: list[Event]) -> None:
+    def connect_phase(self, k: int, pairs: list[tuple[int, int]]) -> None:
         g = self.graph
-        for e in evs:
-            g.insert_edge(*e.subjects)
+        for a, b in pairs:
+            g.insert_edge(a, b)
         groups: dict[object, dict[int, _OpenEdge]] = {}
-        for e in evs:
-            for tid in e.subjects:
+        for pair in pairs:
+            for tid in pair:
                 oe = self.handle[tid]
                 groups.setdefault(g.root_key(tid), {})[id(oe)] = oe
         merged = [grp for grp in groups.values() if len(grp) >= 2]
@@ -256,16 +255,16 @@ class _Builder:
             big.start_step = k
             big.members = members
 
-    def disconnect_phase(self, k: int, evs: list[Event]) -> None:
+    def disconnect_phase(self, k: int, pairs: list[tuple[int, int]]) -> None:
         g = self.graph
-        for e in evs:
-            g.delete_edge(*e.subjects)
+        for a, b in pairs:
+            g.delete_edge(a, b)
         affected: dict[int, _OpenEdge] = {}
         pairs_of: dict[int, list[tuple[int, int]]] = {}
-        for e in evs:
-            oe = self.handle[e.subjects[0]]
+        for pair in pairs:
+            oe = self.handle[pair[0]]
             affected[id(oe)] = oe
-            pairs_of.setdefault(id(oe), []).append(e.subjects)
+            pairs_of.setdefault(id(oe), []).append(pair)
         for oe in sorted(affected.values(), key=lambda oe: min(oe.members)):
             if all(g.connected(a, b) for a, b in pairs_of[id(oe)]):
                 continue  # every deleted edge closed a cycle; group intact
@@ -297,12 +296,11 @@ class _Builder:
             rest = rest - piece
         return small + [rest]
 
-    def disappear_phase(self, k: int, evs: list[Event]) -> None:
+    def disappear_phase(self, k: int, tids: list[int]) -> None:
         g = self.graph
         by_edge: dict[int, _OpenEdge] = {}
         dying_of: dict[int, set[int]] = {}
-        for e in evs:
-            tid = e.subjects[0]
+        for tid in tids:
             oe = self.handle[tid]
             by_edge[id(oe)] = oe
             dying_of.setdefault(id(oe), set()).add(tid)
@@ -371,19 +369,15 @@ def build_reeb(
     if schedule is None:
         schedule = detect_all_events(s, epsilon)
     b = _Builder(s)
-    for k in schedule.steps:
-        evs = schedule.at_step(k)
-        buckets: dict[EventKind, list[Event]] = {kind: [] for kind in EventKind}
-        for e in evs:
-            buckets[e.kind].append(e)
-        if buckets[EventKind.APPEAR]:
-            b.appear_phase(k, buckets[EventKind.APPEAR])
-        if buckets[EventKind.CONNECT]:
-            b.connect_phase(k, buckets[EventKind.CONNECT])
-        if buckets[EventKind.DISCONNECT]:
-            b.disconnect_phase(k, buckets[EventKind.DISCONNECT])
-        if buckets[EventKind.DISAPPEAR]:
-            b.disappear_phase(k, buckets[EventKind.DISAPPEAR])
+    for k, kind, first, second in schedule._runs():
+        if kind == EventKind.APPEAR:
+            b.appear_phase(k, first)
+        elif kind == EventKind.CONNECT:
+            b.connect_phase(k, list(zip(first, second)))
+        elif kind == EventKind.DISCONNECT:
+            b.disconnect_phase(k, list(zip(first, second)))
+        else:
+            b.disappear_phase(k, first)
     if b.handle:
         raise ContractError(f"groups left open after replay: {sorted(b.handle)}")
     metadata = dict(s.metadata)

@@ -61,7 +61,7 @@ def graph_to_json(r: ReebGraph) -> str:
 def graph_from_json(text: str | bytes) -> ReebGraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad json or utf-8, too deep, too many digits
         raise FormatError(f"reeb json: {exc}") from None
     try:
         epsilon = float(obj["epsilon"])
@@ -79,9 +79,12 @@ def graph_from_json(text: str | bytes) -> ReebGraph:
         for i, e in enumerate(obj["edges"]):
             members = frozenset(int(t) for t in e["members"])
             if not members:
-                raise ContractError(f"edge {i} has empty members")
+                raise FormatError(f"reeb json: edge {i} has empty members")
             k1, k2 = (int(k) for k in e["interval"])
-            edges.append(ReebEdge(i, int(e["u"]), int(e["v"]), members, (k1, k2)))
+            u, v = int(e["u"]), int(e["v"])
+            if not (0 <= u < len(vertices) and 0 <= v < len(vertices)):
+                raise FormatError(f"reeb json: edge {i} references unknown vertex")
+            edges.append(ReebEdge(i, u, v, members, (k1, k2)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"reeb json: malformed document ({exc})") from None
     r = ReebGraph(tuple(vertices), tuple(edges), epsilon, metadata)

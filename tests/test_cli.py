@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trajreeb as tr
-from trajreeb.cli import run
+from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
 from trajreeb.errors import ContractError
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 from trajreeb.serialize import graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json
@@ -86,6 +86,21 @@ def test_empty_members_edge_refused():
     bad = ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset(), (0, 1)),), 1.0, {})
     with pytest.raises(ContractError, match="empty members"):
         graph_to_json(bad)
+
+
+def test_reeb_json_deep_nesting_is_format_error():
+    with pytest.raises(tr.FormatError, match="reeb json"):
+        graph_from_json("[" * 100_000)
+
+
+@pytest.mark.parametrize("end", ["u", "v"])
+def test_reeb_json_edge_to_unknown_vertex_is_format_error(pair_set, end):
+    """Outside input naming no vertex is malformed input, not an internal
+    contract violation."""
+    obj = json.loads(graph_to_json(tr.build_reeb(pair_set, 1.5)))
+    obj["edges"][0][end] = len(obj["vertices"])
+    with pytest.raises(tr.FormatError, match="unknown vertex"):
+        graph_from_json(json.dumps(obj))
 
 
 def test_single_trajectory_roundtrip():
@@ -287,7 +302,7 @@ def test_cli_build_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "out.json").stat().st_size > 0
 
 
-def _cli_subprocess(args):
+def _cli_subprocess(args, timeout=None):
     """Run the CLI on `args` in a fresh interpreter with default warning
     filters; exits with the command's code, or 3 if a scipy module loaded."""
     code = (
@@ -297,7 +312,30 @@ def _cli_subprocess(args):
         "sys.exit(3 if loaded else code)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("1:inf:1", "finite"),
+    ("1:2:inf", "finite"),
+    ("nan:1:1", "finite"),
+    ("1:2:1e-300", "too small"),  # A + STEP == A: the count alone would be ~1e300
+    ("1:2:0.0001", "more than 10000"),  # 10001 epsilons
+    ("1e-300:1:1e-300", "more than 10000"),
+])
+def test_cli_sweep_rejects_unrunnable_range(pair_csv, spec, reason):
+    proc = _cli_subprocess(["sweep", "--input", str(pair_csv), "--epsilon-range", spec],
+                           timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert reason in proc.stderr
+
+
+def test_cli_sweep_range_at_the_epsilon_cap():
+    eps = _parse_range(f"1:{1 + (_MAX_EPSILONS - 1) / 1024}:{1 / 1024}")
+    assert len(eps) == _MAX_EPSILONS
+    assert eps[-1] == 1 + (_MAX_EPSILONS - 1) / 1024
 
 
 def test_cli_sweep_leaves_scipy_unloaded(tmp_path):

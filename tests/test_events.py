@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import trajreeb as tr
-from trajreeb.events import EventKind
+from trajreeb.events import EventKind, _detect
 
 from oracles import oracle_schedule, random_instance
 
@@ -132,6 +132,42 @@ def test_detect_memory_stays_linear_when_epsilon_is_tiny(offset, span, ratio):
     assert connects == [(i, i + 1000) for i in range(1000)]
 
 
+def test_detect_memory_per_event_on_a_dense_step():
+    """20,000 points a step, ~174k events: the schedule is kept as integer
+    columns, not one Event and Point3 per event (~450 B each)."""
+    s = tr.make_bundle(20_000, 4)
+    tracemalloc.start()
+    try:
+        sched = tr.detect_all_events(s, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sched) > 150_000
+    assert peak / len(sched) < 250
+
+
+def test_shared_pass_equals_separate_detects():
+    """One pass over the steps for a list of epsilons gives each epsilon the
+    schedule of its own detect, ties at every epsilon included."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(12):
+        trajs, eps = random_instance(rng, n_range=(5, 25), m_range=(8, 40))
+        cases.append((trajs, sorted({eps * f for f in rng.uniform(0.3, 2.5, 4)} | {eps})))
+    for _ in range(8):
+        # integer points: step distances are sqrt(0..27), so every epsilon
+        # below is hit exactly by some pairs
+        trajs, _ = lattice_instance(rng)
+        cases.append((trajs, [1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0, np.sqrt(5.0), 3.0]))
+    for trajs, epsilons in cases:
+        s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+        shared = _detect(s, epsilons)
+        assert len(shared) == len(epsilons)
+        for eps, sched in zip(epsilons, shared):
+            assert sched == tr.detect_all_events(s, eps)
+            assert sched == oracle_schedule(trajs, eps)
+
+
 def test_detect_rejects_a_step_span_beyond_float64():
     s = tr.make_set([[(-1e308, 0, 0), (0, 0, 0)], [(1e308, 0, 0), (1, 0, 0)]])
     with pytest.raises(ValueError, match="float64 range"):
@@ -182,6 +218,24 @@ def test_intra_step_ordering():
     assert at0 == ["appear", "appear", "connect"]
     at2 = [str(e.kind) for e in sched.at_step(2)]
     assert at2 == ["disappear", "disappear"]
+
+
+def test_schedule_from_events_equals_detected_columns():
+    """A schedule rebuilt from a detected schedule's events keeps their
+    locations and answers every query alike."""
+    rng = np.random.default_rng(43)
+    trajs, eps = random_instance(rng, n_range=(8, 16), m_range=(8, 30))
+    s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+    sched = tr.detect_all_events(s, eps)
+    again = tr.EventSchedule(reversed(list(sched)))
+    assert again == sched and len(again) == len(sched)
+    assert again.steps == sched.steps
+    for k in sched.steps:
+        assert again.at_step(k) == sched.at_step(k)
+    assert again.at_step(max(sched.steps) + 1) == []
+    assert again.to_jsonl() == sched.to_jsonl()
+    for e in sched:
+        assert e.location == s.by_id(e.subjects[0]).location_at(e.step)
 
 
 def test_jsonl_dump(pair_set):

@@ -193,6 +193,80 @@ def test_whole_group_death_shares_one_vertex():
 
 
 # ---------------------------------------------------------------------------
+# Adversarial differential suite: built-in schedule and oracle schedule
+# against the per-step tracking oracle
+
+
+def lattice_set(rng, ids, starts, lengths, side):
+    """Trajectories jumping between integer points of a side^3 cube, so many
+    pairs connect, disconnect and tie with epsilon at every step."""
+    return [(int(t), rng.integers(0, side, (int(m), 3)).astype(float), int(st))
+            for t, st, m in zip(ids, starts, lengths)]
+
+
+def all_die_at_one_step(rng):
+    n, last = int(rng.integers(6, 16)), int(rng.integers(8, 20))
+    starts = rng.integers(0, last - 1, n)
+    return lattice_set(rng, range(n), starts, last - starts + 1, side=3)
+
+
+def cascades(rng):
+    """Staggered births and deaths on a tight lattice: one step often holds
+    appears, merges, splits and deaths at once."""
+    n = int(rng.integers(8, 20))
+    starts = rng.integers(0, 6, n)
+    return lattice_set(rng, range(n), starts, rng.integers(2, 14, n), side=2)
+
+
+def sparse_high_ids(rng):
+    n = int(rng.integers(6, 16))
+    high = rng.choice(np.arange(1, 4096), n - 3, replace=False)
+    ids = [(1 << 31) - 1 - int(h) for h in (0, *high)] + [0, int(rng.integers(1, 1 << 20))]
+    order = rng.permutation(n)
+    return lattice_set(rng, [ids[i] for i in order], rng.integers(0, 5, n),
+                       rng.integers(2, 12, n), side=3)
+
+
+def offset_starts(rng):
+    trajs, _ = random_instance(rng, n_range=(5, 15), m_range=(6, 25))
+    base = int(rng.integers(1, 10**6))
+    return [(t, p, base + st + int(rng.integers(0, 4))) for t, p, st in trajs]
+
+
+ADVERSARIAL = {
+    "all_die_at_one_step": all_die_at_one_step,
+    "cascades": cascades,
+    "sparse_high_ids": sparse_high_ids,
+    "offset_starts": offset_starts,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_builder_matches_oracle_on_adversarial_sets(name):
+    rng = np.random.default_rng(sorted(ADVERSARIAL).index(name) + 211)
+    kinds_per_step = set()
+    for trial in range(25):
+        plain = ADVERSARIAL[name](rng)
+        s = build_set(plain)
+        if name == "offset_starts":
+            eps = random_instance(rng, n_range=(5, 15), m_range=(6, 25))[1]
+        else:
+            eps = float(rng.choice([1.0, np.sqrt(2.0)]))
+        want = oracle_canonical(plain, eps)
+        built = tr.build_reeb(s, eps)
+        replayed = tr.build_reeb(s, eps, schedule=oracle_schedule(plain, eps))
+        assert built.canonical_form() == want, f"{name} trial {trial}"
+        assert replayed.vertices == built.vertices and replayed.edges == built.edges
+        check_path_property(built, s)
+        check_locations(built, s)
+        check_conservation(built)
+        for k in {v.step for v in built.vertices}:
+            kinds_per_step.add(frozenset(str(v.kind) for v in built.vertices if v.step == k))
+    if name == "cascades":
+        assert frozenset(("appear", "merge", "split", "disappear")) in kinds_per_step
+
+
+# ---------------------------------------------------------------------------
 # groups_at_step
 
 
