@@ -174,28 +174,8 @@ def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Even
         raise ValueError("epsilon must be positive")
     if t1.id == t2.id:
         raise ContractError("pairwise_events needs two distinct trajectories")
-    lo = max(t1.start_step, t2.start_step)
-    hi = min(t1.end_step, t2.end_step)
-    if lo > hi:
-        return []
-    a, b = (t1, t2) if t1.id < t2.id else (t2, t1)
-    pa = a.points[lo - a.start_step: hi - a.start_step + 1]
-    pb = b.points[lo - b.start_step: hi - b.start_step + 1]
-    d = pa - pb
-    d2 = d[:, 0] * d[:, 0]
-    d2 += d[:, 1] * d[:, 1]
-    d2 += d[:, 2] * d[:, 2]
-    conn = d2 <= epsilon * epsilon
-
-    events = []
-    subjects = (a.id, b.id)
-    for i in range(conn.shape[0]):
-        k = lo + i
-        if conn[i] and (i == 0 or not conn[i - 1]):
-            events.append(Event(EventKind.CONNECT, k, subjects, a.location_at(k)))
-        elif not conn[i] and i > 0 and conn[i - 1]:
-            events.append(Event(EventKind.DISCONNECT, k, subjects, a.location_at(k)))
-    return events
+    schedule = _detect(TrajectorySet((t1, t2)), [epsilon])[0]
+    return [e for e in schedule if e.kind in (EventKind.CONNECT, EventKind.DISCONNECT)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,20 @@ The Reeb graph is treated as a simple undirected graph: parallel edges
 cascade edges are kept.  |E| then counts maximal groups and |V| the
 significant points.
 
-Betweenness and global efficiency come from one shared all-pairs pass:
-a breadth-first search from every vertex, run level by level over blocks
-of sources at once on numpy CSR arrays (Brandes 2001), which yields each
-vertex's normalized betweenness (reported as their mean) and the count of
-vertex pairs at each distance (efficiency).  Modularity is the Q of a
-Clauset-Newman-Moore greedy agglomeration: one heap of adjacent community
-pairs keyed by exact integer gains, with deterministic lowest-id
-tie-breaking, so repeated runs give identical reports.  Clustering is
-networkx's.
+Mean betweenness and global efficiency both follow from c_d, the number
+of ordered vertex pairs at distance d, which a breadth-first search from
+every vertex counts (level by level, over blocks of sources at once, on
+numpy CSR arrays).  Every shortest s-t path has d(s, t) - 1 interior
+vertices, so the dependencies of source s (Brandes 2001) sum to
+sum_t (d(s, t) - 1) and the mean normalized betweenness is
+sum_d c_d (d - 1) / (n(n-1)(n-2)); global efficiency is
+sum_d c_d / d / (n(n-1)).  Both are exact integer ratios, the second over
+lcm(d), each rounded once to the nearest float.
+
+Modularity is the Q of a Clauset-Newman-Moore greedy agglomeration: one
+heap of adjacent community pairs keyed by exact integer gains, with
+deterministic lowest-id tie-breaking, so repeated runs give identical
+reports.  Clustering is networkx's.
 """
 
 from __future__ import annotations
@@ -164,24 +169,20 @@ def modularity_value(g: nx.Graph, partition: list[set]) -> float:
     return q
 
 
-def _shortest_path_pass(g: nx.Graph) -> tuple[np.ndarray, float]:
-    """(normalized betweenness of each node in sorted-id order, global
-    efficiency) from one breadth-first search per source.
+def _shortest_path_pass(g: nx.Graph) -> tuple[float, float]:
+    """(mean normalized betweenness, global efficiency) of g, each correctly
+    rounded from its exact rational value.
 
-    Brandes (2001), level-synchronous over a block of sources at once: entry
-    i*n + v of the block's arrays belongs to (its i-th source, node v).  The
-    forward sweep counts shortest paths sigma and keeps each level's DAG
-    edges; the backward sweep over them accumulates the dependencies delta.
-    Every level touches only its frontier's edges.  The same search counts
-    the ordered pairs at each distance d, so efficiency is
-    sum_d c_d/d / (n(n-1)).
+    A breadth-first search from every source, level-synchronous over a block
+    of sources at once: entry i*n + v of the block's arrays belongs to (its
+    i-th source, node v), and every level touches only its frontier's edges.
+    The searches count the ordered pairs c_d at each distance d, which is all
+    that either value needs (see the module docstring).
     """
-    nodes = sorted(g.nodes)
-    n = len(nodes)
-    betweenness = np.zeros(n)
+    n = g.number_of_nodes()
     if n < 2:
-        return betweenness, 0.0
-    index = {v: i for i, v in enumerate(nodes)}
+        return 0.0, 0.0
+    index = {v: i for i, v in enumerate(g.nodes)}
     ends = np.array([(index[u], index[v]) for u, v in g.edges if u != v],
                     dtype=np.int32).reshape(-1, 2)
     # CSR adjacency: the neighbours of v are nbr[first[v] : first[v] + deg[v]]
@@ -193,44 +194,36 @@ def _shortest_path_pass(g: nx.Graph) -> tuple[np.ndarray, float]:
     pairs: dict[int, int] = {}  # distance d -> ordered pairs at distance d
     for s0 in range(0, n, block):
         b = min(block, n - s0)
-        sources = np.arange(b, dtype=np.int32) * n + np.arange(s0, s0 + b, dtype=np.int32)
+        frontier = np.arange(b, dtype=np.int32) * n + np.arange(s0, s0 + b, dtype=np.int32)
         seen = np.zeros(b * n, dtype=bool)
-        sigma = np.zeros(b * n)
-        delta = np.zeros(b * n)
         slot = np.empty(b * n, dtype=np.int32)
-        seen[sources] = True
-        sigma[sources] = 1.0
-        frontier = sources
-        levels = []
+        seen[frontier] = True
+        d = 0
         while True:
             v = frontier % n
             counts = deg[v]
             stop = np.cumsum(counts, dtype=np.int32)
             if stop[-1] == 0:
                 break
-            row = np.repeat(np.arange(frontier.size, dtype=np.int32), counts)
             pos = np.arange(stop[-1], dtype=np.int32) + np.repeat(first[v] - stop + counts, counts)
-            child = nbr[pos] + (frontier - v)[row]
-            fresh = ~seen[child]
-            child = child[fresh]
+            child = nbr[pos] + np.repeat(frontier - v, counts)
+            child = child[~seen[child]]
             if child.size == 0:
                 break
-            parent = frontier[row[fresh]]
             seen[child] = True
-            np.add.at(sigma, child, sigma[parent])
-            levels.append((parent, child))
             # next frontier: each newly reached entry once
             k = np.arange(child.size, dtype=np.int32)
             slot[child] = k
             frontier = child[slot[child] == k]
-            pairs[len(levels)] = pairs.get(len(levels), 0) + frontier.size
-        for parent, child in reversed(levels):
-            np.add.at(delta, parent, sigma[parent] * ((1.0 + delta[child]) / sigma[child]))
-        delta[sources] = 0.0
-        betweenness += delta.reshape(b, n).sum(axis=0)
-    if n > 2:
-        betweenness *= 1 / ((n - 1) * (n - 2))
-    efficiency = math.fsum(c / d for d, c in pairs.items()) / (n * (n - 1))
+            d += 1
+            pairs[d] = pairs.get(d, 0) + frontier.size
+    # int / int is correctly rounded.  The lcm puts every c_d/d over one
+    # integer denominator; importing fractions would load decimal in every
+    # command, metrics or not.
+    through = sum(c * (d - 1) for d, c in pairs.items())
+    betweenness = through / (n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    lcm = math.lcm(*pairs)
+    efficiency = sum(c * (lcm // d) for d, c in pairs.items()) / (lcm * n * (n - 1))
     return betweenness, efficiency
 
 
@@ -241,7 +234,7 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
     g = simple_graph(r)
     n = g.number_of_nodes()
     avg_clustering = nx.average_clustering(g) if n else 0.0
-    betweenness, efficiency = _shortest_path_pass(g)
+    avg_betweenness, efficiency = _shortest_path_pass(g)
     partition = greedy_modularity_partition(g)
     modularity = modularity_value(g, partition)
     return MetricsReport(
@@ -249,9 +242,9 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
         n_vertices=n,
         n_edges=g.number_of_edges(),
         avg_clustering=float(avg_clustering),
-        avg_betweenness=float(np.mean(betweenness)),
+        avg_betweenness=avg_betweenness,
         modularity=float(modularity),
-        global_efficiency=float(efficiency),
+        global_efficiency=efficiency,
     )
 
 

@@ -2,13 +2,16 @@
 
 Nothing here reuses package code paths: distances come from full per-step
 matrices, components from plain BFS over pair sets or a full relabelling
-after every update, the Reeb evolution from diffing consecutive partitions.
+after every update, the Reeb evolution from diffing consecutive partitions,
+path features from networkx's all-pairs distances as exact rationals.
 Deliberately slow and obvious.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 
 from trajreeb.errors import ContractError
@@ -106,6 +109,37 @@ def oracle_schedule(trajs, epsilon):
                 events.append(Event(EventKind.DISCONNECT, k, (a, b), location(a, k)))
         prev = cur
     return EventSchedule(events)
+
+
+def oracle_pairwise_events(t1, t2, epsilon):
+    """Connect/disconnect events for one pair over their common step range,
+    from one vectorized distance test per common step."""
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be positive")
+    if t1.id == t2.id:
+        raise ContractError("pairwise_events needs two distinct trajectories")
+    lo = max(t1.start_step, t2.start_step)
+    hi = min(t1.end_step, t2.end_step)
+    if lo > hi:
+        return []
+    a, b = (t1, t2) if t1.id < t2.id else (t2, t1)
+    pa = a.points[lo - a.start_step: hi - a.start_step + 1]
+    pb = b.points[lo - b.start_step: hi - b.start_step + 1]
+    d = pa - pb
+    d2 = d[:, 0] * d[:, 0]
+    d2 += d[:, 1] * d[:, 1]
+    d2 += d[:, 2] * d[:, 2]
+    conn = d2 <= epsilon * epsilon
+
+    events = []
+    subjects = (a.id, b.id)
+    for i in range(conn.shape[0]):
+        k = lo + i
+        if conn[i] and (i == 0 or not conn[i - 1]):
+            events.append(Event(EventKind.CONNECT, k, subjects, a.location_at(k)))
+        elif not conn[i] and i > 0 and conn[i - 1]:
+            events.append(Event(EventKind.DISCONNECT, k, subjects, a.location_at(k)))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +420,27 @@ def random_instance(rng, n_range=(5, 50), m_range=(10, 100), staggered=True):
     base = np.quantile(samples, 0.3) if samples else 1.0
     epsilon = float(max(base * rng.uniform(0.6, 1.4), 1e-3))
     return trajs, epsilon
+
+
+# ---------------------------------------------------------------------------
+# Shortest-path features
+
+
+def exact_path_features(g):
+    """(mean normalized betweenness, global efficiency) of g as Fractions,
+    from networkx's all-pairs distances: with c_d ordered pairs at distance
+    d, sum_d c_d (d - 1) / (n(n-1)(n-2)) and sum_d c_d / d / (n(n-1))."""
+    n = g.number_of_nodes()
+    if n < 2:
+        return Fraction(0), Fraction(0)
+    by_distance = Counter(
+        d for _, targets in nx.all_pairs_shortest_path_length(g)
+        for d in targets.values() if d > 0)
+    efficiency = sum((Fraction(c, d) for d, c in by_distance.items()), Fraction(0)) / (n * (n - 1))
+    if n == 2:
+        return Fraction(0), efficiency
+    through = sum(c * (d - 1) for d, c in by_distance.items())
+    return Fraction(through, n * (n - 1) * (n - 2)), efficiency
 
 
 # ---------------------------------------------------------------------------

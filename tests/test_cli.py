@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +376,27 @@ def test_cli_coordinate_span_beyond_float64_is_one_line(tmp_path):
                             "--output", str(tmp_path / "out.json")])
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--epsilon", "1"],
+    ["metrics", "--epsilon", "1"],
+    ["sweep", "--epsilon-range", "0.8:1.2:0.2"],
+])
+def test_bench_tracer_finds_every_traced_name(tmp_path, command):
+    """The benchmark's tracer wraps trajreeb and networkx functions by name;
+    one that no longer resolves is listed as absent and turns into a null
+    metric in traced benchmark results."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_bundle(8, 12, seed=1)))
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(report), "--trace", "--",
+         *command, "--input", str(tck), "--output", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["absent"] == []

@@ -7,7 +7,7 @@ import pytest
 import trajreeb as tr
 from trajreeb.events import EventKind, _detect
 
-from oracles import oracle_schedule, random_instance
+from oracles import oracle_pairwise_events, oracle_schedule, random_instance
 
 
 def kinds_steps(events):
@@ -43,6 +43,40 @@ def test_pairwise_connected_at_first_common_step():
                       start_step=2)
     evs = tr.pairwise_events(a, b, 1.0)
     assert kinds_steps(evs)[0] == ("connect", 2, (0, 1))
+
+
+def test_pairwise_events_match_oracle_scan():
+    """The detector's pair rows against the per-pair scan: lazy lattice
+    walks, so distances tie with epsilon exactly, on ragged lengths and
+    offset (often disjoint) step ranges, with ids in either order."""
+    rng = np.random.default_rng(29)
+    shapes = {"events": 0, "none": 0, "disjoint": 0}
+    for _ in range(400):
+        epsilon = float(rng.choice([1.0, np.sqrt(2.0), np.sqrt(3.0)]))
+        t1, t2 = (
+            tr.Trajectory(int(tid), (rng.integers(0, 2, 3)
+                                     + rng.choice([-1, 0, 0, 0, 0, 0, 1], (m, 3)).cumsum(axis=0)
+                                     ).astype(float), int(rng.integers(0, 12)))
+            for tid, m in zip(rng.choice(40, 2, replace=False), rng.integers(2, 30, 2))
+        )
+        got = tr.pairwise_events(t1, t2, epsilon)
+        assert got == oracle_pairwise_events(t1, t2, epsilon)
+        if max(t1.start_step, t2.start_step) > min(t1.end_step, t2.end_step):
+            shapes["disjoint"] += 1
+        shapes["events" if got else "none"] += 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_pairwise_events_contract():
+    a = tr.Trajectory(0, np.zeros((3, 3)))
+    with pytest.raises(tr.ContractError, match="distinct"):
+        tr.pairwise_events(a, tr.Trajectory(0, np.ones((3, 3))), 1.0)
+    for epsilon in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            tr.pairwise_events(a, tr.Trajectory(1, np.ones((3, 3))), epsilon)
+    # ids past 31 bits are refused as by whole-set detection
+    with pytest.raises(tr.ContractError, match="31 bits"):
+        tr.pairwise_events(a, tr.Trajectory(1 << 31, np.ones((3, 3))), 1.0)
 
 
 def test_detect_single_trajectory():

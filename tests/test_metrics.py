@@ -1,6 +1,3 @@
-from collections import Counter
-from fractions import Fraction
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -17,6 +14,7 @@ from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 from oracles import (
     best_partition_exhaustive,
+    exact_path_features,
     greedy_modularity_scan,
     mann_whitney_p,
     oracle_canonical,
@@ -180,10 +178,26 @@ def _random_graph(rng, kind):
         g.add_nodes_from(range(n))
         g.add_edges_from((i, int(rng.integers(0, i))) for i in range(1, n))
         return g
+    if kind == "hubs":
+        # stars with many leaves whose centres are joined by paths, plus
+        # isolated K2s: most vertices are leaves
+        g = nx.Graph()
+        centre = None
+        for _ in range(int(rng.integers(1, 5))):
+            hub = g.number_of_nodes()
+            g.add_edges_from((hub, hub + 1 + i) for i in range(int(rng.integers(3, 16))))
+            if centre is not None:
+                n = g.number_of_nodes()
+                nx.add_path(g, [centre, *range(n, n + int(rng.integers(0, 4))), hub])
+            centre = hub
+        for _ in range(int(rng.integers(0, 4))):
+            n = g.number_of_nodes()
+            g.add_edge(n, n + 1)
+        return g
     raise AssertionError(kind)
 
 
-GRAPH_KINDS = ("gnm", "cycle", "cliques", "stars", "grid", "tree")
+GRAPH_KINDS = ("gnm", "cycle", "cliques", "stars", "grid", "tree", "hubs")
 
 
 def _differential_graphs():
@@ -199,24 +213,15 @@ def _differential_graphs():
     return graphs
 
 
-def _exact_efficiency(g):
-    n = g.number_of_nodes()
-    if n < 2:
-        return Fraction(0)
-    by_distance = Counter(
-        d for _, targets in nx.all_pairs_shortest_path_length(g)
-        for d in targets.values() if d > 0)
-    return sum((Fraction(c, d) for d, c in by_distance.items()), Fraction(0)) / (n * (n - 1))
-
-
 def _check_against_references(g):
     assert greedy_modularity_partition(g) == greedy_modularity_scan(g)
     betweenness, efficiency = metrics._shortest_path_pass(g)
+    exact_betweenness, exact_efficiency = exact_path_features(g)
+    assert betweenness == float(exact_betweenness)
+    assert efficiency == float(exact_efficiency)
     reference = nx.betweenness_centrality(g, normalized=True)
-    np.testing.assert_allclose(
-        betweenness, [reference[v] for v in sorted(g.nodes)], rtol=1e-12, atol=0)
-    exact = _exact_efficiency(g)
-    assert abs(Fraction(efficiency) - exact) <= Fraction(1e-14) * exact
+    assert betweenness == pytest.approx(
+        float(np.mean(list(reference.values()))), rel=1e-12, abs=0)
     assert efficiency == pytest.approx(nx.global_efficiency(g), rel=0, abs=1e-9)
 
 
