@@ -11,17 +11,29 @@ One detector serves every epsilon and every input.  Each step's points are
 bucketed into a uniform grid over coordinates relative to the step's
 minimum, with a cell side of at least epsilon, so every epsilon-connected
 pair lies in the same or a neighbouring cell (Bentley, Stanat and Williams,
-IPL 1977) and only the 27-cell neighbourhood is tested.  The side grows
-past epsilon when the step's span would need more cells than the packed
-cell code holds, which costs candidates, never pairs.  Candidates are
-decided by the squared-distance predicate of :mod:`trajreeb.geometry`, so
-boundary decisions agree bit-for-bit with every other code path.
+IPL 1977) and only the 27-cell neighbourhood is tested.  When the step's
+cell box, padded by one cell on each side, holds at most 32n + 4096 cells
+for n points, cells are numbered densely as x + y*nx + z*nx*ny and a table
+of each cell's first position in cell order (a bincount and a cumsum) gives
+every neighbour window in two lookups.  Larger boxes, as when epsilon is
+tiny against the coordinates, pack cell codes in three 21-bit fields and
+find the windows by binary search, so memory stays linear in the points
+either way.  The side grows past epsilon when the step's span would need
+more cells than a packed code holds, which costs candidates, never pairs.
+Candidates are decided by the squared-distance predicate of
+:mod:`trajreeb.geometry`, evaluated in the same order, so boundary
+decisions agree bit-for-bit with every other code path; only the hits are
+mapped back from cell order.
 
 Detection runs over the steps once for any number of epsilons: each step's
 pairs come from one grid at the largest epsilon, with their squared
-distances, and each epsilon keeps those within its own radius.  The
-schedule it returns is four integer columns (step, kind, subjects);
-:class:`Event` objects are built only when a caller iterates it.
+distances, and each epsilon keeps those within its own radius.  Pairs are
+coded by the ranks of their ids, which order as the ids do: a pair ended
+by a disappearance drops out through a lookup of its members' last steps,
+and each step's connects and disconnects are the codes that the previous
+or the current sorted code array lacks.  The schedule it returns is four
+integer columns (step, kind, subjects); :class:`Event` objects are built
+only when a caller iterates it.
 """
 
 from __future__ import annotations
@@ -181,23 +193,30 @@ def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Even
 # ---------------------------------------------------------------------------
 # Whole-set detection
 
-# Cell codes pack three 21-bit fields.  Capping the cell index at
-# 2**21 - 5 per axis keeps every +-1 neighbour offset inside int64 and
-# off every real cell's code.
+# A step's cells are numbered densely over its bounding box, padded by one
+# cell on each side so that every neighbour of an occupied cell is inside
+# the box, when the box holds at most this many cells per point plus a
+# constant; a table of 8 bytes per cell then stays linear in the points.
+_TABLE_CELLS_PER_POINT = 32
+_TABLE_CELLS_MIN = 4096
+# Larger boxes pack cell codes in three 21-bit fields and find windows by
+# binary search.  Capping the cell index at 2**21 - 5 per axis keeps every
+# +-1 neighbour offset inside int64 and off every real cell's code.
 _CELLS_PER_AXIS = (1 << 21) - 4
-# the cell itself first, then the 13 neighbours whose codes are larger
-_SHIFTS = np.sort([
-    dx + (dy << 21) + (dz << 42)
-    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+# (dx, dy, dz) of the cell itself, first, then of the 13 neighbours whose
+# codes are larger under either numbering
+_FORWARD = np.array([
+    (dx, dy, dz) for dz, dy, dx in itertools.product((-1, 0, 1), repeat=3)
     if (dz, dy, dx) >= (0, 0, 0)
 ])
+_PACKED_SHIFTS = _FORWARD @ np.array([1, 1 << 21, 1 << 42])
 
 
 class _StepIndex:
     """Per-step views of the active trajectories of a set.
 
-    Columnar: all points in one array, trajectory i's point at global step
-    k in row ``offset[i] + k``.
+    Columnar: all points in one (3, P) array of x, y and z rows, trajectory
+    i's point at global step k in column ``offset[i] + k``.
     """
 
     def __init__(self, s: TrajectorySet):
@@ -209,23 +228,41 @@ class _StepIndex:
         lengths = np.fromiter((len(t) for t in s), dtype=np.int64, count=n)
         self.end = self.start + lengths - 1
         self.offset = np.cumsum(lengths) - lengths - self.start
-        self.points = np.concatenate([t.points for t in s])
+        self.xyz = np.empty((3, int(lengths.sum())))
+        np.concatenate([t.points.T for t in s], axis=1, out=self.xyz)
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, points) of trajectories active at step k, in set order."""
+        """Rows of the trajectories active at step k, in set order, and their
+        points as a (3, n) array."""
         rows = np.flatnonzero((self.start <= k) & (self.end >= k))
-        return self.ids[rows], self.points[self.offset[rows] + k]
+        return rows, self.xyz.take(self.offset[rows] + k, axis=1)
 
 
-def _candidates(pts: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row pairs (ii, jj) of one step's points that share or neighbour a
-    grid cell, a superset of the epsilon-connected pairs, and their squared
-    distances."""
-    n = pts.shape[0]
+def _dense_box(cells: np.ndarray) -> tuple[int, int, int] | None:
+    """(nx, ny, nz) of the step's padded cell box, or None when the box
+    holds more than 32n + 4096 cells."""
+    # per row: a reduction along axis 1 is several times slower
+    nx, ny, nz = (int(c.max()) + 3 for c in cells)
+    if nx * ny * nz > _TABLE_CELLS_PER_POINT * cells.shape[1] + _TABLE_CELLS_MIN:
+        return None
+    return nx, ny, nz
+
+
+def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (ii, jj) of the epsilon-connected points among the
+    columns of one step's (3, n) coordinates, and their squared distances.
+
+    Candidates share or neighbour a grid cell: each point meets the rest of
+    its own cell and the 13 neighbouring cells whose codes are larger, each
+    a window [lo, hi) of cell-sorted positions.  Small boxes number their
+    cells x + y*nx + z*nx*ny and read windows from a table of each cell's
+    first position; larger ones search the sorted packed codes.
+    """
+    n = xyz.shape[1]
     if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     with np.errstate(over="ignore"):  # an overflow is the inf rejected below
-        rel = pts - pts.min(axis=0)
+        rel = xyz - np.array([c.min() for c in xyz])[:, None]
     span = float(rel.max())
     if not np.isfinite(span):
         raise ValueError("coordinates at one step span more than the float64 range")
@@ -233,38 +270,55 @@ def _candidates(pts: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray
     # points within epsilon still land at most one cell apart
     side = max(epsilon, span / _CELLS_PER_AXIS) * (1 + 2**-20)
     cells = (rel / side).astype(np.int64)
-    code = cells[:, 0] + (cells[:, 1] << 21) + (cells[:, 2] << 42)
+    box = _dense_box(cells)
+    if box is None:
+        code = cells[0] + (cells[1] << 21) + (cells[2] << 42)
+        shifts = _PACKED_SHIFTS
+    else:
+        nx, ny, nz = box
+        code = (cells[0] + 1) + (cells[1] + 1) * nx + (cells[2] + 1) * (nx * ny)
+        shifts = _FORWARD @ np.array([1, nx, nx * ny])
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
-    # windows [lo, hi) of sorted positions: row 0 pairs each point with the
-    # rest of its own cell, the other rows with one neighbouring cell each
-    targets = sorted_code + _SHIFTS[:, None]
-    lo = np.searchsorted(sorted_code, targets, side="left")
+    targets = sorted_code + shifts[:, None]
+    if box is None:
+        lo = np.searchsorted(sorted_code, targets, side="left")
+        hi = np.searchsorted(sorted_code, targets, side="right")
+    else:
+        # start[c] is the first sorted position of cell c, start[c + 1] its end
+        start = np.zeros(nx * ny * nz + 1, dtype=np.int64)
+        np.cumsum(np.bincount(code, minlength=nx * ny * nz), out=start[1:])
+        lo, hi = start[targets], start[targets + 1]
+    # row 0 pairs each point with the rest of its own cell
     lo[0] = np.arange(1, n + 1)
-    hi = np.searchsorted(sorted_code, targets, side="right")
     cnt = (hi - lo).ravel()
-    ii = np.repeat(np.tile(np.arange(n), len(_SHIFTS)), cnt)
-    jj = np.repeat(lo.ravel() - (np.cumsum(cnt) - cnt), cnt) + np.arange(ii.shape[0])
-    ii, jj = order[ii], order[jj]
-    # (-x)**2 == x**2 exactly, so d2 does not depend on which end comes first
-    d = pts[ii] - pts[jj]
-    d2 = d[:, 0] * d[:, 0]
-    d2 += d[:, 1] * d[:, 1]
-    d2 += d[:, 2] * d[:, 2]
-    return ii, jj, d2
+    window = np.flatnonzero(cnt)  # most are empty
+    cnt, lo = cnt[window], lo.ravel()[window]
+    pi = np.repeat(window % n, cnt)
+    pj = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(pi.shape[0])
+    # (dx*dx + dy*dy) + dz*dz as in geometry.squared_distance; (-x)**2 ==
+    # x**2 exactly, so d2 does not depend on which end comes first
+    x, y, z = xyz.take(order, axis=1)
+    d = x[pi] - x[pj]
+    d2 = d * d
+    d = y[pi] - y[pj]
+    d2 += d * d
+    d = z[pi] - z[pj]
+    d2 += d * d
+    hit = np.flatnonzero(d2 <= epsilon * epsilon)
+    return order[pi[hit]], order[pj[hit]], d2[hit]
 
 
 def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Codes of unordered id pairs: the smaller id above bit 31."""
+    """Codes of unordered key pairs: the smaller key above bit 31."""
     return (np.minimum(a, b) << 31) + np.maximum(a, b)
 
 
-def _pairs(ids: np.ndarray, pts: np.ndarray, epsilon: float) -> np.ndarray:
+def _pairs(keys: np.ndarray, xyz: np.ndarray, epsilon: float) -> np.ndarray:
     """Sorted packed codes of the epsilon-connected pairs among one step's
-    points."""
-    ii, jj, d2 = _candidates(pts, epsilon)
-    hit = d2 <= epsilon * epsilon
-    return np.sort(_pack(ids[ii[hit]], ids[jj[hit]]))
+    points, each point named by its key (an id or an id rank)."""
+    ii, jj, _ = _hits(xyz, epsilon)
+    return np.sort(_pack(keys[ii], keys[jj]))
 
 
 _LOW31 = (1 << 31) - 1
@@ -272,6 +326,14 @@ _LOW31 = (1 << 31) - 1
 
 def _unpack_pair(code: int) -> tuple[int, int]:
     return int(code >> 31), int(code & _LOW31)
+
+
+def _missing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The elements of sorted x that sorted y lacks."""
+    if y.shape[0] == 0:
+        return x
+    at = np.minimum(np.searchsorted(y, x), y.shape[0] - 1)
+    return x[y[at] != x]
 
 
 def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
@@ -282,19 +344,21 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     with their squared distances; every epsilon keeps those within its own
     radius and diffs them against its previous step.  A grid at the largest
     epsilon finds every pair of a smaller one, and thresholding the same d2
-    decides ties exactly as a separate pass would.
+    decides ties exactly as a separate pass would.  Pairs are coded by the
+    ranks of their ids, which sort as the ids do, and mapped back to ids
+    once the steps are done.
     """
     if len(s) == 0:
         raise ValueError("trajectory set is empty")
     if not all(e > 0 for e in epsilons):
         raise ValueError("epsilon must be positive")
     index = _StepIndex(s)
-    ids = index.ids
-    by_id = np.argsort(ids)
-    # trajectories ending at each step, by (step, id): a pair whose member
-    # ended at k - 1 ends without a Disconnect at k
-    by_end = np.lexsort((ids, index.end))
-    ended_ids, ended_at = ids[by_end], index.end[by_end]
+    n = len(s)
+    by_id = np.argsort(index.ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_id] = np.arange(n)
+    # a pair whose member ended at k - 1 ends without a Disconnect at k
+    end_by_rank = index.end[by_id]
 
     kmin, kmax = s.step_range
     squares = [e * e for e in epsilons]
@@ -302,32 +366,29 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     # per epsilon: connect and disconnect codes of every step, in step order
     parts: list[list[np.ndarray]] = [[] for _ in epsilons]
     for k in range(kmin, kmax + 1):
-        step_ids, pts = index.active(k)
+        rows, xyz = index.active(k)
+        keys = rank[rows]
         if len(epsilons) == 1:
-            curs = [_pairs(step_ids, pts, epsilons[0])]
+            curs = [_pairs(keys, xyz, epsilons[0])]
         else:
-            ii, jj, d2 = _candidates(pts, epsilons[-1])
-            hit = d2 <= squares[-1]
-            code = _pack(step_ids[ii[hit]], step_ids[jj[hit]])
+            ii, jj, d2 = _hits(xyz, epsilons[-1])
+            code = _pack(keys[ii], keys[jj])
             order = np.argsort(code)
-            code, d2 = code[order], d2[hit][order]
+            code, d2 = code[order], d2[order]
             curs = [code[d2 <= sq] for sq in squares]
-        lo, hi = np.searchsorted(ended_at, (k - 1, k)).tolist()
-        ended = ended_ids[lo:hi]
         for j, cur in enumerate(curs):
-            gone = np.setdiff1d(prev[j], cur, assume_unique=True)
-            if ended.size and gone.size:
-                gone = gone[~(np.isin(gone >> 31, ended) | np.isin(gone & _LOW31, ended))]
-            parts[j] += (np.setdiff1d(cur, prev[j], assume_unique=True), gone)
+            gone = _missing(prev[j], cur)
+            gone = gone[np.minimum(end_by_rank[gone >> 31], end_by_rank[gone & _LOW31]) >= k]
+            parts[j] += (_missing(cur, prev[j]), gone)
             prev[j] = cur
 
     # appear and disappear of every trajectory, in id order; a stable sort
     # by (step, kind) then yields the (step, kind, subjects) order, because
     # pair codes come in step order and sorted within each step
-    n = len(s)
-    life_step = np.concatenate([index.start[by_id], index.end[by_id]])
+    sorted_ids = index.ids[by_id]
+    life_step = np.concatenate([index.start[by_id], end_by_rank])
     life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
-    life_a = np.tile(ids[by_id], 2)
+    life_a = np.tile(sorted_ids, 2)
     pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
     pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
     out = []
@@ -337,8 +398,8 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
         step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
         kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
         order = np.argsort(step * 4 + kind, kind="stable")
-        a = np.concatenate([life_a, code >> 31])[order]
-        b = np.concatenate([np.full(2 * n, -1), code & _LOW31])[order]
+        a = np.concatenate([life_a, sorted_ids[code >> 31]])[order]
+        b = np.concatenate([np.full(2 * n, -1), sorted_ids[code & _LOW31]])[order]
         out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
     return out
 

@@ -398,11 +398,13 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")
-    ids, pts = _StepIndex(s).active(k)
+    index = _StepIndex(s)
+    rows, xyz = index.active(k)
+    ids = index.ids[rows]
     g = StepGraph()
     for tid in ids:
         g.insert_node(int(tid))
-    for code in _pairs(ids, pts, epsilon):
+    for code in _pairs(ids, xyz, epsilon):
         g.insert_edge(*_unpack_pair(int(code)))
     return [frozenset(c) for c in g.components()]
 

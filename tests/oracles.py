@@ -4,9 +4,11 @@ Nothing here reuses package code paths: distances come from full per-step
 matrices, components from plain BFS over pair sets or a full relabelling
 after every update, the Reeb evolution from diffing consecutive partitions,
 path features from networkx's all-pairs distances as exact rationals.
-Deliberately slow and obvious.
+Deliberately slow and obvious.  The one fast piece is the detector's earlier
+searchsorted grid, kept whole as the reference for the detector's columns.
 """
 
+import itertools
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -140,6 +142,106 @@ def oracle_pairwise_events(t1, t2, epsilon):
         elif not conn[i] and i > 0 and conn[i - 1]:
             events.append(Event(EventKind.DISCONNECT, k, subjects, a.location_at(k)))
     return events
+
+
+# ---------------------------------------------------------------------------
+# Searchsorted grid detector
+
+
+# packed cell-code offsets of the cell itself and its 13 forward neighbours
+_GRID_SHIFTS = np.sort([
+    dx + (dy << 21) + (dz << 42)
+    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+    if (dz, dy, dx) >= (0, 0, 0)
+])
+_LOW31 = (1 << 31) - 1
+
+
+def _grid_candidates(pts, epsilon):
+    """Row pairs sharing or neighbouring a grid cell, and their squared
+    distances: three 21-bit fields per cell code, windows by binary search."""
+    n = pts.shape[0]
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    rel = pts - pts.min(axis=0)
+    side = max(epsilon, float(rel.max()) / ((1 << 21) - 4)) * (1 + 2**-20)
+    cells = (rel / side).astype(np.int64)
+    code = cells[:, 0] + (cells[:, 1] << 21) + (cells[:, 2] << 42)
+    order = np.argsort(code, kind="stable")
+    sorted_code = code[order]
+    targets = sorted_code + _GRID_SHIFTS[:, None]
+    lo = np.searchsorted(sorted_code, targets, side="left")
+    lo[0] = np.arange(1, n + 1)
+    hi = np.searchsorted(sorted_code, targets, side="right")
+    cnt = (hi - lo).ravel()
+    ii = np.repeat(np.tile(np.arange(n), len(_GRID_SHIFTS)), cnt)
+    jj = np.repeat(lo.ravel() - (np.cumsum(cnt) - cnt), cnt) + np.arange(ii.shape[0])
+    ii, jj = order[ii], order[jj]
+    d = pts[ii] - pts[jj]
+    d2 = d[:, 0] * d[:, 0]
+    d2 += d[:, 1] * d[:, 1]
+    d2 += d[:, 2] * d[:, 2]
+    return ii, jj, d2
+
+
+def _grid_pack(a, b):
+    return (np.minimum(a, b) << 31) + np.maximum(a, b)
+
+
+def oracle_grid_detect(s, epsilons):
+    """One EventSchedule per epsilon of an increasing list, by the
+    searchsorted grid: every step's pairs are id-packed codes found at the
+    largest epsilon, diffed against the previous step with setdiff1d, and a
+    pair whose member ended at k - 1 is dropped by np.isin on ids."""
+    n = len(s)
+    ids = np.fromiter((t.id for t in s), dtype=np.int64, count=n)
+    start = np.fromiter((t.start_step for t in s), dtype=np.int64, count=n)
+    lengths = np.fromiter((len(t) for t in s), dtype=np.int64, count=n)
+    end = start + lengths - 1
+    offset = np.cumsum(lengths) - lengths - start
+    points = np.concatenate([t.points for t in s])
+    by_id = np.argsort(ids)
+    by_end = np.lexsort((ids, end))
+    ended_ids, ended_at = ids[by_end], end[by_end]
+
+    kmin, kmax = s.step_range
+    squares = [e * e for e in epsilons]
+    prev = [np.empty(0, dtype=np.int64) for _ in epsilons]
+    parts = [[] for _ in epsilons]
+    for k in range(kmin, kmax + 1):
+        rows = np.flatnonzero((start <= k) & (end >= k))
+        step_ids, pts = ids[rows], points[offset[rows] + k]
+        ii, jj, d2 = _grid_candidates(pts, epsilons[-1])
+        hit = d2 <= squares[-1]
+        code = _grid_pack(step_ids[ii[hit]], step_ids[jj[hit]])
+        order = np.argsort(code)
+        code, d2 = code[order], d2[hit][order]
+        curs = [code[d2 <= sq] for sq in squares]
+        lo, hi = np.searchsorted(ended_at, (k - 1, k)).tolist()
+        ended = ended_ids[lo:hi]
+        for j, cur in enumerate(curs):
+            gone = np.setdiff1d(prev[j], cur, assume_unique=True)
+            if ended.size and gone.size:
+                gone = gone[~(np.isin(gone >> 31, ended) | np.isin(gone & _LOW31, ended))]
+            parts[j] += (np.setdiff1d(cur, prev[j], assume_unique=True), gone)
+            prev[j] = cur
+
+    life_step = np.concatenate([start[by_id], end[by_id]])
+    life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
+    life_a = np.tile(ids[by_id], 2)
+    pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
+    pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
+    out = []
+    for chunks in parts:
+        sizes = [c.shape[0] for c in chunks]
+        code = np.concatenate(chunks)
+        step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
+        kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
+        order = np.argsort(step * 4 + kind, kind="stable")
+        a = np.concatenate([life_a, code >> 31])[order]
+        b = np.concatenate([np.full(2 * n, -1), code & _LOW31])[order]
+        out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
+    return out
 
 
 # ---------------------------------------------------------------------------

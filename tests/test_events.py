@@ -1,13 +1,15 @@
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import trajreeb as tr
+from trajreeb import events
 from trajreeb.events import EventKind, _detect
 
-from oracles import oracle_pairwise_events, oracle_schedule, random_instance
+from oracles import oracle_grid_detect, oracle_pairwise_events, oracle_schedule, random_instance
 
 
 def kinds_steps(events):
@@ -142,6 +144,87 @@ def test_grid_equals_brute():
     for trajs, eps in instances:
         s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
         assert tr.detect_all_events(s, eps) == oracle_schedule(trajs, eps)
+
+
+def spy_on_cell_table(monkeypatch):
+    """Record, per detected step, the size of the padded cell box and
+    whether the dense cell-start table served it."""
+    seen = []
+    dense_box = events._dense_box
+
+    def spy(cells):
+        box = dense_box(cells)
+        seen.append((int(np.prod(cells.max(axis=1) + 3)), box is not None))
+        return box
+
+    monkeypatch.setattr(events, "_dense_box", spy)
+    return seen
+
+
+def assert_same_columns(got, want):
+    for g, w in zip((got._step, got._kind, got._a, got._b),
+                    (want._step, want._kind, want._a, want._b)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_detect_equals_searchsorted_grid_oracle(monkeypatch):
+    """The cell-start table, rank-coded pairs and the searchsorted diff
+    against the earlier searchsorted grid with id codes, column for column,
+    for one epsilon and for several."""
+    seen = spy_on_cell_table(monkeypatch)
+    rng = np.random.default_rng(47)
+    instances = [random_instance(rng, n_range=(5, 40), m_range=(8, 40)) for _ in range(15)]
+    instances += [lattice_instance(rng) for _ in range(10)]
+    instances += [twin_instance(rng, ratio) for ratio in (2.0, 10.0, 1e3, 1e7)]
+    for offset in (1e9, -1e9):
+        trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 30))
+        instances.append(([(t, p + offset, st) for t, p, st in trajs], eps))
+    for trajs, eps in instances:
+        # staggered starts and ragged ends, ids out of set order
+        trajs = [(3 * t + 1, p[: len(p) - int(rng.integers(0, 4))], st + int(rng.integers(0, 3)))
+                 for t, p, st in reversed(trajs)]
+        s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+        for epsilons in ([eps], sorted({eps * f for f in rng.uniform(0.3, 2.5, 3)} | {eps})):
+            got, want = _detect(s, epsilons), oracle_grid_detect(s, epsilons)
+            assert len(got) == len(want) == len(epsilons)
+            for g, w in zip(got, want):
+                assert_same_columns(g, w)
+    tables = [used for _, used in seen]
+    assert tables.count(True) >= 100 and tables.count(False) >= 100, Counter(tables)
+
+
+def factor3(cells):
+    """Three factors >= 3 of `cells`, or None."""
+    for a in range(3, cells + 1):
+        for b in range(3, cells // a + 1):
+            c, r = divmod(cells, a * b)
+            if r == 0 and c >= 3:
+                return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 50, 150])
+def test_cell_table_boundary(monkeypatch, n):
+    """A step whose padded box holds 32n + 4096 cells reads windows from the
+    table; one more cell and it searches the packed codes.  Points sit on a
+    lattice of cell centres, so many pairs tie with epsilon."""
+    seen = spy_on_cell_table(monkeypatch)
+    rng = np.random.default_rng(n)
+    steps = []
+    for cells in (32 * n + 4096, 32 * n + 4097):
+        box = np.array(factor3(cells))
+        top = box - 3  # the largest cell index per axis
+        # the origin, a point in the top cell, a twin at exactly epsilon from
+        # the origin, and the rest at random cell centres
+        pts = np.vstack([np.zeros(3), top + 0.5, np.eye(3)[np.argmax(top)],
+                         rng.integers(0, top + 1, (n - 3, 3)) + 0.5])
+        steps.append(pts[rng.permutation(n)])
+    trajs = [(t, np.stack([steps[0][t], steps[1][t]]), 0) for t in range(n)]
+    s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+    sched = tr.detect_all_events(s, 1.0)
+    assert seen == [(32 * n + 4096, True), (32 * n + 4097, False)]
+    assert sched == oracle_schedule(trajs, 1.0)
+    assert sum(e.kind is EventKind.CONNECT for e in sched) > 0
 
 
 @pytest.mark.parametrize(
