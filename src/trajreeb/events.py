@@ -11,15 +11,17 @@ One detector serves every epsilon and every input.  Each step's points are
 bucketed into a uniform grid over coordinates relative to the step's
 minimum, with a cell side of at least epsilon, so every epsilon-connected
 pair lies in the same or a neighbouring cell (Bentley, Stanat and Williams,
-IPL 1977) and only the 27-cell neighbourhood is tested.  When the step's
-cell box, padded by one cell on each side, holds at most 32n + 4096 cells
-for n points, cells are numbered densely as x + y*nx + z*nx*ny and a table
-of each cell's first position in cell order (a bincount and a cumsum) gives
+IPL 1977) and only the 27-cell neighbourhood is tested.  Cells are numbered
+x + nx*(y + ny*z), which orders them by (z, y, x), and each point meets its
+own cell and the 13 neighbours numbered above it.  When the step's cell
+box, with one empty cell past the largest index on each axis, holds at most
+32n + 4096 cells for n points, nx and ny are the box's sides and a table of
+each cell's first position in cell order (a bincount and a cumsum) gives
 every neighbour window in two lookups.  Larger boxes, as when epsilon is
-tiny against the coordinates, pack cell codes in three 21-bit fields and
-find the windows by binary search, so memory stays linear in the points
-either way.  The side grows past epsilon when the step's span would need
-more cells than a packed code holds, which costs candidates, never pairs.
+tiny against the coordinates, take nx = ny = 2**21 and find the windows by
+binary search, so memory stays linear in the points either way.  The side
+grows past epsilon when the step's span would need more than 2**21 - 4
+cells per axis, which costs candidates, never pairs.
 Candidates are decided by the squared-distance predicate of
 :mod:`trajreeb.geometry`, evaluated in the same order, so boundary
 decisions agree bit-for-bit with every other code path; only the hits are
@@ -193,23 +195,25 @@ def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Even
 # ---------------------------------------------------------------------------
 # Whole-set detection
 
-# A step's cells are numbered densely over its bounding box, padded by one
-# cell on each side so that every neighbour of an occupied cell is inside
-# the box, when the box holds at most this many cells per point plus a
-# constant; a table of 8 bytes per cell then stays linear in the points.
+# A step's cells are numbered x + nx*(y + ny*z).  Every forward neighbour
+# shift is then >= 0, and a step to x - 1 or y - 1 from index 0 lands on
+# index nx - 1 or ny - 1 of the axis, which is kept empty.  When the box of
+# the step's cells, one cell past the largest index per axis, holds at most
+# this many cells per point plus a constant, nx and ny are its sides and a
+# table of 8 bytes per cell, linear in the points, gives the windows.
 _TABLE_CELLS_PER_POINT = 32
 _TABLE_CELLS_MIN = 4096
-# Larger boxes pack cell codes in three 21-bit fields and find windows by
-# binary search.  Capping the cell index at 2**21 - 5 per axis keeps every
-# +-1 neighbour offset inside int64 and off every real cell's code.
-_CELLS_PER_AXIS = (1 << 21) - 4
+# Larger boxes take nx = ny = 2**21 and search the sorted codes.  Capping the
+# cell index at 2**21 - 5 per axis keeps index 2**21 - 1 empty and every
+# shifted code inside int64.
+_SEARCH_AXIS = 1 << 21
+_CELLS_PER_AXIS = _SEARCH_AXIS - 4
 # (dx, dy, dz) of the cell itself, first, then of the 13 neighbours whose
-# codes are larger under either numbering
+# codes are larger
 _FORWARD = np.array([
     (dx, dy, dz) for dz, dy, dx in itertools.product((-1, 0, 1), repeat=3)
     if (dz, dy, dx) >= (0, 0, 0)
 ])
-_PACKED_SHIFTS = _FORWARD @ np.array([1, 1 << 21, 1 << 42])
 
 
 class _StepIndex:
@@ -239,10 +243,11 @@ class _StepIndex:
 
 
 def _dense_box(cells: np.ndarray) -> tuple[int, int, int] | None:
-    """(nx, ny, nz) of the step's padded cell box, or None when the box
-    holds more than 32n + 4096 cells."""
+    """(nx, ny, nz) of the step's cell box with one empty cell past the
+    largest index on each axis, or None when that box holds more than
+    32n + 4096 cells."""
     # per row: a reduction along axis 1 is several times slower
-    nx, ny, nz = (int(c.max()) + 3 for c in cells)
+    nx, ny, nz = (int(c.max()) + 2 for c in cells)
     if nx * ny * nz > _TABLE_CELLS_PER_POINT * cells.shape[1] + _TABLE_CELLS_MIN:
         return None
     return nx, ny, nz
@@ -253,10 +258,11 @@ def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.n
     columns of one step's (3, n) coordinates, and their squared distances.
 
     Candidates share or neighbour a grid cell: each point meets the rest of
-    its own cell and the 13 neighbouring cells whose codes are larger, each
-    a window [lo, hi) of cell-sorted positions.  Small boxes number their
-    cells x + y*nx + z*nx*ny and read windows from a table of each cell's
-    first position; larger ones search the sorted packed codes.
+    its own cell and the 13 neighbouring cells whose codes
+    x + nx*(y + ny*z) are larger, each a window [lo, hi) of cell-sorted
+    positions.  Small boxes read windows from a table of each cell's first
+    position; larger ones take nx = ny = 2**21 and search the sorted codes.
+    Both order cells by (z, y, x), so they return the same arrays.
     """
     n = xyz.shape[1]
     if n < 2:
@@ -271,16 +277,11 @@ def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.n
     side = max(epsilon, span / _CELLS_PER_AXIS) * (1 + 2**-20)
     cells = (rel / side).astype(np.int64)
     box = _dense_box(cells)
-    if box is None:
-        code = cells[0] + (cells[1] << 21) + (cells[2] << 42)
-        shifts = _PACKED_SHIFTS
-    else:
-        nx, ny, nz = box
-        code = (cells[0] + 1) + (cells[1] + 1) * nx + (cells[2] + 1) * (nx * ny)
-        shifts = _FORWARD @ np.array([1, nx, nx * ny])
+    nx, ny, nz = box or (_SEARCH_AXIS, _SEARCH_AXIS, None)
+    code = cells[0] + nx * (cells[1] + ny * cells[2])
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
-    targets = sorted_code + shifts[:, None]
+    targets = sorted_code + (_FORWARD @ np.array([1, nx, nx * ny]))[:, None]
     if box is None:
         lo = np.searchsorted(sorted_code, targets, side="left")
         hi = np.searchsorted(sorted_code, targets, side="right")
@@ -314,18 +315,7 @@ def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.minimum(a, b) << 31) + np.maximum(a, b)
 
 
-def _pairs(keys: np.ndarray, xyz: np.ndarray, epsilon: float) -> np.ndarray:
-    """Sorted packed codes of the epsilon-connected pairs among one step's
-    points, each point named by its key (an id or an id rank)."""
-    ii, jj, _ = _hits(xyz, epsilon)
-    return np.sort(_pack(keys[ii], keys[jj]))
-
-
 _LOW31 = (1 << 31) - 1
-
-
-def _unpack_pair(code: int) -> tuple[int, int]:
-    return int(code >> 31), int(code & _LOW31)
 
 
 def _missing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -368,14 +358,12 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     for k in range(kmin, kmax + 1):
         rows, xyz = index.active(k)
         keys = rank[rows]
-        if len(epsilons) == 1:
-            curs = [_pairs(keys, xyz, epsilons[0])]
-        else:
-            ii, jj, d2 = _hits(xyz, epsilons[-1])
-            code = _pack(keys[ii], keys[jj])
-            order = np.argsort(code)
-            code, d2 = code[order], d2[order]
-            curs = [code[d2 <= sq] for sq in squares]
+        ii, jj, d2 = _hits(xyz, epsilons[-1])
+        code = _pack(keys[ii], keys[jj])
+        curs = [np.sort(code[d2 <= sq]) for sq in squares]
+        # held into the next step's grid, these fragment the heap and raise
+        # peak RSS (by ~0.8 MB over a 1500 x 600 ragged build)
+        del ii, jj, d2, code
         for j, cur in enumerate(curs):
             gone = _missing(prev[j], cur)
             gone = gone[np.minimum(end_by_rank[gone >> 31], end_by_rank[gone & _LOW31]) >= k]

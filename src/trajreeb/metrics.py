@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import networkx as nx
@@ -276,7 +277,11 @@ def _two_sample_p(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     if va == 0.0 and vb == 0.0:
         welch = 1.0 if np.mean(a) == np.mean(b) else 0.0
     else:
-        welch = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+        # one constant cohort beside a varying one makes scipy warn of
+        # precision loss in its moments; the p-value stands as computed
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Precision loss occurred", RuntimeWarning)
+            welch = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
     mw = float(
         stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic").pvalue
     )
@@ -342,17 +347,18 @@ def reports_from_csv(text: str) -> list[MetricsReport]:
         cells = row.split(",")
         if len(cells) != len(REPORT_COLUMNS):
             raise ValueError(f"report csv row has {len(cells)} cells: {row!r}")
-        out.append(
-            MetricsReport(
-                epsilon=float(cells[0]),
-                n_vertices=int(cells[1]),
-                n_edges=int(cells[2]),
-                avg_clustering=float(cells[3]),
-                avg_betweenness=float(cells[4]),
-                modularity=float(cells[5]),
-                global_efficiency=float(cells[6]),
-            )
+        report = MetricsReport(
+            epsilon=float(cells[0]),
+            n_vertices=int(cells[1]),
+            n_edges=int(cells[2]),
+            avg_clustering=float(cells[3]),
+            avg_betweenness=float(cells[4]),
+            modularity=float(cells[5]),
+            global_efficiency=float(cells[6]),
         )
+        if not all(math.isfinite(v) for v in report.values()):
+            raise ValueError(f"report csv row has a non-finite cell: {row!r}")
+        out.append(report)
     return out
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .connectivity import StepGraph
 from .errors import ContractError, InvalidTransitionError
-from .events import Event, EventKind, EventSchedule, detect_all_events, _pairs, _StepIndex, _unpack_pair
+from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _StepIndex
 from .geometry import Point3, TrajectorySet
 
 
@@ -270,16 +270,20 @@ class _Builder:
                 continue  # every deleted edge closed a cycle; group intact
             # every new piece contains an endpoint of some deleted edge, so
             # the endpoints' roots enumerate the pieces
-            seeds: dict[object, int] = {}
-            for a, b in pairs_of[id(oe)]:
-                for x in (a, b):
-                    seeds.setdefault(g.root_key(x), x)
+            seeds = self._seeds(x for pair in pairs_of[id(oe)] for x in pair)
             if len(seeds) < 2:
                 raise ContractError("separated pair but the group did not split")
             pieces = self._pieces_from_seeds(oe.members, seeds)
             vid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
             self.close_edge(oe, vid, k)
             self._reopen(pieces, oe, vid, k)
+
+    def _seeds(self, xs) -> dict[object, int]:
+        """The first of `xs` in each component they touch, by component key."""
+        seeds: dict[object, int] = {}
+        for x in xs:
+            seeds.setdefault(self.graph.root_key(x), x)
+        return seeds
 
     def _pieces_from_seeds(self, members: frozenset[int],
                            seeds: dict[object, int]) -> list[frozenset[int]]:
@@ -299,60 +303,41 @@ class _Builder:
     def disappear_phase(self, k: int, tids: list[int]) -> None:
         g = self.graph
         by_edge: dict[int, _OpenEdge] = {}
-        dying_of: dict[int, set[int]] = {}
+        dying_of: dict[int, list[int]] = {}
         for tid in tids:
             oe = self.handle[tid]
             by_edge[id(oe)] = oe
-            dying_of.setdefault(id(oe), set()).add(tid)
+            dying_of.setdefault(id(oe), []).append(tid)
         for oe in sorted(by_edge.values(), key=lambda oe: min(oe.members)):
-            dying = dying_of[id(oe)]
-            survivors = oe.members - dying
+            dying = sorted(dying_of[id(oe)])
+            survivors = oe.members.difference(dying)
             if not survivors:
                 vid = self.new_vertex(VertexKind.DISAPPEAR, k, min(oe.members))
                 self.close_edge(oe, vid, k)
-                for tid in sorted(dying):
+                for tid in dying:
                     del self.handle[tid]
                     g.delete_node(tid)
                 continue
-            # part of the group dies: split, then close the dying pieces
-            dead_pieces = [frozenset(p) for p in self._induced_components(dying)]
-            seeds_nb: set[int] = set()
+            # part of the group dies: once the dying members are cut from the
+            # survivors, the pieces of either side are components
+            cut: list[int] = []
             for tid in dying:
-                seeds_nb |= g.neighbors(tid) & survivors
+                for x in sorted(g.neighbors(tid) & survivors):
+                    g.delete_edge(tid, x)
+                    cut.append(x)
+            dead_pieces = [frozenset(g.component_of(x)) for x in self._seeds(dying).values()]
+            alive_pieces = self._pieces_from_seeds(survivors, self._seeds(cut))
             svid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
             self.close_edge(oe, svid, k)
-            for tid in sorted(dying):
+            for tid in dying:
                 del self.handle[tid]
                 g.delete_node(tid)
-            seeds: dict[object, int] = {}
-            for x in seeds_nb:
-                seeds.setdefault(g.root_key(x), x)
-            alive_pieces = self._pieces_from_seeds(survivors, seeds)
-            for piece in sorted(dead_pieces, key=min):
+            for piece in dead_pieces:
                 dvid = self.new_vertex(VertexKind.DISAPPEAR, k, min(piece))
                 self.edges.append(
                     ReebEdge(len(self.edges), svid, dvid, piece, (k, k))
                 )
             self._reopen(alive_pieces, oe, svid, k)
-
-    def _induced_components(self, group: set[int]) -> list[set[int]]:
-        """Components of the step graph restricted to `group` (pre-removal)."""
-        remaining = set(group)
-        out = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            stack = [seed]
-            remaining.discard(seed)
-            while stack:
-                x = stack.pop()
-                for y in self.graph.neighbors(x):
-                    if y in remaining:
-                        remaining.discard(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(comp)
-        return out
 
 
 def build_reeb(
@@ -404,8 +389,9 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     g = StepGraph()
     for tid in ids:
         g.insert_node(int(tid))
-    for code in _pairs(ids, xyz, epsilon):
-        g.insert_edge(*_unpack_pair(int(code)))
+    ii, jj, _ = _hits(xyz, epsilon)
+    for a, b in zip(ids[ii].tolist(), ids[jj].tolist()):
+        g.insert_edge(a, b)
     return [frozenset(c) for c in g.components()]
 
 

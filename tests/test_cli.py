@@ -259,6 +259,25 @@ def test_compare_mismatched_epsilon_exits_1(tmp_path):
     assert run(["compare", "--cohort-a", str(a), "--cohort-b", str(b)]) == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_compare_non_finite_cell_exits_1(tmp_path, capsys, cell):
+    """A non-finite cohort cell would reach the JSON as a bare NaN or
+    Infinity token, which is not JSON; it is refused with one line."""
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "cmp.json"
+    reports = [tr.MetricsReport(1.0, 2, 1, 0.1 * i, 0.0, 0.2, 0.5) for i in range(3)]
+    a.write_text(tr.reports_to_csv(reports))
+    rows = tr.reports_to_csv(reports).splitlines()
+    bad = rows[2].split(",")
+    bad[5] = cell
+    rows[2] = ",".join(bad)
+    b.write_text("\n".join(rows) + "\n")
+    assert run(["compare", "--cohort-a", str(a), "--cohort-b", str(b),
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite" in err and rows[2] in err
+    assert not out.exists()
+
+
 def test_build_resample_and_orient(pair_csv, tmp_path):
     out = tmp_path / "r.json"
     code = run(["build", "--input", str(pair_csv), "--epsilon", "1.5",

@@ -154,7 +154,7 @@ def spy_on_cell_table(monkeypatch):
 
     def spy(cells):
         box = dense_box(cells)
-        seen.append((int(np.prod(cells.max(axis=1) + 3)), box is not None))
+        seen.append((int(np.prod(cells.max(axis=1) + 2)), box is not None))
         return box
 
     monkeypatch.setattr(events, "_dense_box", spy)
@@ -193,6 +193,36 @@ def test_detect_equals_searchsorted_grid_oracle(monkeypatch):
     assert tables.count(True) >= 100 and tables.count(False) >= 100, Counter(tables)
 
 
+def test_table_and_search_return_the_same_hits(monkeypatch):
+    """Both cell numberings order cells by (z, y, x), so on every step the
+    cell-start table and the binary search give the same (ii, jj, d2)
+    arrays, in the same order and with the same dtypes."""
+    seen = spy_on_cell_table(monkeypatch)
+    rng = np.random.default_rng(53)
+    instances = [random_instance(rng, n_range=(5, 40), m_range=(8, 40)) for _ in range(10)]
+    instances += [lattice_instance(rng) for _ in range(10)]
+    for offset in (1e9, -1e9):
+        trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 30))
+        instances.append(([(t, p + offset, st) for t, p, st in trajs], eps))
+    instances += [twin_instance(rng, ratio) for ratio in (2.0, 10.0, 1e3, 1e7)]
+    n_hits = 0
+    for trajs, eps in instances:
+        s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+        index = events._StepIndex(s)
+        kmin, kmax = s.step_range
+        for k in range(kmin, kmax + 1):
+            xyz = index.active(k)[1]
+            tabled = events._hits(xyz, eps)
+            with monkeypatch.context() as m:
+                m.setattr(events, "_dense_box", lambda cells: None)
+                searched = events._hits(xyz, eps)
+            for t, w in zip(tabled, searched):
+                assert t.dtype == w.dtype and np.array_equal(t, w)
+            n_hits += tabled[0].shape[0]
+    tables = [used for _, used in seen]
+    assert tables.count(True) >= 100 and n_hits >= 1000, (Counter(tables), n_hits)
+
+
 def factor3(cells):
     """Three factors >= 3 of `cells`, or None."""
     for a in range(3, cells + 1):
@@ -213,7 +243,7 @@ def test_cell_table_boundary(monkeypatch, n):
     steps = []
     for cells in (32 * n + 4096, 32 * n + 4097):
         box = np.array(factor3(cells))
-        top = box - 3  # the largest cell index per axis
+        top = box - 2  # the largest cell index per axis
         # the origin, a point in the top cell, a twin at exactly epsilon from
         # the origin, and the rest at random cell centres
         pts = np.vstack([np.zeros(3), top + 0.5, np.eye(3)[np.argmax(top)],

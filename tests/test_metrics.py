@@ -1,3 +1,5 @@
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -361,6 +363,19 @@ def test_p_values_with_ties_match_textbook():
     assert c.metrics["modularity"].mannwhitney_p == pytest.approx(
         mann_whitney_p(xa, xb), abs=1e-9
     )
+
+
+def test_constant_cohort_beside_varying_one_stays_quiet():
+    """scipy warns of precision loss when one cohort is constant and the
+    other is not; the warning stays inside, and the p-value is scipy's."""
+    from scipy import stats
+
+    xa, xb = [0.3, 0.3], [0.3, 0.4]
+    c = tr.compare_cohorts(reports_from_values(xa), reports_from_values(xb))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = float(stats.ttest_ind(xa, xb, equal_var=False).pvalue)
+    assert c.metrics["modularity"].welch_p == want
 
 
 def test_mismatched_epsilon_rejected():

@@ -291,9 +291,13 @@ def test_groups_at_step_range_error(pair_set):
 
 
 def test_groups_at_step_matches_oracle_and_edges():
+    """Random sets, and sets whose ids run out of set order up to 2**31 - 1:
+    hits name their points by position, so each must map to its own id."""
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        plain, eps = random_instance(rng, n_range=(5, 15), m_range=(8, 30))
+    instances = [random_instance(rng, n_range=(5, 15), m_range=(8, 30)) for _ in range(10)]
+    instances += [(sparse_high_ids(rng), float(rng.choice([1.0, np.sqrt(2.0)])))
+                  for _ in range(10)]
+    for plain, eps in instances:
         s = build_set(plain)
         r = tr.build_reeb(s, eps)
         event_steps = {v.step for v in r.vertices}
