@@ -27,8 +27,20 @@ Candidates are decided by the squared-distance predicate of
 decisions agree bit-for-bit with every other code path; only the hits are
 mapped back from cell order.
 
+Most steps do not need the grid.  The index-aligned points of a bundle move
+almost rigidly from one step to the next, so the pairs the grid finds at
+one step within a reach of 1.4 times epsilon serve the following steps as
+a Verlet candidate list (Verlet, Phys. Rev. 159, 98, 1967).  While a
+best-fit rotation and shift of that anchor step (Kabsch, Acta Cryst. A32,
+922, 1976) puts every current point within 0.2 epsilon of where it is, a
+pair off the list cannot be within epsilon, and the listed pairs' squared
+distances decide the step, with the grid's arithmetic.  The grid rebuilds
+the list when that test fails, when a trajectory appears, or when the
+float margins of the argument cannot be shown; a trajectory that ends
+leaves the list.
+
 Detection runs over the steps once for any number of epsilons: each step's
-pairs come from one grid at the largest epsilon, with their squared
+pairs come from one list or grid at the largest epsilon, with their squared
 distances, and each epsilon keeps those within its own radius.  Pairs are
 coded by the ranks of their ids, which order as the ids do: a pair ended
 by a disappearance drops out through a lookup of its members' last steps,
@@ -43,6 +55,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,25 +302,40 @@ def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.n
         # start[c] is the first sorted position of cell c, start[c + 1] its end
         start = np.zeros(nx * ny * nz + 1, dtype=np.int64)
         np.cumsum(np.bincount(code, minlength=nx * ny * nz), out=start[1:])
-        lo, hi = start[targets], start[targets + 1]
+        lo, hi = start[targets], start[1:][targets]
+        del start
+    # the (14, n) and per-cell arrays go before the candidates are gathered:
+    # at a list's reach the candidates nearly triple, and peak memory with them
+    del targets
     # row 0 pairs each point with the rest of its own cell
     lo[0] = np.arange(1, n + 1)
-    cnt = (hi - lo).ravel()
+    hi -= lo
+    cnt = hi.ravel()
     window = np.flatnonzero(cnt)  # most are empty
     cnt, lo = cnt[window], lo.ravel()[window]
+    del hi
     pi = np.repeat(window % n, cnt)
     pj = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(pi.shape[0])
-    # (dx*dx + dy*dy) + dz*dz as in geometry.squared_distance; (-x)**2 ==
-    # x**2 exactly, so d2 does not depend on which end comes first
-    x, y, z = xyz.take(order, axis=1)
-    d = x[pi] - x[pj]
-    d2 = d * d
-    d = y[pi] - y[pj]
-    d2 += d * d
-    d = z[pi] - z[pj]
-    d2 += d * d
+    del window, cnt, lo
+    d2 = _squared_distances(xyz.take(order, axis=1), pi, pj)
     hit = np.flatnonzero(d2 <= epsilon * epsilon)
     return order[pi[hit]], order[pj[hit]], d2[hit]
+
+
+def _squared_distances(xyz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances between columns i and j of a (3, n) array, as
+    (dx*dx + dy*dy) + dz*dz in geometry.squared_distance's order; (-x)**2 ==
+    x**2 exactly, so d2 does not depend on which end comes first."""
+    x, y, z = xyz
+    d2 = x[i]
+    d2 -= x[j]
+    d2 *= d2
+    for w in (y, z):
+        d = w[i]
+        d -= w[j]
+        d *= d
+        d2 += d
+    return d2
 
 
 def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,17 +354,155 @@ def _missing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[y[at] != x]
 
 
+# A Verlet candidate list (Verlet, Phys. Rev. 159, 98, 1967) serves the steps
+# after a grid step.  The grid finds the pairs within reach = (eps + 2*delta)
+# * (1 + _HAIR) of each other at the anchor step k0, for the largest eps and
+# delta = _DRIFT * eps.  A later step fits a rigid motion to the anchor
+# points (Kabsch, Acta Cryst. A32, 922, 1976) and uses the list while every
+# point lies within delta of where the motion puts it.  A pair left out had
+# d(k0) > reach, and an orthogonal R keeps d(k0) through the motion, so its
+# points, each within delta of their images, stay more than eps apart.
+# Every pair on the list gets the d2 the grid would give it, so ties at eps
+# fall exactly as on a grid step.
+#
+# Float margins, with u = 2**-53, M0 and Mk the largest centred coordinate
+# at k0 and at k, L = eps + 2*delta and h = _HAIR:
+# - the list left the pair out on a computed d2, so d(k0) > reach (1 - 4u);
+# - centring rounds each coordinate by at most u of itself: the anchor
+#   differences and the current ones are off by at most 4u M0 and 4u Mk;
+# - the computed residuals are within 30u (M0 + Mk) of the true ones;
+# - R's singular values are at least 1 - eta, eta = 3 (max |R^T R - I| + 4u).
+# Then d(k) > (1 - eta) reach (1 - 4u) - 2 delta - 64u (M0 + Mk) - 8u delta,
+# which exceeds eps (1 + 4u), and so rejects the pair at every eps of the
+# pass, when 64u (M0 + Mk) <= L h / 4 and 2 eta <= h / 4.  A step that cannot
+# show both, as when eps is tiny against the coordinates, goes to the grid.
+_DRIFT = 0.2
+_HAIR = 2.0**-20
+_ROUNDING = 2.0**-53
+# scaled Newton settles in ~5 steps from any full-rank start
+_ROTATION_STEPS = 20
+
+
+class _CandidateList:
+    """The pairs of one anchor step's active points within reach of each
+    other, as rank codes in sorted order and the positions of their points
+    among the active rows, plus the anchor points centred on their mean."""
+
+    def __init__(self, rows: np.ndarray, base: np.ndarray, xyz: np.ndarray,
+                 code: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+        self.rows, self.base, self.code, self.ii, self.jj = rows, base, code, ii, jj
+        self.anchor, self.magnitude = _centred(xyz)
+
+    @classmethod
+    def grid(cls, index: _StepIndex, rank: np.ndarray, k: int, reach: float):
+        """The list of step k, found by the grid, and its squared distances."""
+        rows, xyz = index.active(k)
+        keys = rank[rows]
+        ii, jj, d2 = _hits(xyz, reach)
+        code = _pack(keys[ii], keys[jj])
+        order = np.argsort(code)
+        listed = cls(rows, index.offset[rows], xyz, code[order], ii[order], jj[order])
+        return listed, d2[order]
+
+    def prune(self, keep: np.ndarray) -> None:
+        """Drop the rows where `keep` is false and every pair they are in."""
+        at = np.cumsum(keep) - 1
+        both = keep[self.ii] & keep[self.jj]
+        self.code, self.ii, self.jj = self.code[both], at[self.ii[both]], at[self.jj[both]]
+        self.rows, self.base, self.anchor = self.rows[keep], self.base[keep], self.anchor[:, keep]
+
+    def distances(self, xyz_all: np.ndarray, k: int, delta: float, slack: float):
+        """Squared distances of the listed pairs at step k, or None when the
+        points have drifted past delta from a rigid motion of the anchor or
+        the float margins above cannot be shown."""
+        xyz = xyz_all.take(self.base + k, axis=1)
+        if xyz.shape[1] > 1 and not self._rigid(xyz, delta, slack):
+            return None
+        return _squared_distances(xyz, self.ii, self.jj)
+
+    def _rigid(self, xyz: np.ndarray, delta: float, slack: float) -> bool:
+        b, magnitude = _centred(xyz)
+        # M0 + Mk of the comment above; the test also fails when not finite
+        if not 64 * _ROUNDING * (self.magnitude + magnitude) <= slack:
+            return False
+        a = self.anchor
+        # ufunc sums, not BLAS or LAPACK: the first call into either maps a
+        # megabyte or more of library pages, which peak RSS then keeps
+        r = _rotation((b[:, None] * a).sum(axis=2).ravel().tolist())
+        if r is None:
+            return False
+        # eta of the comment above, from the column products of R
+        cols = r[0::3], r[1::3], r[2::3]
+        defect = max(abs(sum(p * q for p, q in zip(cols[i], cols[j])) - (i == j))
+                     for i in range(3) for j in range(i, 3))
+        if not 6 * (defect + 4 * _ROUNDING) <= _HAIR / 4:
+            return False
+        r = np.array(r).reshape(3, 3)
+        # the anchor's own mean moves off 0 once rows are pruned
+        shift = (r * (a.sum(axis=1) / a.shape[1])).sum(axis=1)
+        e = b - (r[:, :, None] * a).sum(axis=1) + shift[:, None]
+        return float((e * e).sum(axis=0).max()) <= delta * delta
+
+
+def _rotation(m: list[float]) -> tuple[float, ...] | None:
+    """The orthogonal polar factor of a 3x3 matrix given row-major, by
+    scaled Newton iteration (Higham, SIAM J. Sci. Stat. Comput. 7, 1986), or
+    None if it does not settle.
+
+    For m = sum of b_i a_i^T over centred point sets, that factor is the R
+    that maps the a_i closest onto the b_i (Kabsch).  m is first scaled to
+    unit norm and its cofactor matrix added: that keeps the singular vectors,
+    makes a rank-2 m (points in a plane, as a bundle's cross-section) full
+    rank, and turns a small negative third singular value positive, so the
+    factor is Kabsch's proper rotation in both cases.
+    """
+    norm = math.sqrt(sum(v * v for v in m))
+    if not 0 < norm < math.inf:
+        return None
+    a, b, c, d, e, f, g, h, i = (v / norm for v in m)
+    a, b, c, d, e, f, g, h, i = (a + e * i - f * h, b + f * g - d * i, c + d * h - e * g,
+                                 d + c * h - b * i, e + a * i - c * g, f + b * g - a * h,
+                                 g + b * f - c * e, h + c * d - a * f, i + a * e - b * d)
+    for _ in range(_ROTATION_STEPS):
+        # X <- (z X + X^-T / z) / 2, X^-T = cofactor(X) / det X, z = |det X|^(-1/3)
+        ca, cb, cc = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * ca + b * cb + c * cc
+        if not det:
+            return None
+        z = abs(det) ** (-1 / 3)
+        w = 0.5 / (z * det)
+        z *= 0.5
+        x = (z * a + w * ca, z * b + w * cb, z * c + w * cc,
+             z * d + w * (c * h - b * i), z * e + w * (a * i - c * g), z * f + w * (b * g - a * h),
+             z * g + w * (b * f - c * e), z * h + w * (c * d - a * f), z * i + w * (a * e - b * d))
+        step = max(abs(p - q) for p, q in zip(x, (a, b, c, d, e, f, g, h, i)))
+        a, b, c, d, e, f, g, h, i = x
+        if step <= 1e-9:  # quadratic convergence: the next step would be ~1e-18
+            return x
+    return None
+
+
+def _centred(xyz: np.ndarray) -> tuple[np.ndarray, float]:
+    """A (3, n) array less its mean, and its largest absolute entry."""
+    if xyz.shape[1] == 0:
+        return xyz, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the margin test
+        c = xyz - (xyz.sum(axis=1) / xyz.shape[1])[:, None]
+        return c, float(np.abs(c).max())
+
+
 def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     """One event schedule per epsilon of an increasing list, from one pass
     over the steps.
 
-    Each step's pairs are found once, by the grid at the largest epsilon,
-    with their squared distances; every epsilon keeps those within its own
-    radius and diffs them against its previous step.  A grid at the largest
-    epsilon finds every pair of a smaller one, and thresholding the same d2
-    decides ties exactly as a separate pass would.  Pairs are coded by the
-    ranks of their ids, which sort as the ids do, and mapped back to ids
-    once the steps are done.
+    Each step's pairs are found once, with their squared distances, from
+    the candidate list of the largest epsilon, which the grid rebuilds when
+    the list cannot serve the step; every epsilon keeps the pairs within its
+    own radius and diffs them against its previous step.  The list holds
+    every pair of a smaller epsilon, and thresholding the same d2 decides
+    ties exactly as a separate pass would.  Pairs are coded by the ranks of
+    their ids, which sort as the ids do, and mapped back to ids once the
+    steps are done.
     """
     if len(s) == 0:
         raise ValueError("trajectory set is empty")
@@ -352,18 +518,28 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
 
     kmin, kmax = s.step_range
     squares = [e * e for e in epsilons]
+    delta = _DRIFT * epsilons[-1]
+    reach = (epsilons[-1] + 2 * delta) * (1 + _HAIR)
+    slack = (epsilons[-1] + 2 * delta) * _HAIR / 4
+    # trajectories appearing at step k, and ending at step k - 1
+    appear = np.bincount(index.start - kmin, minlength=kmax - kmin + 1)
+    ended = np.bincount(index.end + 1 - kmin, minlength=kmax - kmin + 2)
     prev = [np.empty(0, dtype=np.int64) for _ in epsilons]
     # per epsilon: connect and disconnect codes of every step, in step order
     parts: list[list[np.ndarray]] = [[] for _ in epsilons]
+    listed = None
     for k in range(kmin, kmax + 1):
-        rows, xyz = index.active(k)
-        keys = rank[rows]
-        ii, jj, d2 = _hits(xyz, epsilons[-1])
-        code = _pack(keys[ii], keys[jj])
-        curs = [np.sort(code[d2 <= sq]) for sq in squares]
-        # held into the next step's grid, these fragment the heap and raise
+        d2 = None
+        if listed is not None and not appear[k - kmin]:
+            if ended[k - kmin]:
+                listed.prune(index.end[listed.rows] >= k)
+            d2 = listed.distances(index.xyz, k, delta, slack)
+        if d2 is None:
+            listed, d2 = _CandidateList.grid(index, rank, k, reach)
+        curs = [listed.code[d2 <= sq] for sq in squares]
+        # held into the next step's grid, it fragments the heap and raises
         # peak RSS (by ~0.8 MB over a 1500 x 600 ragged build)
-        del ii, jj, d2, code
+        del d2
         for j, cur in enumerate(curs):
             gone = _missing(prev[j], cur)
             gone = gone[np.minimum(end_by_rank[gone >> 31], end_by_rank[gone & _LOW31]) >= k]

@@ -223,6 +223,155 @@ def test_table_and_search_return_the_same_hits(monkeypatch):
     assert tables.count(True) >= 100 and n_hits >= 1000, (Counter(tables), n_hits)
 
 
+def spy_on_candidate_list(monkeypatch):
+    """Record, per detected step, whether the grid rebuilt the candidate
+    list ("grid") or the list served the step ("list")."""
+    seen = []
+    grid, distances = events._CandidateList.grid, events._CandidateList.distances
+
+    def spy_grid(*args):
+        seen.append("grid")
+        return grid(*args)
+
+    def spy_distances(self, *args):
+        d2 = distances(self, *args)
+        if d2 is not None:
+            seen.append("list")
+        return d2
+
+    monkeypatch.setattr(events._CandidateList, "grid", staticmethod(spy_grid))
+    monkeypatch.setattr(events._CandidateList, "distances", spy_distances)
+    return seen
+
+
+def rotation(rng, angle):
+    """A rotation by `angle` about a random axis (Rodrigues)."""
+    axis = rng.normal(size=3)
+    x, y, z = axis / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def moving_instance(rng, lattice):
+    """A cloud that moves by one rigid motion per step, plus a little jitter
+    and now and then a jump that forces the list to be rebuilt; staggered
+    starts and ragged ends put appearances and ends inside list epochs.  A
+    lattice cloud sits on a quarter grid and moves by integer shifts and
+    signed axis permutations of determinant 1, so its distances, and their
+    ties with epsilon, are exact on every step."""
+    n, m = int(rng.integers(6, 30)), int(rng.integers(12, 40))
+    if lattice:
+        cloud = rng.integers(0, 12, (n, 3)) / 4
+        eps = float(rng.choice([1.0, 1.25, 1.5, 2.0]))
+    else:
+        cloud = rng.normal(0.0, 1.5, (n, 3))
+        if rng.random() < 0.5:
+            cloud[:, 2] = 0.0  # a plane, as a bundle's cross-section
+        eps = float(rng.uniform(0.8, 1.6))
+    steps = []
+    for _ in range(m):
+        if lattice:
+            perm, sign = rng.permutation(3), rng.choice([-1.0, 1.0], 3)
+            if np.linalg.det(np.eye(3)[perm]) * sign.prod() < 0:
+                sign[0] = -sign[0]
+            cloud = cloud[:, perm] * sign + rng.integers(-2, 3, 3)
+            moved = np.flatnonzero(rng.random(n) < 0.1)
+            cloud[moved, rng.integers(0, 3, moved.shape[0])] += 0.25
+        else:
+            cloud = cloud @ rotation(rng, rng.uniform(0.0, 0.2)).T + rng.normal(0.0, 1.0, 3)
+            cloud += rng.normal(0.0, 0.01 * eps, (n, 3))
+        if rng.random() < 0.1:
+            jump = rng.integers(-2, 3, 3) if lattice else rng.normal(0.0, eps, 3)
+            cloud[rng.integers(n)] += jump
+        steps.append(cloud)
+    pts = np.stack(steps, axis=1)
+    trajs = []
+    for t in range(n):
+        start = int(rng.integers(1, m // 2)) if rng.random() < 0.2 else 0
+        cut = int(rng.integers(1, m // 3)) if rng.random() < 0.3 else 0
+        trajs.append((t, pts[t, start: m - cut], start))
+    return trajs, eps
+
+
+def gap_instance(rng):
+    """A moving cloud whose odd ids live on the first third of the steps and
+    even ids from three steps later on, with one trajectory a step longer
+    than the odd ones: inside one list epoch, a step with one active point
+    and two with none."""
+    trajs, eps = moving_instance(rng, lattice=bool(rng.integers(2)))
+    trajs = [(t, p) for t, p, st in trajs if st == 0 and len(p) >= 12]
+    m = min(len(p) for _, p in trajs)
+    out = [(t, p[: m // 3], 0) if t % 2 else (t, p[m // 3 + 3: m], m // 3 + 3)
+           for t, p in trajs[:-1]]
+    t, p = trajs[-1]
+    out.append((t, p[: m // 3 + 1], 0))
+    return out, eps
+
+
+def test_candidate_list_equals_grid_oracle(monkeypatch):
+    """Steps served by the rigid-motion candidate list against the
+    searchsorted grid that runs on every step, column for column: moving
+    bundles and quarter-grid lattices (ties at epsilon on list steps),
+    appearances after the anchor step, ends inside list epochs, steps with
+    0 or 1 active points, several epsilons, +-1e9 offsets, and epsilons
+    tiny against the coordinates, where the float margin fails and every
+    step takes the grid."""
+    seen = spy_on_candidate_list(monkeypatch)
+    rng = np.random.default_rng(59)
+    instances = [moving_instance(rng, lattice=False) for _ in range(12)]
+    instances += [moving_instance(rng, lattice=True) for _ in range(12)]
+    instances += [gap_instance(rng) for _ in range(4)]
+    for offset, eps_scale in ((1e9, 1.0), (-1e9, 1.0), (1e9, 1e-3), (-1e9, 1e-3)):
+        # tiny epsilon at a large offset: the cloud shrinks with epsilon,
+        # so the centred coordinates stay small and the list certifies
+        trajs, eps = moving_instance(rng, lattice=eps_scale == 1.0)
+        instances.append(([(t, p * eps_scale + offset, st) for t, p, st in trajs],
+                          eps * eps_scale))
+    for ratio in (1e9, 1e12):
+        # the cloud spans ~ratio epsilons: the margin cannot be shown
+        trajs, eps = moving_instance(rng, lattice=False)
+        instances.append((trajs, eps / ratio))
+    for trajs, eps in instances:
+        s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
+        for epsilons in ([eps], sorted({eps * 0.5, eps * 0.75, eps})):
+            got, want = _detect(s, epsilons), oracle_grid_detect(s, epsilons)
+            assert len(got) == len(want) == len(epsilons)
+            for g, w in zip(got, want):
+                assert_same_columns(g, w)
+    counts = Counter(seen)
+    assert counts["list"] >= 100 and counts["grid"] >= 100, counts
+
+
+def test_candidate_list_drift_boundary(monkeypatch):
+    """One point drifts a little over delta = 0.2 epsilon from the rigid
+    motion of the rest, toward a point it started just over the list's
+    reach (epsilon + 2 delta) from.  The drift forces a rebuild at step 4,
+    which lists the pair at 1.15, and the step that brings it within
+    epsilon, 7, is a list step.  Without the drift test the pair is never
+    listed; with a reach of epsilon alone the rebuild leaves it out."""
+    seen = spy_on_candidate_list(monkeypatch)
+    rng = np.random.default_rng(61)
+    eps, m = 1.0, 12
+    # a 4 x 4 x 4 lattice 3 apart, and the pair far from it
+    body = np.vstack([3.0 * np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3),
+                      [[20.0, 20.0, 20.0], [21.41, 20.0, 20.0]]])
+    trajs = [np.empty((m, 3)) for _ in body]
+    frame, shift = np.eye(3), np.zeros(3)
+    for k in range(m):
+        pts = body.copy()
+        pts[-1, 0] -= 0.065 * min(k, 10)  # 1.41 apart at k = 0, 0.955 at k = 7
+        for t, p in enumerate(pts @ frame.T + shift):
+            trajs[t][k] = p
+        frame = rotation(rng, 0.05) @ frame
+        shift += rng.normal(0.0, 1.0, 3)
+    s = tr.make_set(trajs)
+    got = _detect(s, [eps])[0]
+    assert_same_columns(got, oracle_grid_detect(s, [eps])[0])
+    connects = [(e.step, e.subjects) for e in got if e.kind is EventKind.CONNECT]
+    assert connects == [(7, (len(body) - 2, len(body) - 1))]
+    assert seen[:8] == ["grid", "list", "list", "list", "grid", "list", "list", "list"]
+
+
 def factor3(cells):
     """Three factors >= 3 of `cells`, or None."""
     for a in range(3, cells + 1):
@@ -237,8 +386,9 @@ def factor3(cells):
 def test_cell_table_boundary(monkeypatch, n):
     """A step whose padded box holds 32n + 4096 cells reads windows from the
     table; one more cell and it searches the packed codes.  Points sit on a
-    lattice of cell centres, so many pairs tie with epsilon."""
-    seen = spy_on_cell_table(monkeypatch)
+    lattice of cell centres, so many pairs tie with epsilon.  Detect runs
+    its grid at the candidate list's reach, not at epsilon, so the boundary
+    is driven through the grid itself, one call per step."""
     rng = np.random.default_rng(n)
     steps = []
     for cells in (32 * n + 4096, 32 * n + 4097):
@@ -251,8 +401,13 @@ def test_cell_table_boundary(monkeypatch, n):
         steps.append(pts[rng.permutation(n)])
     trajs = [(t, np.stack([steps[0][t], steps[1][t]]), 0) for t in range(n)]
     s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-    sched = tr.detect_all_events(s, 1.0)
+    index = events._StepIndex(s)
+    with monkeypatch.context() as m:
+        seen = spy_on_cell_table(m)
+        for k in (0, 1):
+            events._hits(index.active(k)[1], 1.0)
     assert seen == [(32 * n + 4096, True), (32 * n + 4097, False)]
+    sched = tr.detect_all_events(s, 1.0)
     assert sched == oracle_schedule(trajs, 1.0)
     assert sum(e.kind is EventKind.CONNECT for e in sched) > 0
 
@@ -279,18 +434,31 @@ def test_detect_memory_stays_linear_when_epsilon_is_tiny(offset, span, ratio):
     assert connects == [(i, i + 1000) for i in range(1000)]
 
 
-def test_detect_memory_per_event_on_a_dense_step():
+def test_detect_memory_per_event_on_a_dense_step(monkeypatch):
     """20,000 points a step, ~174k events: the schedule is kept as integer
-    columns, not one Event and Point3 per event (~450 B each)."""
-    s = tr.make_bundle(20_000, 4)
-    tracemalloc.start()
-    try:
-        sched = tr.detect_all_events(s, 1.2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(sched) > 150_000
-    assert peak / len(sched) < 250
+    columns, not one Event and Point3 per event (~450 B each).  Then the
+    same cross-section moving rigidly over 10 steps with a little jitter,
+    so that the candidate list, found once at its reach, serves the rest."""
+    seen = spy_on_candidate_list(monkeypatch)
+    bundle = tr.make_bundle(20_000, 4)
+    section = np.stack([t.points[0] for t in bundle])
+    rng = np.random.default_rng(67)
+    moving = np.empty((20_000, 10, 3))
+    frame = np.eye(3)
+    for k in range(10):
+        moving[:, k] = section @ frame.T + rng.uniform(-0.05, 0.05, section.shape)
+        frame = rotation(rng, 0.1) @ frame
+    for s, least in ((bundle, 150_000), (tr.make_set(list(moving)), 100_000)):
+        seen.clear()
+        tracemalloc.start()
+        try:
+            sched = tr.detect_all_events(s, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sched) > least
+        assert peak / len(sched) < 250
+    assert seen.count("list") >= 8, Counter(seen)
 
 
 def test_shared_pass_equals_separate_detects():
@@ -319,6 +487,13 @@ def test_detect_rejects_a_step_span_beyond_float64():
     s = tr.make_set([[(-1e308, 0, 0), (0, 0, 0)], [(1e308, 0, 0), (1, 0, 0)]])
     with pytest.raises(ValueError, match="float64 range"):
         tr.detect_all_events(s, 1.0)
+    # the same span after steps that the candidate list serves
+    fixed = [[(k, 0, 0) for k in range(5)], [(k, 2, 0) for k in range(5)], [(k, 0, 2) for k in range(5)]]
+    fixed[0].append((-1e308, 0, 0))
+    fixed[1].append((1e308, 0, 0))
+    fixed[2].append((5, 0, 2))
+    with pytest.raises(ValueError, match="float64 range"):
+        tr.detect_all_events(tr.make_set(fixed), 1.0)
 
 
 def test_replay_consistency(pair_set):
