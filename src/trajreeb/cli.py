@@ -88,6 +88,9 @@ def _build_parser() -> _Parser:
 def _check_epsilon(value: float) -> float:
     if not (value > 0):
         raise ValueError("epsilon must be positive")
+    # an infinite epsilon would reach the JSON as a bare inf or Infinity token
+    if not math.isfinite(value):
+        raise ValueError(f"epsilon must be finite, got {value!r}")
     return float(value)
 
 

@@ -12,20 +12,18 @@ bucketed into a uniform grid over coordinates relative to the step's
 minimum, with a cell side of at least epsilon, so every epsilon-connected
 pair lies in the same or a neighbouring cell (Bentley, Stanat and Williams,
 IPL 1977) and only the 27-cell neighbourhood is tested.  Cells are numbered
-x + nx*(y + ny*z), which orders them by (z, y, x), and each point meets its
-own cell and the 13 neighbours numbered above it.  When the step's cell
-box, with one empty cell past the largest index on each axis, holds at most
-32n + 4096 cells for n points, nx and ny are the box's sides and a table of
-each cell's first position in cell order (a bincount and a cumsum) gives
-every neighbour window in two lookups.  Larger boxes, as when epsilon is
-tiny against the coordinates, take nx = ny = 2**21 and find the windows by
-binary search, so memory stays linear in the points either way.  The side
-grows past epsilon when the step's span would need more than 2**21 - 4
-cells per axis, which costs candidates, never pairs.
-Candidates are decided by the squared-distance predicate of
-:mod:`trajreeb.geometry`, evaluated in the same order, so boundary
-decisions agree bit-for-bit with every other code path; only the hits are
-mapped back from cell order.
+x + nx*(y + ny*z), which orders them by (z, y, x), with nx and ny the sides
+of the step's cell box and one empty cell past the largest index on each
+axis.  Each point meets its own cell and the 13 neighbours numbered above
+it; cells x - 1, x and x + 1 of a row have consecutive codes, so those
+cells form 5 runs of codes, and the points of each run are found by binary
+search in the sorted codes.  Memory stays linear in the points however
+tiny epsilon is against the coordinates.  The side grows past epsilon when
+the step's span would need more than 2**21 - 4 cells per axis, which costs
+candidates, never pairs.  Candidates are decided by the squared-distance
+predicate of :mod:`trajreeb.geometry`, evaluated in the same order, so
+boundary decisions agree bit-for-bit with every other code path; only the
+hits are mapped back from cell order.
 
 Most steps do not need the grid.  The index-aligned points of a bundle move
 almost rigidly from one step to the next, so the pairs the grid finds at
@@ -53,7 +51,6 @@ only when a caller iterates it.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -208,25 +205,16 @@ def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Even
 # ---------------------------------------------------------------------------
 # Whole-set detection
 
-# A step's cells are numbered x + nx*(y + ny*z).  Every forward neighbour
-# shift is then >= 0, and a step to x - 1 or y - 1 from index 0 lands on
-# index nx - 1 or ny - 1 of the axis, which is kept empty.  When the box of
-# the step's cells, one cell past the largest index per axis, holds at most
-# this many cells per point plus a constant, nx and ny are its sides and a
-# table of 8 bytes per cell, linear in the points, gives the windows.
-_TABLE_CELLS_PER_POINT = 32
-_TABLE_CELLS_MIN = 4096
-# Larger boxes take nx = ny = 2**21 and search the sorted codes.  Capping the
-# cell index at 2**21 - 5 per axis keeps index 2**21 - 1 empty and every
-# shifted code inside int64.
-_SEARCH_AXIS = 1 << 21
-_CELLS_PER_AXIS = _SEARCH_AXIS - 4
-# (dx, dy, dz) of the cell itself, first, then of the 13 neighbours whose
-# codes are larger
-_FORWARD = np.array([
-    (dx, dy, dz) for dz, dy, dx in itertools.product((-1, 0, 1), repeat=3)
-    if (dz, dy, dx) >= (0, 0, 0)
-])
+# A step's cells are numbered x + nx*(y + ny*z), with nx and ny two more
+# than the largest index on their axis.  Cells x - 1, x and x + 1 of a row
+# then have consecutive codes, and a step to x - 1 or y - 1 from index 0
+# lands on index nx - 1 or ny - 1 of the axis, which stays empty.  Capping
+# the cell index at 2**21 - 5 per axis keeps every code and shifted code
+# below 2**63.
+_CELLS_PER_AXIS = (1 << 21) - 4
+# (dy, dz) of the point's own row of cells, first, then of the 4 neighbouring
+# rows whose codes are larger
+_FORWARD_ROWS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
 
 
 class _StepIndex:
@@ -255,27 +243,15 @@ class _StepIndex:
         return rows, self.xyz.take(self.offset[rows] + k, axis=1)
 
 
-def _dense_box(cells: np.ndarray) -> tuple[int, int, int] | None:
-    """(nx, ny, nz) of the step's cell box with one empty cell past the
-    largest index on each axis, or None when that box holds more than
-    32n + 4096 cells."""
-    # per row: a reduction along axis 1 is several times slower
-    nx, ny, nz = (int(c.max()) + 2 for c in cells)
-    if nx * ny * nz > _TABLE_CELLS_PER_POINT * cells.shape[1] + _TABLE_CELLS_MIN:
-        return None
-    return nx, ny, nz
-
-
 def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs (ii, jj) of the epsilon-connected points among the
     columns of one step's (3, n) coordinates, and their squared distances.
 
     Candidates share or neighbour a grid cell: each point meets the rest of
-    its own cell and the 13 neighbouring cells whose codes
-    x + nx*(y + ny*z) are larger, each a window [lo, hi) of cell-sorted
-    positions.  Small boxes read windows from a table of each cell's first
-    position; larger ones take nx = ny = 2**21 and search the sorted codes.
-    Both order cells by (z, y, x), so they return the same arrays.
+    its own cell and the cell after it, and the cells x - 1 to x + 1 of the
+    4 neighbouring rows whose codes x + nx*(y + ny*z) are larger.  Each of
+    those 5 runs of cells is a window [lo, hi) of cell-sorted positions,
+    found by binary search in the sorted codes.
     """
     n = xyz.shape[1]
     if n < 2:
@@ -289,29 +265,19 @@ def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.n
     # points within epsilon still land at most one cell apart
     side = max(epsilon, span / _CELLS_PER_AXIS) * (1 + 2**-20)
     cells = (rel / side).astype(np.int64)
-    box = _dense_box(cells)
-    nx, ny, nz = box or (_SEARCH_AXIS, _SEARCH_AXIS, None)
+    # per row: a reduction along axis 1 is several times slower
+    nx, ny = (int(c.max()) + 2 for c in cells[:2])
     code = cells[0] + nx * (cells[1] + ny * cells[2])
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
-    targets = sorted_code + (_FORWARD @ np.array([1, nx, nx * ny]))[:, None]
-    if box is None:
-        lo = np.searchsorted(sorted_code, targets, side="left")
-        hi = np.searchsorted(sorted_code, targets, side="right")
-    else:
-        # start[c] is the first sorted position of cell c, start[c + 1] its end
-        start = np.zeros(nx * ny * nz + 1, dtype=np.int64)
-        np.cumsum(np.bincount(code, minlength=nx * ny * nz), out=start[1:])
-        lo, hi = start[targets], start[1:][targets]
-        del start
-    # the (14, n) and per-cell arrays go before the candidates are gathered:
-    # at a list's reach the candidates nearly triple, and peak memory with them
-    del targets
-    # row 0 pairs each point with the rest of its own cell
+    shift = _FORWARD_ROWS @ np.array([nx, nx * ny])
+    lo = np.searchsorted(sorted_code, sorted_code + (shift - 1)[:, None], side="left")
+    hi = np.searchsorted(sorted_code, sorted_code + (shift + 1)[:, None], side="right")
+    # row 0 starts each point's window just past it
     lo[0] = np.arange(1, n + 1)
     hi -= lo
     cnt = hi.ravel()
-    window = np.flatnonzero(cnt)  # most are empty
+    window = np.flatnonzero(cnt)
     cnt, lo = cnt[window], lo.ravel()[window]
     del hi
     pi = np.repeat(window % n, cnt)

@@ -160,6 +160,18 @@ def test_build_zero_epsilon_exits_1(pair_csv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["build", "metrics", "export-schedule"])
+def test_infinite_epsilon_exits_1(pair_csv, tmp_path, capsys, command):
+    """An infinite epsilon would reach the output as a bare inf or Infinity
+    token, which is not JSON; it is refused with one line."""
+    out = tmp_path / "out.json"
+    code = run([command, "--input", str(pair_csv), "--epsilon", "inf", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "epsilon must be finite" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_1(pair_csv, capsys):
     assert run(["build", "--input", str(pair_csv), "--epsilon", "1", "--frobnicate"]) == 1
     assert capsys.readouterr().err.strip()

@@ -146,32 +146,16 @@ def test_grid_equals_brute():
         assert tr.detect_all_events(s, eps) == oracle_schedule(trajs, eps)
 
 
-def spy_on_cell_table(monkeypatch):
-    """Record, per detected step, the size of the padded cell box and
-    whether the dense cell-start table served it."""
-    seen = []
-    dense_box = events._dense_box
-
-    def spy(cells):
-        box = dense_box(cells)
-        seen.append((int(np.prod(cells.max(axis=1) + 2)), box is not None))
-        return box
-
-    monkeypatch.setattr(events, "_dense_box", spy)
-    return seen
-
-
 def assert_same_columns(got, want):
     for g, w in zip((got._step, got._kind, got._a, got._b),
                     (want._step, want._kind, want._a, want._b)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def test_detect_equals_searchsorted_grid_oracle(monkeypatch):
-    """The cell-start table, rank-coded pairs and the searchsorted diff
-    against the earlier searchsorted grid with id codes, column for column,
-    for one epsilon and for several."""
-    seen = spy_on_cell_table(monkeypatch)
+def test_detect_equals_searchsorted_grid_oracle():
+    """The box-sized cell numbering, rank-coded pairs and the searchsorted
+    diff against the earlier searchsorted grid with id codes, column for
+    column, for one epsilon and for several."""
     rng = np.random.default_rng(47)
     instances = [random_instance(rng, n_range=(5, 40), m_range=(8, 40)) for _ in range(15)]
     instances += [lattice_instance(rng) for _ in range(10)]
@@ -189,38 +173,6 @@ def test_detect_equals_searchsorted_grid_oracle(monkeypatch):
             assert len(got) == len(want) == len(epsilons)
             for g, w in zip(got, want):
                 assert_same_columns(g, w)
-    tables = [used for _, used in seen]
-    assert tables.count(True) >= 100 and tables.count(False) >= 100, Counter(tables)
-
-
-def test_table_and_search_return_the_same_hits(monkeypatch):
-    """Both cell numberings order cells by (z, y, x), so on every step the
-    cell-start table and the binary search give the same (ii, jj, d2)
-    arrays, in the same order and with the same dtypes."""
-    seen = spy_on_cell_table(monkeypatch)
-    rng = np.random.default_rng(53)
-    instances = [random_instance(rng, n_range=(5, 40), m_range=(8, 40)) for _ in range(10)]
-    instances += [lattice_instance(rng) for _ in range(10)]
-    for offset in (1e9, -1e9):
-        trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 30))
-        instances.append(([(t, p + offset, st) for t, p, st in trajs], eps))
-    instances += [twin_instance(rng, ratio) for ratio in (2.0, 10.0, 1e3, 1e7)]
-    n_hits = 0
-    for trajs, eps in instances:
-        s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-        index = events._StepIndex(s)
-        kmin, kmax = s.step_range
-        for k in range(kmin, kmax + 1):
-            xyz = index.active(k)[1]
-            tabled = events._hits(xyz, eps)
-            with monkeypatch.context() as m:
-                m.setattr(events, "_dense_box", lambda cells: None)
-                searched = events._hits(xyz, eps)
-            for t, w in zip(tabled, searched):
-                assert t.dtype == w.dtype and np.array_equal(t, w)
-            n_hits += tabled[0].shape[0]
-    tables = [used for _, used in seen]
-    assert tables.count(True) >= 100 and n_hits >= 1000, (Counter(tables), n_hits)
 
 
 def spy_on_candidate_list(monkeypatch):
@@ -370,46 +322,6 @@ def test_candidate_list_drift_boundary(monkeypatch):
     connects = [(e.step, e.subjects) for e in got if e.kind is EventKind.CONNECT]
     assert connects == [(7, (len(body) - 2, len(body) - 1))]
     assert seen[:8] == ["grid", "list", "list", "list", "grid", "list", "list", "list"]
-
-
-def factor3(cells):
-    """Three factors >= 3 of `cells`, or None."""
-    for a in range(3, cells + 1):
-        for b in range(3, cells // a + 1):
-            c, r = divmod(cells, a * b)
-            if r == 0 and c >= 3:
-                return a, b, c
-    return None
-
-
-@pytest.mark.parametrize("n", [4, 50, 150])
-def test_cell_table_boundary(monkeypatch, n):
-    """A step whose padded box holds 32n + 4096 cells reads windows from the
-    table; one more cell and it searches the packed codes.  Points sit on a
-    lattice of cell centres, so many pairs tie with epsilon.  Detect runs
-    its grid at the candidate list's reach, not at epsilon, so the boundary
-    is driven through the grid itself, one call per step."""
-    rng = np.random.default_rng(n)
-    steps = []
-    for cells in (32 * n + 4096, 32 * n + 4097):
-        box = np.array(factor3(cells))
-        top = box - 2  # the largest cell index per axis
-        # the origin, a point in the top cell, a twin at exactly epsilon from
-        # the origin, and the rest at random cell centres
-        pts = np.vstack([np.zeros(3), top + 0.5, np.eye(3)[np.argmax(top)],
-                         rng.integers(0, top + 1, (n - 3, 3)) + 0.5])
-        steps.append(pts[rng.permutation(n)])
-    trajs = [(t, np.stack([steps[0][t], steps[1][t]]), 0) for t in range(n)]
-    s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-    index = events._StepIndex(s)
-    with monkeypatch.context() as m:
-        seen = spy_on_cell_table(m)
-        for k in (0, 1):
-            events._hits(index.active(k)[1], 1.0)
-    assert seen == [(32 * n + 4096, True), (32 * n + 4097, False)]
-    sched = tr.detect_all_events(s, 1.0)
-    assert sched == oracle_schedule(trajs, 1.0)
-    assert sum(e.kind is EventKind.CONNECT for e in sched) > 0
 
 
 @pytest.mark.parametrize(
