@@ -3,22 +3,28 @@
 The Reeb graph is treated as a simple undirected graph: parallel edges
 (same endpoints, different member sets) collapse to one, zero-length
 cascade edges are kept.  |E| then counts maximal groups and |V| the
-significant points.
+significant points.  `compute_metrics` derives that graph once, as the
+sorted distinct (u <= v) vertex pairs of the Reeb edges in one (m, 2)
+integer array; vertex ids are the positions 0..n-1, and every feature
+reads the array.  A self-loop counts in |E| and adds 2 to its vertex's
+degree in Q; clustering and the path features ignore it.
 
 Mean betweenness and global efficiency both follow from c_d, the number
 of ordered vertex pairs at distance d, which a breadth-first search from
 every vertex counts (level by level, over blocks of sources at once, on
-numpy CSR arrays).  Every shortest s-t path has d(s, t) - 1 interior
-vertices, so the dependencies of source s (Brandes 2001) sum to
-sum_t (d(s, t) - 1) and the mean normalized betweenness is
+numpy CSR arrays built from the pair array).  Every shortest s-t path has
+d(s, t) - 1 interior vertices, so the dependencies of source s (Brandes
+2001) sum to sum_t (d(s, t) - 1) and the mean normalized betweenness is
 sum_d c_d (d - 1) / (n(n-1)(n-2)); global efficiency is
 sum_d c_d / d / (n(n-1)).  Both are exact integer ratios, the second over
 lcm(d), each rounded once to the nearest float.
 
-Modularity is the Q of a Clauset-Newman-Moore greedy agglomeration: one
-heap of adjacent community pairs keyed by exact integer gains, with
-deterministic lowest-id tie-breaking, so repeated runs give identical
-reports.  Clustering is networkx's.
+Modularity is the Q of a Clauset-Newman-Moore greedy agglomeration
+(Phys. Rev. E 70, 066111, 2004): one heap of adjacent community pairs
+keyed by exact integer gains, with deterministic lowest-id tie-breaking,
+so repeated runs give identical reports.  The routine sums Q from its own
+per-community degree and inner-edge counts.  Clustering is networkx's,
+on an nx.Graph built from the pair array.
 """
 
 from __future__ import annotations
@@ -89,16 +95,10 @@ class CohortComparison:
     metrics: dict[str, MetricComparison]
 
 
-def simple_graph(r: ReebGraph) -> nx.Graph:
-    """Collapse the Reeb multigraph to a simple graph on its vertex ids."""
-    g = nx.Graph()
-    g.add_nodes_from(v.id for v in r.vertices)
-    g.add_edges_from((e.u, e.v) for e in r.edges)
-    return g
-
-
-def greedy_modularity_partition(g: nx.Graph) -> list[set]:
-    """Clauset-Newman-Moore greedy modularity with lowest-id tie-breaking.
+def greedy_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], float]:
+    """(partition, Q) of Clauset-Newman-Moore greedy modularity with
+    lowest-id tie-breaking, on vertices 0..n-1 and the distinct sorted
+    (u <= v) pairs `ends`.
 
     Communities start as singletons and the adjacent pair with the largest
     modularity gain merges first; ties go to the lexicographically smallest
@@ -107,31 +107,29 @@ def greedy_modularity_partition(g: nx.Graph) -> list[set]:
     One heap holds every adjacent pair, keyed by the exact integer
     e_ab*2m - d_a*d_b, which is the gain times (2m)^2/2: distinct gains
     differ by at least 2/(2m)^2, so ties are exact.  Community i is the one
-    whose least member is the i-th smallest node, and a merge keeps the lower
-    index, so (index, index) orders pairs as (min id, min id) does.  An
-    entry is stale once either community has merged since it was pushed.
+    whose least member is vertex i, and a merge keeps the lower index, so
+    (index, index) orders pairs as (min id, min id) does.  An entry is stale
+    once either community has merged since it was pushed.  A self-loop adds
+    2 to its vertex's degree and 1 to its community's inner edges.
     """
-    nodes = sorted(g.nodes)
-    m = g.number_of_edges()
+    m = len(ends)
+    members: list = [{v} for v in range(n)]
     if m == 0:
-        return [{v} for v in nodes]
-    index = {v: i for i, v in enumerate(nodes)}
-    members: list = [{v} for v in nodes]
-    degree = [0] * len(nodes)
-    links: list = [{} for _ in nodes]
-    for u, v in g.edges:
-        a, b = index[u], index[v]
-        degree[a] += 1
-        degree[b] += 1
-        if a != b:
-            links[a][b] = links[a].get(b, 0) + 1
-            links[b][a] = links[b].get(a, 0) + 1
+        return members, 0.0
+    pairs = ends.tolist()
+    degree = np.bincount(ends.ravel(), minlength=n).tolist()
+    inner = [0] * n  # edges with both ends in the community
+    links: list = [{} for _ in range(n)]  # community -> {neighbour: edges between}
+    for u, v in pairs:
+        if u == v:
+            inner[u] = 1
+        else:
+            links[u][v] = links[v][u] = 1
 
     two_m = 2 * m
     scale = 2.0 * m  # the stop rule keeps the float form of the rescan it replaced
-    version = [0] * len(nodes)
-    heap = [(degree[a] * degree[b] - e_ab * two_m, a, b, 0, 0)
-            for a, ab in enumerate(links) for b, e_ab in ab.items() if a < b]
+    version = [0] * n
+    heap = [(degree[a] * degree[b] - two_m, a, b, 0, 0) for a, b in pairs if a != b]
     heapq.heapify(heap)
     while heap:
         _, a, b, version_a, version_b = heapq.heappop(heap)
@@ -142,6 +140,7 @@ def greedy_modularity_partition(g: nx.Graph) -> list[set]:
             break
         members[a] |= members[b]
         degree[a] += degree[b]
+        inner[a] += inner[b] + links[a][b]
         for c, w in links[b].items():
             if c != a:
                 del links[c][b]
@@ -154,25 +153,18 @@ def greedy_modularity_partition(g: nx.Graph) -> list[set]:
             lo, hi = min(a, c), max(a, c)
             heapq.heappush(heap, (degree[a] * degree[c] - e_ac * two_m,
                                   lo, hi, version[lo], version[hi]))
-    return [c for c in members if c is not None]
+    partition, q = [], 0.0  # Newman's Q, over the communities in index order
+    for a, c in enumerate(members):
+        if c is not None:
+            partition.append(c)
+            q += inner[a] / m - (degree[a] / (2.0 * m)) ** 2
+    return partition, q
 
 
-def modularity_value(g: nx.Graph, partition: list[set]) -> float:
-    """Newman modularity Q of a partition of g's nodes."""
-    m = g.number_of_edges()
-    if m == 0:
-        return 0.0
-    q = 0.0
-    for comm in partition:
-        internal = sum(1 for u, v in g.edges(comm) if u in comm and v in comm)
-        deg = sum(d for _, d in g.degree(comm))
-        q += internal / m - (deg / (2.0 * m)) ** 2
-    return q
-
-
-def _shortest_path_pass(g: nx.Graph) -> tuple[float, float]:
-    """(mean normalized betweenness, global efficiency) of g, each correctly
-    rounded from its exact rational value.
+def _shortest_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
+    """(mean normalized betweenness, global efficiency) of the graph on
+    vertices 0..n-1 with edges `ends`, each correctly rounded from its exact
+    rational value.  Self-loops lie on no shortest path and are dropped.
 
     A breadth-first search from every source, level-synchronous over a block
     of sources at once: entry i*n + v of the block's arrays belongs to (its
@@ -180,12 +172,9 @@ def _shortest_path_pass(g: nx.Graph) -> tuple[float, float]:
     The searches count the ordered pairs c_d at each distance d, which is all
     that either value needs (see the module docstring).
     """
-    n = g.number_of_nodes()
     if n < 2:
         return 0.0, 0.0
-    index = {v: i for i, v in enumerate(g.nodes)}
-    ends = np.array([(index[u], index[v]) for u, v in g.edges if u != v],
-                    dtype=np.int32).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
     # CSR adjacency: the neighbours of v are nbr[first[v] : first[v] + deg[v]]
     heads = np.concatenate([ends[:, 0], ends[:, 1]])
     nbr = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(heads, kind="stable")]
@@ -232,19 +221,26 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
     """Feature vector of one Reeb graph."""
     if not r.vertices:
         raise ValueError("cannot compute metrics of an empty graph")
-    g = simple_graph(r)
-    n = g.number_of_nodes()
-    avg_clustering = nx.average_clustering(g) if n else 0.0
-    avg_betweenness, efficiency = _shortest_path_pass(g)
-    partition = greedy_modularity_partition(g)
-    modularity = modularity_value(g, partition)
+    n = len(r.vertices)
+    ends = np.array([(e.u, e.v) for e in r.edges], dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"edge {r.edges[bad[0]].id} references unknown vertex")
+    # the simple graph: distinct (u <= v) pairs, sorted, with ids as positions
+    codes = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+    ends = np.stack(divmod(codes, n), axis=1).astype(np.int32)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(ends.tolist())
+    avg_betweenness, efficiency = _shortest_path_pass(n, ends)
+    _, modularity = greedy_modularity_partition(n, ends)
     return MetricsReport(
         epsilon=r.epsilon,
         n_vertices=n,
-        n_edges=g.number_of_edges(),
-        avg_clustering=float(avg_clustering),
+        n_edges=len(ends),
+        avg_clustering=float(nx.average_clustering(g)),
         avg_betweenness=avg_betweenness,
-        modularity=float(modularity),
+        modularity=modularity,
         global_efficiency=efficiency,
     )
 

@@ -9,14 +9,11 @@ viewers.
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape
 
 from .errors import ContractError, FormatError
 from .geometry import Point3
 from .io import fmt17
 from .reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
-
-GRAPH_FORMATS = ("json", "graphml", "dot")
 
 
 def _check(r: ReebGraph) -> None:
@@ -116,7 +113,7 @@ def graph_to_graphml(r: ReebGraph) -> str:
     for v in r.vertices:
         out.append(f'    <node id="n{v.id}">')
         out.append(f'      <data key="d0">{v.step}</data>')
-        out.append(f'      <data key="d1">{escape(v.kind.value)}</data>')
+        out.append(f'      <data key="d1">{v.kind.value}</data>')
         out.append(f'      <data key="d2">{fmt17(v.location.x)}</data>')
         out.append(f'      <data key="d3">{fmt17(v.location.y)}</data>')
         out.append(f'      <data key="d4">{fmt17(v.location.z)}</data>')

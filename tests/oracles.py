@@ -3,7 +3,8 @@
 Nothing here reuses package code paths: distances come from full per-step
 matrices, components from plain BFS over pair sets or a full relabelling
 after every update, the Reeb evolution from diffing consecutive partitions,
-path features from networkx's all-pairs distances as exact rationals.
+path features from networkx's all-pairs distances as exact rationals,
+modularity from a pair rescan and networkx's edge and degree views.
 Deliberately slow and obvious.  The one fast piece is the detector's earlier
 searchsorted grid, kept whole as the reference for the detector's columns.
 """
@@ -543,6 +544,43 @@ def exact_path_features(g):
         return Fraction(0), efficiency
     through = sum(c * (d - 1) for d, c in by_distance.items())
     return Fraction(through, n * (n - 1) * (n - 2)), efficiency
+
+
+# ---------------------------------------------------------------------------
+# The simple graph of a Reeb graph, as networkx sees it
+
+
+def simple_graph(r):
+    """Collapse the Reeb multigraph to a simple nx.Graph on its vertex ids.
+    An edge to a missing vertex adds that vertex, as networkx does."""
+    g = nx.Graph()
+    g.add_nodes_from(v.id for v in r.vertices)
+    g.add_edges_from((e.u, e.v) for e in r.edges)
+    return g
+
+
+def modularity_value(g, partition):
+    """Newman modularity Q of a partition of g's nodes."""
+    m = g.number_of_edges()
+    if m == 0:
+        return 0.0
+    q = 0.0
+    for comm in partition:
+        internal = sum(1 for u, v in g.edges(comm) if u in comm and v in comm)
+        deg = sum(d for _, d in g.degree(comm))
+        q += internal / m - (deg / (2.0 * m)) ** 2
+    return q
+
+
+def edge_array(g):
+    """(nodes, ends): g's nodes in sorted order, and its edges as the sorted
+    distinct (i <= j) pairs of their positions there, an (m, 2) int32 array.
+    Relabelling by sorted position keeps lowest-id tie-breaking; map a
+    partition back with ``[{nodes[i] for i in c} for c in partition]``."""
+    nodes = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    pairs = sorted({tuple(sorted((index[u], index[v]))) for u, v in g.edges})
+    return nodes, np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_network_and_xml_modules_unloaded():
+    """GraphML is written with f-strings, so the CLI needs neither
+    xml.sax.saxutils nor the urllib, http and ssl modules it pulls in."""
+    unwanted = ("xml.sax.saxutils", "urllib.request", "http.client", "ssl")
+    code = f"import sys, trajreeb.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
 def test_cli_build_leaves_scipy_unloaded(tmp_path):
     """`build` needs no scipy module at all: its import time is why the pair
     finder is a numpy grid rather than a k-d tree."""

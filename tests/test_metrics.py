@@ -6,21 +6,20 @@ import pytest
 
 import trajreeb as tr
 from trajreeb import metrics
-from trajreeb.metrics import (
-    greedy_modularity_partition,
-    modularity_value,
-    report_to_json,
-    simple_graph,
-)
+from trajreeb.cli import _parse_range
+from trajreeb.metrics import greedy_modularity_partition, report_to_json
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 from oracles import (
     best_partition_exhaustive,
+    edge_array,
     exact_path_features,
     greedy_modularity_scan,
     mann_whitney_p,
+    modularity_value,
     oracle_canonical,
     random_instance,
+    simple_graph,
     welch_p,
 )
 
@@ -59,9 +58,10 @@ def test_two_cliques_modularity_matches_exhaustive():
     edges = clique1 + clique2 + bridge
     r = fake_graph(6, edges)
     g = simple_graph(r)
-    partition = greedy_modularity_partition(g)
+    nodes, ends = edge_array(g)
+    partition, q = greedy_modularity_partition(len(nodes), ends)
     assert sorted(map(sorted, partition)) == [[0, 1, 2], [3, 4, 5]]
-    q = modularity_value(g, partition)
+    assert q == modularity_value(g, partition)
     best_q, best_p = best_partition_exhaustive(list(range(6)), edges)
     assert sorted(map(sorted, best_p)) == [[0, 1, 2], [3, 4, 5]]
     assert q == pytest.approx(best_q, abs=1e-12)
@@ -121,6 +121,42 @@ def test_parallel_edges_collapse_zero_interval_kept(pair_set):
     rep = tr.compute_metrics(r)
     assert rep.n_edges == len(set(endpoint_pairs))
     assert rep.n_vertices == len(r.vertices)
+
+
+def test_edge_to_unknown_vertex_rejected():
+    # networkx would add vertex 7 and report 4 vertices
+    with pytest.raises(ValueError, match="^edge 1 references unknown vertex$"):
+        tr.compute_metrics(fake_graph(3, [(0, 1), (1, 7)]))
+    with pytest.raises(ValueError, match="^edge 0 references unknown vertex$"):
+        tr.compute_metrics(fake_graph(3, [(-1, 2)]))
+
+
+def oracle_report(r):
+    """compute_metrics through networkx, the modularity rescan and exact
+    path features."""
+    g = simple_graph(r)
+    betweenness, efficiency = exact_path_features(g)
+    return (r.epsilon, g.number_of_nodes(), g.number_of_edges(),
+            nx.average_clustering(g), float(betweenness),
+            modularity_value(g, greedy_modularity_scan(g)), float(efficiency))
+
+
+def test_self_loops_and_parallel_edges_match_oracle_report():
+    """Self-loops count in |E| and in Q's degrees and nowhere else;
+    parallel edges collapse; endpoints come in either order."""
+    rng = np.random.default_rng(1998)
+    loops = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 25))
+        pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))]
+        loops += sum(u == v for u, v in pairs)
+        r = fake_graph(n, pairs)
+        assert tr.compute_metrics(r).values() == oracle_report(r)
+    assert loops > 50
+    r = fake_graph(3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
+    rep = tr.compute_metrics(r)
+    assert (rep.n_vertices, rep.n_edges) == (3, 4)
+    assert rep.values() == oracle_report(r)
 
 
 def test_empty_graph_rejected():
@@ -216,8 +252,12 @@ def _differential_graphs():
 
 
 def _check_against_references(g):
-    assert greedy_modularity_partition(g) == greedy_modularity_scan(g)
-    betweenness, efficiency = metrics._shortest_path_pass(g)
+    nodes, ends = edge_array(g)
+    partition, q = greedy_modularity_partition(len(nodes), ends)
+    partition = [{nodes[i] for i in c} for c in partition]
+    assert partition == greedy_modularity_scan(g)
+    assert q == modularity_value(g, partition)
+    betweenness, efficiency = metrics._shortest_path_pass(len(nodes), ends)
     exact_betweenness, exact_efficiency = exact_path_features(g)
     assert betweenness == float(exact_betweenness)
     assert efficiency == float(exact_efficiency)
@@ -273,6 +313,30 @@ def test_metrics_report_of_reeb_graph_matches_networkx():
 
 # ---------------------------------------------------------------------------
 # sweep
+
+
+# reports_to_csv(sweep(...)) of make_bundle(40, 60, seed=7) over 0.9:1.4:0.1,
+# recorded before compute_metrics read one edge array
+GOLDEN_SWEEP_CSV = (
+    "epsilon,n_vertices,n_edges,avg_clustering,avg_betweenness,modularity,global_efficiency\n"
+    "0.90000000000000002,236,309,0.0042372881355932203,0.029046729605691018,"
+    "0.72732271341942367,0.16130609554657818\n"
+    "1,191,266,0.035253054101221634,0.036661461682128534,"
+    "0.73417802023856626,0.17098761029166637\n"
+    "1.1000000000000001,123,160,0.083468834688346913,0.070090971875712518,"
+    "0.76390625000000001,0.18673113955702159\n"
+    "1.2000000000000002,71,78,0.042253521126760563,0.081293558452162254,"
+    "0.63362919132149897,0.27808804417397148\n"
+    "1.3,58,59,0.034482758620689655,0.078752916774695356,"
+    "0.48247629991381774,0.34224892033421977\n"
+    "1.3999999999999999,46,45,0,0.030742204655248132,"
+    "0.15777777777777768,0.47990338164251206\n"
+)
+
+
+def test_sweep_report_bytes_golden():
+    reports = tr.sweep(tr.make_bundle(40, 60, seed=7), _parse_range("0.9:1.4:0.1"))
+    assert tr.reports_to_csv(reports) == GOLDEN_SWEEP_CSV
 
 
 def test_sweep_tiny_epsilon_isolates_everything():
