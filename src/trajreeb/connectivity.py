@@ -1,49 +1,70 @@
-"""Fully dynamic graph connectivity over trajectory ids.
+"""Connected components of a graph given as an edge array.
 
-:class:`StepGraph` keeps adjacency sets plus a component label per node and
-a member set per label:
+:func:`component_roots` is the package's one connectivity algorithm.  It
+labels every node with the least node of its component by min-root hooking
+and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 57, 1982), in
+whole-array numpy steps.  Each round hooks the larger root of every edge
+between two trees under the smaller one, so parents stay smaller than
+their children and no cycle forms; points every node straight at its root;
+and drops the edges inside one tree.  A round hooks at least the largest
+root with an edge to another tree, so the rounds end, in practice after a
+few.  A root is the least node of its tree, so two nodes share a label
+exactly when they are connected, and labels order as components' least
+nodes.
 
-* Inserting an edge between two components relabels the smaller one into
-  the larger, so over any run of inserts a node is relabelled at most
-  log2(n) times.
-* Deleting an edge runs two searches in lockstep from its endpoints, one
-  vertex expansion per side per round (Even and Shiloach, JACM 1981).  The
-  searches stop as soon as one side reaches a vertex the other side has
-  seen, in which case the component is intact, or when one side runs out
-  of vertices.  That side's visited set is then a whole new component and
-  takes a fresh label, so a split costs O(smaller piece).  A deletion that
-  leaves the component intact costs as much as the searches needed to
-  meet: O(degree) when the endpoints share a neighbour, as they usually do
-  in coherent bundles, and up to O(component) on a long cycle.
-* ``connected``, ``root_key``, ``tree_size`` and ``component_of`` are dict
-  lookups.
-
-Mutations are single-writer: the event schedule is inherently ordered, so no
-locking is attempted.  Component snapshots returned by ``components()`` are
-plain lists and safe to share.
+Replay in :mod:`trajreeb.reeb` labels its phase graphs with it, and
+:class:`StepGraph` keeps the public mutable-graph interface on top of it:
+adjacency sets, plus labels that a query recomputes once a mutation has
+made them stale.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from .errors import ContractError
 
 
+def component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each of the nodes 0..n-1, the least node of its component in the
+    graph with the edges (a[e], b[e])."""
+    root = np.arange(n)
+    while a.shape[0]:
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        # hi is a root: of its own tree in the first round, and by the
+        # jumping below in later ones; of several writes to it one wins
+        root[hi] = lo
+        while True:
+            # two jumps per test: a test costs about as much as a jump
+            up = root[root]
+            up = up[up]
+            if not np.count_nonzero(up != root):
+                break
+            root = up
+        a, b = root[lo], root[hi]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    return root
+
+
 class StepGraph:
-    """The mutable graph over active trajectory ids at the current step.
+    """A mutable graph over trajectory ids, with component queries.
 
     Edges are direct epsilon-connections; connected components are the
     max-width epsilon-connected groups.  Mutations mirror the event stream:
     nodes come and go at appear/disappear events, edges at connect and
-    disconnect events.
+    disconnect events.  Each mutation is O(1) or O(degree); the first query
+    after one relabels the whole graph with :func:`component_roots`.
+    Component keys are least node ids.
     """
 
     def __init__(self):
         self._adj: dict[int, set[int]] = {}
-        self._label: dict[int, int] = {}
-        self._members: dict[int, set[int]] = {}
-        self._next_label = 0
+        # node -> least node of its component, None while stale; and that
+        # least node -> the component's members
+        self._root: dict[int, int] | None = {}
+        self._members: dict[int, list[int]] = {}
 
     @property
     def nodes(self) -> set[int]:
@@ -61,28 +82,20 @@ class StepGraph:
             raise ContractError(f"neighbors: node {v} absent")
         return frozenset(self._adj[v])
 
-    def _new_component(self, members: set[int]) -> None:
-        label = self._next_label
-        self._next_label += 1
-        self._members[label] = members
-        for x in members:
-            self._label[x] = label
-
     # -- mutations ---------------------------------------------------------
 
     def insert_node(self, v: int) -> None:
         if v in self._adj:
             raise ContractError(f"insert_node: node {v} already present")
         self._adj[v] = set()
-        self._new_component({v})
+        self._root = None
 
     def delete_node(self, v: int) -> None:
         if v not in self._adj:
             raise ContractError(f"delete_node: node {v} absent")
-        for u in sorted(self._adj[v]):
-            self.delete_edge(v, u)
-        del self._adj[v]
-        del self._members[self._label.pop(v)]
+        for u in self._adj.pop(v):
+            self._adj[u].discard(v)
+        self._root = None
 
     def insert_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -93,72 +106,52 @@ class StepGraph:
             raise ContractError(f"insert_edge: edge ({u},{v}) already present")
         self._adj[u].add(v)
         self._adj[v].add(u)
-        big, small = self._label[u], self._label[v]
-        if big == small:
-            return
-        if len(self._members[big]) < len(self._members[small]):
-            big, small = small, big
-        moved = self._members.pop(small)
-        self._members[big] |= moved
-        label = self._label
-        for x in moved:
-            label[x] = big
+        self._root = None
 
     def delete_edge(self, u: int, v: int) -> None:
         if u not in self._adj or v not in self._adj[u]:
             raise ContractError(f"delete_edge: edge ({u},{v}) absent")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        piece = self._split_off(u, v)
-        if piece is not None:
-            self._members[self._label[u]] -= piece
-            self._new_component(piece)
-
-    def _split_off(self, u: int, v: int) -> set[int] | None:
-        """Lockstep BFS from both endpoints of a deleted edge.
-
-        Returns the vertex set of the side that ran out first, a whole
-        component without the other endpoint, or None when the two searches
-        meet.
-        """
-        adj = self._adj
-        seen_u, seen_v = {u}, {v}
-        sides = ((deque((u,)), seen_u, seen_v), (deque((v,)), seen_v, seen_u))
-        while True:
-            for queue, seen, other in sides:
-                for y in adj[queue.popleft()]:
-                    if y not in seen:
-                        if y in other:
-                            return None
-                        seen.add(y)
-                        queue.append(y)
-                if not queue:
-                    return seen
+        self._root = None
 
     # -- queries -----------------------------------------------------------
 
-    def _label_of(self, v: int, op: str) -> int:
+    def _labels(self) -> dict[int, int]:
+        """Each node's least component node, relabelled after a mutation."""
+        if self._root is None:
+            nodes = np.array(sorted(self._adj), dtype=np.int64)
+            ends = nodes.searchsorted(np.array(list(self.edges), dtype=np.int64).reshape(-1, 2))
+            roots = nodes[component_roots(nodes.shape[0], ends[:, 0], ends[:, 1])].tolist()
+            self._root = dict(zip(nodes.tolist(), roots))
+            self._members = {}
+            for x, root in self._root.items():
+                self._members.setdefault(root, []).append(x)
+        return self._root
+
+    def _root_of(self, v: int, op: str) -> int:
         try:
-            return self._label[v]
+            return self._labels()[v]
         except KeyError:
             raise ContractError(f"{op}: node {v} absent") from None
 
     def connected(self, u: int, v: int) -> bool:
-        return self._label_of(u, "connected") == self._label_of(v, "connected")
+        return self._root_of(u, "connected") == self._root_of(v, "connected")
 
     def root_key(self, v: int) -> int:
-        """Opaque component key, valid until the next mutation."""
-        return self._label_of(v, "root_key")
+        """The least node of v's component."""
+        return self._root_of(v, "root_key")
 
     def tree_size(self, v: int) -> int:
         """Size of v's component."""
-        return len(self._members[self._label_of(v, "tree_size")])
+        root = self._root_of(v, "tree_size")
+        return len(self._members[root])
 
     def component_of(self, v: int) -> set[int]:
-        return set(self._members[self._label_of(v, "component_of")])
+        root = self._root_of(v, "component_of")
+        return set(self._members[root])
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by minimum id."""
-        comps = [sorted(m) for m in self._members.values()]
-        comps.sort(key=lambda c: c[0])
-        return comps
+        self._labels()
+        return [list(self._members[root]) for root in sorted(self._members)]

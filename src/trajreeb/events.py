@@ -145,13 +145,13 @@ class EventSchedule:
             yield Event(EventKind(kind), k, (a,) if b < 0 else (a, b), loc)
 
     def _runs(self):
-        """(step, kind, first subjects, second subjects) of each run of one
-        kind at one step, in schedule order, as lists."""
+        """(step, kind, lo, hi) of each run lo..hi-1 of events of one kind
+        at one step, in schedule order."""
         cuts = np.flatnonzero(np.diff(self._step * 4 + self._kind)) + 1
         bounds = [0, *cuts.tolist(), len(self)] if len(self) else []
-        step, kind, a, b = (c.tolist() for c in (self._step, self._kind, self._a, self._b))
+        step, kind = self._step.tolist(), self._kind.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
-            yield step[lo], kind[lo], a[lo:hi], b[lo:hi]
+            yield step[lo], kind[lo], lo, hi
 
     def __len__(self) -> int:
         return self._step.shape[0]

@@ -1,16 +1,19 @@
 """Reeb graph construction from the event schedule, plus the FSM view.
 
 The schedule is replayed step by step.  Within a step, events apply in four
-phases (appear, connect, disconnect, disappear); after each phase the
-components of the step graph are diffed against the open groups and the
-graph gains vertices where groups are born, merge, split, or die:
+phases (appear, connect, disconnect, disappear).  After each phase the open
+groups are the components of the step graph, and the graph gains vertices
+where groups are born, merge, split, or die:
 
 * every appearing trajectory gets an Appear vertex and opens a singleton
   group edge;
-* a component absorbing two or more open groups closes them at a Merge
-  vertex and opens their union;
-* edge deletions that actually cut a group close it at a Split vertex and
-  open one edge per surviving piece;
+* new pairs can only merge groups: the groups they join, found by a
+  union-find over the groups at their ends, close at a Merge vertex and
+  open their union;
+* removed pairs can only split groups: the step's pairs are labelled afresh
+  by :func:`trajreeb.connectivity.component_roots`, and a group whose
+  removed pairs' ends fall apart closes at a Split vertex and opens one
+  edge per piece;
 * a group whose members all disappear closes at a single Disappear vertex;
   if only part of a group disappears, the group closes at a Split vertex
   whose outgoing edges are the surviving pieces plus one zero-length edge
@@ -30,9 +33,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .connectivity import StepGraph
+import numpy as np
+
+from .connectivity import component_roots
 from .errors import ContractError, InvalidTransitionError
-from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _StepIndex
+from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _LOW31, _StepIndex
 from .geometry import Point3, TrajectorySet
 
 
@@ -168,176 +173,165 @@ class ReebGraph:
         return tuple(verts), tuple(edges)
 
 
-class _OpenEdge:
-    """A group edge under construction.  Mutated in place when its group is
-    the largest piece at a merge or split, so per-trajectory handles only
-    need rewriting for the smaller pieces."""
-
-    __slots__ = ("start_vertex", "start_step", "members")
-
-    def __init__(self, start_vertex: int, start_step: int, members: frozenset[int]):
-        self.start_vertex = start_vertex
-        self.start_step = start_step
-        self.members = members
+def _components(root: np.ndarray, labels: list[int]) -> dict[int, np.ndarray]:
+    """The nodes of each component of ``root`` (each node's least node)
+    whose label is in ``labels``, by label."""
+    order = root.argsort(kind="stable")
+    at = root[order]
+    lo, hi = at.searchsorted(labels).tolist(), at.searchsorted(labels, side="right").tolist()
+    return {x: order[i:j] for x, i, j in zip(labels, lo, hi)}
 
 
-class _Builder:
+class _Replay:
+    """Replays an event schedule into Reeb vertices and edges.
+
+    Trajectories are numbered by the ranks of their ids, which order as the
+    ids do.  ``cur`` holds the step graph's pairs as sorted codes
+    (rank << 31) + rank.  The open groups are the components of the graph
+    after each phase, and each is labelled by its least member: ``group``
+    maps each active rank to its group's label, and ``open`` each label to
+    the group's open edge as (start vertex, members, start step).
+    """
+
     def __init__(self, s: TrajectorySet):
         self.s = s
-        self.graph = StepGraph()
+        self.ids = np.sort(np.fromiter((t.id for t in s), dtype=np.int64, count=len(s)))
+        self.active = np.zeros(len(s), dtype=bool)
+        self.group = np.arange(len(s))
+        self.open: dict[int, tuple[int, frozenset[int], int]] = {}
+        self.cur = np.empty(0, dtype=np.int64)
         self.vertices: list[ReebVertex] = []
         self.edges: list[ReebEdge] = []
-        self.handle: dict[int, _OpenEdge] = {}
 
     def new_vertex(self, kind: VertexKind, step: int, witness: int) -> int:
+        """A vertex whose witness is the trajectory of rank `witness`."""
         vid = len(self.vertices)
-        location = self.s.by_id(witness).location_at(step)
-        self.vertices.append(ReebVertex(vid, step, kind, location, witness))
+        tid = int(self.ids[witness])
+        self.vertices.append(ReebVertex(vid, step, kind, self.s.by_id(tid).location_at(step), tid))
         return vid
 
-    def open_edge(self, start_vertex: int, step: int, members: frozenset[int]) -> _OpenEdge:
-        oe = _OpenEdge(start_vertex, step, members)
-        for tid in members:
-            self.handle[tid] = oe
-        return oe
+    def add_edge(self, u: int, members: frozenset[int], k1: int, v: int, k2: int) -> None:
+        self.edges.append(ReebEdge(len(self.edges), u, v, members, (k1, k2)))
 
-    def close_edge(self, oe: _OpenEdge, end_vertex: int, step: int) -> None:
-        self.edges.append(
-            ReebEdge(
-                len(self.edges), oe.start_vertex, end_vertex,
-                oe.members, (oe.start_step, step),
-            )
-        )
+    def close_groups(self, k: int, labels, root: np.ndarray | None,
+                     alive: dict[int, set[int]], dead: dict[int, set[int]]) -> None:
+        """Close the open groups `labels`, in order of label.
 
-    def _reopen(self, pieces: list[frozenset[int]], oe: _OpenEdge,
-                start_vertex: int, step: int) -> None:
-        """Open one edge per piece, recycling `oe` for the largest piece so
-        its members keep their existing handles."""
-        big = max(pieces, key=lambda p: (len(p), -min(p)))
-        for piece in pieces:
-            if piece is big:
-                oe.start_vertex = start_vertex
-                oe.start_step = step
-                oe.members = piece
-            else:
-                self.open_edge(start_vertex, step, piece)
+        A group in `alive` splits: its surviving members lie in the
+        components of `root` labelled ``alive[label]``, and its dying ones
+        in those labelled ``dead[label]``, each closed at a Disappear vertex
+        of its own.  The largest surviving piece, the lowest first among
+        equals, is found as the complement, so only the other pieces are
+        built.  Any other group dies whole.
+        """
+        if alive:
+            size = np.bincount(root)
+            big = {g: max(xs, key=lambda x: (size[x], -x)) for g, xs in alive.items()}
+            nodes = _components(root, [x for g, xs in alive.items() for x in xs if x != big[g]]
+                                + [x for xs in dead.values() for x in xs])
+        ids = self.ids
+        for g in sorted(labels):
+            u, members, k1 = self.open.pop(g)
+            vid = self.new_vertex(VertexKind.SPLIT if g in alive else VertexKind.DISAPPEAR, k, g)
+            self.add_edge(u, members, k1, vid, k)
+            if g not in alive:
+                continue
+            gone = []
+            for x in sorted(dead.get(g, ())):
+                gone.append(frozenset(ids[nodes[x]].tolist()))
+                self.add_edge(vid, gone[-1], k, self.new_vertex(VertexKind.DISAPPEAR, k, x), k)
+            for x in alive[g] - {big[g]}:
+                gone.append(frozenset(ids[nodes[x]].tolist()))
+                self.open[x] = (vid, gone[-1], k)
+            self.open[big[g]] = (vid, members.difference(*gone), k)
+        if root is not None:
+            self.group = root
 
     # -- phases ------------------------------------------------------------
 
-    def appear_phase(self, k: int, tids: list[int]) -> None:
-        for tid in tids:
-            self.graph.insert_node(tid)
-            vid = self.new_vertex(VertexKind.APPEAR, k, tid)
-            self.open_edge(vid, k, frozenset((tid,)))
+    def appear(self, k: int, ranks: np.ndarray) -> None:
+        if np.count_nonzero(self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
+            raise ContractError(f"appear at step {k}: trajectory already present")
+        self.active[ranks] = True
+        self.group[ranks] = ranks
+        for x, tid in zip(ranks.tolist(), self.ids[ranks].tolist()):
+            self.open[x] = (self.new_vertex(VertexKind.APPEAR, k, x), frozenset((tid,)), k)
 
-    def connect_phase(self, k: int, pairs: list[tuple[int, int]]) -> None:
-        g = self.graph
-        for a, b in pairs:
-            g.insert_edge(a, b)
-        groups: dict[object, dict[int, _OpenEdge]] = {}
-        for pair in pairs:
-            for tid in pair:
-                oe = self.handle[tid]
-                groups.setdefault(g.root_key(tid), {})[id(oe)] = oe
-        merged = [grp for grp in groups.values() if len(grp) >= 2]
-        merged.sort(key=lambda grp: min(min(oe.members) for oe in grp.values()))
-        for grp in merged:
-            preds = sorted(grp.values(), key=lambda oe: min(oe.members))
-            members = frozenset().union(*(oe.members for oe in preds))
-            vid = self.new_vertex(VertexKind.MERGE, k, min(members))
-            big = max(preds, key=lambda oe: (len(oe.members), -min(oe.members)))
-            for oe in preds:
-                self.close_edge(oe, vid, k)
-                if oe is not big:
-                    for tid in oe.members:
-                        self.handle[tid] = big
-            big.start_vertex = vid
-            big.start_step = k
-            big.members = members
+    def connect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
+        if np.count_nonzero(~(self.active[ra] & self.active[rb])):
+            raise ContractError(f"connect at step {k}: endpoint absent from the step graph")
+        cur = np.concatenate((self.cur, code))
+        cur.sort(kind="stable")
+        if np.count_nonzero(cur[1:] == cur[:-1]):
+            raise ContractError(f"connect at step {k}: pair already connected")
+        self.cur = cur
+        # a merge is a set of open groups that the new pairs join: the
+        # components of the graph on group labels that those pairs link,
+        # each labelled by its least label, the merged group's label
+        ga, gb = self.group[ra], self.group[rb]
+        apart = (ga != gb).nonzero()[0]
+        if not apart.shape[0]:
+            return
+        ga, gb = ga[apart], gb[apart]
+        root = component_roots(self.group.shape[0], ga, gb)
+        merged: dict[int, list[int]] = {}
+        for x in sorted(set(ga.tolist()).union(gb.tolist())):
+            merged.setdefault(int(root[x]), []).append(x)
+        for g, labels in sorted(merged.items()):
+            preds = [self.open.pop(x) for x in labels]
+            vid = self.new_vertex(VertexKind.MERGE, k, g)
+            for p in preds:
+                self.add_edge(*p, vid, k)
+            self.open[g] = (vid, frozenset().union(*(p[1] for p in preds)), k)
+        self.group = root[self.group]
 
-    def disconnect_phase(self, k: int, pairs: list[tuple[int, int]]) -> None:
-        g = self.graph
-        for a, b in pairs:
-            g.delete_edge(a, b)
-        affected: dict[int, _OpenEdge] = {}
-        pairs_of: dict[int, list[tuple[int, int]]] = {}
-        for pair in pairs:
-            oe = self.handle[pair[0]]
-            affected[id(oe)] = oe
-            pairs_of.setdefault(id(oe), []).append(pair)
-        for oe in sorted(affected.values(), key=lambda oe: min(oe.members)):
-            if all(g.connected(a, b) for a, b in pairs_of[id(oe)]):
-                continue  # every deleted edge closed a cycle; group intact
-            # every new piece contains an endpoint of some deleted edge, so
-            # the endpoints' roots enumerate the pieces
-            seeds = self._seeds(x for pair in pairs_of[id(oe)] for x in pair)
-            if len(seeds) < 2:
-                raise ContractError("separated pair but the group did not split")
-            pieces = self._pieces_from_seeds(oe.members, seeds)
-            vid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
-            self.close_edge(oe, vid, k)
-            self._reopen(pieces, oe, vid, k)
+    def disconnect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
+        cur = self.cur
+        at = cur.searchsorted(code)
+        # a pair twice in the run is absent the second time
+        if (not cur.shape[0] or np.count_nonzero(cur.take(at, mode="clip") != code)
+                or np.count_nonzero(code[1:] == code[:-1])):
+            raise ContractError(f"disconnect at step {k}: pair absent from the step graph")
+        drop = np.zeros(cur.shape[0], dtype=bool)
+        drop[at] = True
+        self.cur = cur = cur[~drop]
+        # a group splits only where a deleted pair's ends fall apart, and
+        # each piece holds an end of such a pair
+        root = component_roots(self.group.shape[0], cur >> 31, cur & _LOW31)
+        cut = (root[ra] != root[rb]).nonzero()[0]
+        if not cut.shape[0]:
+            return
+        alive: dict[int, set[int]] = {}
+        for g, x, y in zip(self.group[ra[cut]].tolist(), root[ra[cut]].tolist(),
+                           root[rb[cut]].tolist()):
+            alive.setdefault(g, set()).update((x, y))
+        self.close_groups(k, alive, root, alive, {})
 
-    def _seeds(self, xs) -> dict[object, int]:
-        """The first of `xs` in each component they touch, by component key."""
-        seeds: dict[object, int] = {}
-        for x in xs:
-            seeds.setdefault(self.graph.root_key(x), x)
-        return seeds
-
-    def _pieces_from_seeds(self, members: frozenset[int],
-                           seeds: dict[object, int]) -> list[frozenset[int]]:
-        """Member sets of the current components seeded by `seeds`, touching
-        only the smaller pieces: the largest is the complement."""
-        g = self.graph
-        sized = sorted(
-            ((g.tree_size(x), key, x) for key, x in seeds.items()),
-            key=lambda t: t[0],
-        )
-        small = [frozenset(g.component_of(x)) for _, _, x in sized[:-1]]
-        rest = members
-        for piece in small:
-            rest = rest - piece
-        return small + [rest]
-
-    def disappear_phase(self, k: int, tids: list[int]) -> None:
-        g = self.graph
-        by_edge: dict[int, _OpenEdge] = {}
+    def disappear(self, k: int, ranks: np.ndarray) -> None:
+        if np.count_nonzero(~self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
+            raise ContractError(f"disappear at step {k}: trajectory absent from the step graph")
+        self.active[ranks] = False
+        cur = self.cur
+        a, b = cur >> 31, cur & _LOW31
+        da, db = ~self.active[a], ~self.active[b]
+        self.cur = cur[~(da | db)]
         dying_of: dict[int, list[int]] = {}
-        for tid in tids:
-            oe = self.handle[tid]
-            by_edge[id(oe)] = oe
-            dying_of.setdefault(id(oe), []).append(tid)
-        for oe in sorted(by_edge.values(), key=lambda oe: min(oe.members)):
-            dying = sorted(dying_of[id(oe)])
-            survivors = oe.members.difference(dying)
-            if not survivors:
-                vid = self.new_vertex(VertexKind.DISAPPEAR, k, min(oe.members))
-                self.close_edge(oe, vid, k)
-                for tid in dying:
-                    del self.handle[tid]
-                    g.delete_node(tid)
-                continue
-            # part of the group dies: once the dying members are cut from the
-            # survivors, the pieces of either side are components
-            cut: list[int] = []
-            for tid in dying:
-                for x in sorted(g.neighbors(tid) & survivors):
-                    g.delete_edge(tid, x)
-                    cut.append(x)
-            dead_pieces = [frozenset(g.component_of(x)) for x in self._seeds(dying).values()]
-            alive_pieces = self._pieces_from_seeds(survivors, self._seeds(cut))
-            svid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
-            self.close_edge(oe, svid, k)
-            for tid in dying:
-                del self.handle[tid]
-                g.delete_node(tid)
-            for piece in dead_pieces:
-                dvid = self.new_vertex(VertexKind.DISAPPEAR, k, min(piece))
-                self.edges.append(
-                    ReebEdge(len(self.edges), svid, dvid, piece, (k, k))
-                )
-            self._reopen(alive_pieces, oe, svid, k)
+        for g, x in zip(self.group[ranks].tolist(), ranks.tolist()):
+            dying_of.setdefault(g, []).append(x)
+        partial = [g for g, xs in dying_of.items() if len(xs) < len(self.open[g][1])]
+        alive: dict[int, set[int]] = {}
+        root = None
+        if partial:
+            # without the pairs between dying members and survivors, each
+            # component is all dying or all surviving, and each surviving
+            # piece holds a survivor's end of such a pair
+            cut = da != db
+            root = component_roots(self.group.shape[0], a[~cut], b[~cut])
+            ends = np.where(da[cut], b[cut], a[cut])
+            for g, x in zip(self.group[ends].tolist(), root[ends].tolist()):
+                alive.setdefault(g, set()).add(x)
+        dead = {g: set(root[dying_of[g]].tolist()) for g in partial}
+        self.close_groups(k, dying_of, root, alive, dead)
 
 
 def build_reeb(
@@ -353,21 +347,28 @@ def build_reeb(
         raise ValueError("epsilon must be positive")
     if schedule is None:
         schedule = detect_all_events(s, epsilon)
-    b = _Builder(s)
-    for k, kind, first, second in schedule._runs():
+    rp = _Replay(s)
+    ends = np.stack((schedule._a, np.where(schedule._b < 0, schedule._a, schedule._b)))
+    ra, rb = at = rp.ids.searchsorted(ends)
+    unknown = ends[rp.ids[np.minimum(at, len(s) - 1)] != ends]
+    if unknown.shape[0]:
+        raise ContractError(f"schedule names trajectory {unknown[0]}, which is not in the set")
+    code = (ra << 31) + rb
+    for k, kind, lo, hi in schedule._runs():
         if kind == EventKind.APPEAR:
-            b.appear_phase(k, first)
+            rp.appear(k, ra[lo:hi])
         elif kind == EventKind.CONNECT:
-            b.connect_phase(k, list(zip(first, second)))
+            rp.connect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
         elif kind == EventKind.DISCONNECT:
-            b.disconnect_phase(k, list(zip(first, second)))
+            rp.disconnect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
         else:
-            b.disappear_phase(k, first)
-    if b.handle:
-        raise ContractError(f"groups left open after replay: {sorted(b.handle)}")
+            rp.disappear(k, ra[lo:hi])
+    if rp.open:
+        left = sorted(x for _, members, _ in rp.open.values() for x in members)
+        raise ContractError(f"groups left open after replay: {left}")
     metadata = dict(s.metadata)
     metadata["n_trajectories"] = str(len(s))
-    return ReebGraph(tuple(b.vertices), tuple(b.edges), float(epsilon), metadata)
+    return ReebGraph(tuple(rp.vertices), tuple(rp.edges), float(epsilon), metadata)
 
 
 def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[int]]:
@@ -386,13 +387,10 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     index = _StepIndex(s)
     rows, xyz = index.active(k)
     ids = index.ids[rows]
-    g = StepGraph()
-    for tid in ids:
-        g.insert_node(int(tid))
     ii, jj, _ = _hits(xyz, epsilon)
-    for a, b in zip(ids[ii].tolist(), ids[jj].tolist()):
-        g.insert_edge(a, b)
-    return [frozenset(c) for c in g.components()]
+    root = component_roots(ids.shape[0], ii, jj)
+    groups = (frozenset(ids[p].tolist()) for p in _components(root, np.unique(root).tolist()).values())
+    return sorted(groups, key=min)
 
 
 # ---------------------------------------------------------------------------

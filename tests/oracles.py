@@ -2,7 +2,8 @@
 
 Nothing here reuses package code paths: distances come from full per-step
 matrices, components from plain BFS over pair sets or a full relabelling
-after every update, the Reeb evolution from diffing consecutive partitions,
+after every update, the Reeb evolution from diffing consecutive partitions
+or from replaying the schedule on a fully dynamic connectivity engine,
 path features from networkx's all-pairs distances as exact rationals,
 modularity from a pair rescan and networkx's edge and degree views.
 Deliberately slow and obvious.  The one fast piece is the detector's earlier
@@ -20,6 +21,7 @@ import numpy as np
 from trajreeb.errors import ContractError
 from trajreeb.events import Event, EventKind, EventSchedule
 from trajreeb.geometry import Point3
+from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,296 @@ class RebuildStepGraph(RebuildConnectivity):
 
     def component_of(self, v: int) -> set[int]:
         return set(self.members(v))
+
+
+# ---------------------------------------------------------------------------
+# Fully dynamic connectivity and the Reeb builder that replayed on it
+
+
+class EvenShiloachGraph:
+    """The package's former step graph: adjacency sets plus a component
+    label per node and a member set per label.
+
+    Inserting an edge between two components relabels the smaller one into
+    the larger.  Deleting an edge runs two searches in lockstep from its
+    endpoints, one vertex expansion per side per round (Even and Shiloach,
+    JACM 1981); when one side runs out of vertices first, its visited set is
+    a whole new component and takes a fresh label, so a split costs
+    O(smaller piece).
+    """
+
+    def __init__(self):
+        self._adj: dict[int, set[int]] = {}
+        self._label: dict[int, int] = {}
+        self._members: dict[int, set[int]] = {}
+        self._next_label = 0
+
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        return {(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v}
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        if v not in self._adj:
+            raise ContractError(f"neighbors: node {v} absent")
+        return frozenset(self._adj[v])
+
+    def _new_component(self, members: set[int]) -> None:
+        label = self._next_label
+        self._next_label += 1
+        self._members[label] = members
+        for x in members:
+            self._label[x] = label
+
+    def insert_node(self, v: int) -> None:
+        if v in self._adj:
+            raise ContractError(f"insert_node: node {v} already present")
+        self._adj[v] = set()
+        self._new_component({v})
+
+    def delete_node(self, v: int) -> None:
+        if v not in self._adj:
+            raise ContractError(f"delete_node: node {v} absent")
+        for u in sorted(self._adj[v]):
+            self.delete_edge(v, u)
+        del self._adj[v]
+        del self._members[self._label.pop(v)]
+
+    def insert_edge(self, u: int, v: int) -> None:
+        if u == v:
+            raise ContractError(f"insert_edge: self edge at {u}")
+        if u not in self._adj or v not in self._adj:
+            raise ContractError(f"insert_edge({u},{v}): endpoint absent")
+        if v in self._adj[u]:
+            raise ContractError(f"insert_edge: edge ({u},{v}) already present")
+        self._adj[u].add(v)
+        self._adj[v].add(u)
+        big, small = self._label[u], self._label[v]
+        if big == small:
+            return
+        if len(self._members[big]) < len(self._members[small]):
+            big, small = small, big
+        moved = self._members.pop(small)
+        self._members[big] |= moved
+        for x in moved:
+            self._label[x] = big
+
+    def delete_edge(self, u: int, v: int) -> None:
+        if u not in self._adj or v not in self._adj[u]:
+            raise ContractError(f"delete_edge: edge ({u},{v}) absent")
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
+        piece = self._split_off(u, v)
+        if piece is not None:
+            self._members[self._label[u]] -= piece
+            self._new_component(piece)
+
+    def _split_off(self, u: int, v: int) -> set[int] | None:
+        """Lockstep BFS from both endpoints of a deleted edge: the vertex set
+        of the side that ran out first, or None when the searches meet."""
+        adj = self._adj
+        seen_u, seen_v = {u}, {v}
+        sides = ((deque((u,)), seen_u, seen_v), (deque((v,)), seen_v, seen_u))
+        while True:
+            for queue, seen, other in sides:
+                for y in adj[queue.popleft()]:
+                    if y not in seen:
+                        if y in other:
+                            return None
+                        seen.add(y)
+                        queue.append(y)
+                if not queue:
+                    return seen
+
+    def _label_of(self, v: int, op: str) -> int:
+        try:
+            return self._label[v]
+        except KeyError:
+            raise ContractError(f"{op}: node {v} absent") from None
+
+    def connected(self, u: int, v: int) -> bool:
+        return self._label_of(u, "connected") == self._label_of(v, "connected")
+
+    def root_key(self, v: int) -> int:
+        """Opaque component key, valid until the next mutation."""
+        return self._label_of(v, "root_key")
+
+    def tree_size(self, v: int) -> int:
+        return len(self._members[self._label_of(v, "tree_size")])
+
+    def component_of(self, v: int) -> set[int]:
+        return set(self._members[self._label_of(v, "component_of")])
+
+    def components(self) -> list[list[int]]:
+        comps = [sorted(m) for m in self._members.values()]
+        comps.sort(key=lambda c: c[0])
+        return comps
+
+
+class _OpenEdge:
+    def __init__(self, start_vertex, start_step, members):
+        self.start_vertex = start_vertex
+        self.start_step = start_step
+        self.members = members
+
+
+class _ReplayBuilder:
+    """The package's former replay: the schedule's events applied one at a
+    time to an EvenShiloachGraph, whose components are diffed against the
+    open groups after each phase."""
+
+    def __init__(self, s):
+        self.s = s
+        self.graph = EvenShiloachGraph()
+        self.vertices = []
+        self.edges = []
+        self.handle = {}
+
+    def new_vertex(self, kind, step, witness):
+        vid = len(self.vertices)
+        location = self.s.by_id(witness).location_at(step)
+        self.vertices.append(ReebVertex(vid, step, kind, location, witness))
+        return vid
+
+    def open_edge(self, start_vertex, step, members):
+        oe = _OpenEdge(start_vertex, step, members)
+        for tid in members:
+            self.handle[tid] = oe
+        return oe
+
+    def close_edge(self, oe, end_vertex, step):
+        self.edges.append(ReebEdge(len(self.edges), oe.start_vertex, end_vertex,
+                                   oe.members, (oe.start_step, step)))
+
+    def _reopen(self, pieces, oe, start_vertex, step):
+        big = max(pieces, key=lambda p: (len(p), -min(p)))
+        for piece in pieces:
+            if piece is big:
+                oe.start_vertex = start_vertex
+                oe.start_step = step
+                oe.members = piece
+            else:
+                self.open_edge(start_vertex, step, piece)
+
+    def appear_phase(self, k, tids):
+        for tid in tids:
+            self.graph.insert_node(tid)
+            vid = self.new_vertex(VertexKind.APPEAR, k, tid)
+            self.open_edge(vid, k, frozenset((tid,)))
+
+    def connect_phase(self, k, pairs):
+        g = self.graph
+        for a, b in pairs:
+            g.insert_edge(a, b)
+        groups = {}
+        for pair in pairs:
+            for tid in pair:
+                oe = self.handle[tid]
+                groups.setdefault(g.root_key(tid), {})[id(oe)] = oe
+        merged = [grp for grp in groups.values() if len(grp) >= 2]
+        merged.sort(key=lambda grp: min(min(oe.members) for oe in grp.values()))
+        for grp in merged:
+            preds = sorted(grp.values(), key=lambda oe: min(oe.members))
+            members = frozenset().union(*(oe.members for oe in preds))
+            vid = self.new_vertex(VertexKind.MERGE, k, min(members))
+            big = max(preds, key=lambda oe: (len(oe.members), -min(oe.members)))
+            for oe in preds:
+                self.close_edge(oe, vid, k)
+                if oe is not big:
+                    for tid in oe.members:
+                        self.handle[tid] = big
+            big.start_vertex = vid
+            big.start_step = k
+            big.members = members
+
+    def disconnect_phase(self, k, pairs):
+        g = self.graph
+        for a, b in pairs:
+            g.delete_edge(a, b)
+        affected = {}
+        pairs_of = {}
+        for pair in pairs:
+            oe = self.handle[pair[0]]
+            affected[id(oe)] = oe
+            pairs_of.setdefault(id(oe), []).append(pair)
+        for oe in sorted(affected.values(), key=lambda oe: min(oe.members)):
+            if all(g.connected(a, b) for a, b in pairs_of[id(oe)]):
+                continue
+            seeds = self._seeds(x for pair in pairs_of[id(oe)] for x in pair)
+            pieces = self._pieces_from_seeds(oe.members, seeds)
+            vid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
+            self.close_edge(oe, vid, k)
+            self._reopen(pieces, oe, vid, k)
+
+    def _seeds(self, xs):
+        seeds = {}
+        for x in xs:
+            seeds.setdefault(self.graph.root_key(x), x)
+        return seeds
+
+    def _pieces_from_seeds(self, members, seeds):
+        g = self.graph
+        sized = sorted(((g.tree_size(x), key, x) for key, x in seeds.items()),
+                       key=lambda t: t[0])
+        small = [frozenset(g.component_of(x)) for _, _, x in sized[:-1]]
+        rest = members
+        for piece in small:
+            rest = rest - piece
+        return small + [rest]
+
+    def disappear_phase(self, k, tids):
+        g = self.graph
+        by_edge = {}
+        dying_of = {}
+        for tid in tids:
+            oe = self.handle[tid]
+            by_edge[id(oe)] = oe
+            dying_of.setdefault(id(oe), []).append(tid)
+        for oe in sorted(by_edge.values(), key=lambda oe: min(oe.members)):
+            dying = sorted(dying_of[id(oe)])
+            survivors = oe.members.difference(dying)
+            if not survivors:
+                vid = self.new_vertex(VertexKind.DISAPPEAR, k, min(oe.members))
+                self.close_edge(oe, vid, k)
+                for tid in dying:
+                    del self.handle[tid]
+                    g.delete_node(tid)
+                continue
+            cut = []
+            for tid in dying:
+                for x in sorted(g.neighbors(tid) & survivors):
+                    g.delete_edge(tid, x)
+                    cut.append(x)
+            dead_pieces = [frozenset(g.component_of(x)) for x in self._seeds(dying).values()]
+            alive_pieces = self._pieces_from_seeds(survivors, self._seeds(cut))
+            svid = self.new_vertex(VertexKind.SPLIT, k, min(oe.members))
+            self.close_edge(oe, svid, k)
+            for tid in dying:
+                del self.handle[tid]
+                g.delete_node(tid)
+            for piece in dead_pieces:
+                dvid = self.new_vertex(VertexKind.DISAPPEAR, k, min(piece))
+                self.edges.append(ReebEdge(len(self.edges), svid, dvid, piece, (k, k)))
+            self._reopen(alive_pieces, oe, svid, k)
+
+
+def oracle_replay(s, epsilon, schedule):
+    """The Reeb graph of `schedule` replayed event by event on an
+    EvenShiloachGraph."""
+    b = _ReplayBuilder(s)
+    for (k, kind), run in itertools.groupby(schedule, key=lambda e: (e.step, e.kind)):
+        subjects = [e.subjects for e in run]
+        if kind is EventKind.APPEAR:
+            b.appear_phase(k, [x for x, in subjects])
+        elif kind is EventKind.CONNECT:
+            b.connect_phase(k, subjects)
+        elif kind is EventKind.DISCONNECT:
+            b.disconnect_phase(k, subjects)
+        else:
+            b.disappear_phase(k, [x for x, in subjects])
+    assert not b.handle, f"oracle replay left groups open: {sorted(b.handle)}"
+    metadata = dict(s.metadata)
+    metadata["n_trajectories"] = str(len(s))
+    return ReebGraph(tuple(b.vertices), tuple(b.edges), float(epsilon), metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -149,16 +149,16 @@ def test_c3_performance_132k_points(announce, tmp_path):
 
 def test_c4_scaling_trend(announce):
     """Criterion 4: doubling the trajectory count (fixed length) increases
-    build time by a factor <= 2.6 across 250 -> 500 -> 1000 -> 2000."""
-    import statistics
-
+    build time by a factor <= 2.6 across 250 -> 500 -> 1000 -> 2000.  Each
+    size is timed as the fastest of its builds: on a shared host, noise
+    only ever adds time."""
     sizes = [250, 500, 1000, 2000]
     _timed_build(tr.make_bundle(250, 132, spacing=1.0, seed=11))  # warm caches
     times = []
     for n in sizes:
         s = tr.make_bundle(n, 132, spacing=1.0, seed=11)
         reps = 5 if n <= 1000 else 3
-        times.append(statistics.median(_timed_build(s) for _ in range(reps)))
+        times.append(min(_timed_build(s) for _ in range(reps)))
     ratios = [b / a for a, b in zip(times, times[1:])]
     detail = ", ".join(
         f"{n}:{t:.2f}s" for n, t in zip(sizes, times)

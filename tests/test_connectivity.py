@@ -1,20 +1,45 @@
 import random
 
+import numpy as np
 import pytest
 
-from trajreeb.connectivity import StepGraph
+from trajreeb.connectivity import StepGraph, component_roots
 from trajreeb.errors import ContractError
 
-from oracles import RebuildConnectivity, RebuildStepGraph, bfs_partition
+from oracles import EvenShiloachGraph, RebuildConnectivity, RebuildStepGraph, bfs_partition
 
-# The hand-written cases run against the shipped engine and against the
-# oracle that the differential test below trusts.
-ENGINES = {"stepgraph": StepGraph, "rebuild": RebuildStepGraph}
+# The hand-written cases run against the shipped graph, against the oracle
+# that the differential test below trusts, and against the dynamic engine
+# that the Reeb replay oracle runs on.
+ENGINES = {"stepgraph": StepGraph, "rebuild": RebuildStepGraph,
+           "even_shiloach": EvenShiloachGraph}
 
 
 @pytest.fixture(params=list(ENGINES))
 def engine(request):
     return ENGINES[request.param]
+
+
+def _least_by_bfs(n, a, b):
+    root = list(range(n))
+    for comp in bfs_partition(range(n), zip(a.tolist(), b.tolist())):
+        for v in comp:
+            root[v] = min(comp)
+    return root
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_component_roots_labels_each_node_with_its_least_node(seed):
+    """Edges in either order, self-loops, repeated edges and isolated nodes;
+    paths numbered in falling order, whose hooks chain down every node."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    m = int(rng.integers(0, 2 * n))
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    path = rng.permutation(n) if seed % 2 else np.arange(n)[::-1]
+    k = int(rng.integers(1, n + 1))
+    a, b = np.concatenate([a, path[:k - 1]]), np.concatenate([b, path[1:k]])
+    assert component_roots(n, a, b).tolist() == _least_by_bfs(n, a, b)
 
 
 def test_insert_nodes_are_singletons(engine):
@@ -161,7 +186,8 @@ def random_ops_check(make, seed, n_ops, n_nodes, check_every=1):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize(
     "make",
-    [pytest.param(StepGraph, id="hdt"), pytest.param(RebuildStepGraph, id="rebuild")],
+    [pytest.param(StepGraph, id="hdt"), pytest.param(RebuildStepGraph, id="rebuild"),
+     pytest.param(EvenShiloachGraph, id="even_shiloach")],
 )
 def test_randomized_against_bfs(make, seed):
     random_ops_check(make, seed, n_ops=800, n_nodes=60)
@@ -292,22 +318,33 @@ def test_ring_cut_walks_whole_ring_then_splits():
 
 
 def test_delete_star_hub_leaves_singletons():
-    """Growing the star relabels each new leaf, never the hub's side, whose
-    key stays put; deleting the hub leaves every leaf alone."""
+    """Every node of the star is keyed by the hub, its least node; deleting
+    the hub leaves every leaf alone, keyed by itself."""
     n = 1000
     g = StepGraph()
     for v in range(n + 1):
         g.insert_node(v)
-    g.insert_edge(1, 0)
-    hub_key = g.root_key(0)
-    for leaf in range(2, n + 1):
+    for leaf in range(1, n + 1):
         g.insert_edge(leaf, 0)
-        assert g.root_key(0) == hub_key
+    assert all(g.root_key(v) == 0 for v in range(n + 1))
     assert g.tree_size(7) == n + 1
     g.delete_node(0)
     assert g.components() == [[v] for v in range(1, n + 1)]
-    assert len({g.root_key(v) for v in range(1, n + 1)}) == n
+    assert all(g.root_key(v) == v for v in range(1, n + 1))
     assert all(g.tree_size(v) == 1 for v in range(1, n + 1))
+
+
+def test_even_shiloach_star_relabels_only_leaves():
+    """Growing the star relabels each new leaf, never the hub's side, whose
+    key stays put."""
+    g = EvenShiloachGraph()
+    for v in range(1001):
+        g.insert_node(v)
+    g.insert_edge(1, 0)
+    hub_key = g.root_key(0)
+    for leaf in range(2, 1001):
+        g.insert_edge(leaf, 0)
+        assert g.root_key(0) == hub_key
 
 
 class CountingDict(dict):
@@ -320,13 +357,9 @@ class CountingDict(dict):
         return super().__getitem__(key)
 
 
-def test_bridge_between_large_components():
-    """Cutting the bridge splits off a whole component; re-inserting it joins
-    them again; a cut inside a cycle-rich side leaves everything intact.
-    Cutting a pendant edge touches O(1) adjacency sets, however large the
-    rest of the component is."""
-    half = 400
-    g = StepGraph()
+def _two_rings(g, half):
+    """Two rings of `half` nodes with chords, a bridge between them, and one
+    node off to the side."""
     for v in range(2 * half + 1):
         g.insert_node(v)
     for base in (0, half):
@@ -334,6 +367,14 @@ def test_bridge_between_large_components():
             g.insert_edge(base + i, base + (i + 1) % half)
             g.insert_edge(base + i, base + (i + 2) % half)
     g.insert_edge(half - 1, half)
+
+
+def test_bridge_between_large_components():
+    """Cutting the bridge splits off a whole component; re-inserting it joins
+    them again; a cut inside a cycle-rich side leaves everything intact."""
+    half = 400
+    g = StepGraph()
+    _two_rings(g, half)
     assert g.tree_size(0) == 2 * half
     g.delete_edge(half - 1, half)
     assert g.components() == [list(range(half)), list(range(half, 2 * half)), [2 * half]]
@@ -342,6 +383,17 @@ def test_bridge_between_large_components():
     g.insert_edge(half - 1, half)
     g.delete_edge(0, 1)
     assert g.components() == [list(range(2 * half)), [2 * half]]
+    g.insert_edge(3, 2 * half)
+    g.delete_edge(3, 2 * half)
+    assert g.components() == [list(range(2 * half)), [2 * half]]
+
+
+def test_even_shiloach_pendant_cut_reads_few_adjacency_sets():
+    """Cutting a pendant edge touches O(1) adjacency sets, however large the
+    rest of the component is."""
+    half = 400
+    g = EvenShiloachGraph()
+    _two_rings(g, half)
     g.insert_edge(3, 2 * half)
     g._adj = CountingDict(g._adj)
     g.delete_edge(3, 2 * half)

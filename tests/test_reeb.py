@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from trajreeb.events import EventKind
 from trajreeb.reeb import VertexKind
 
 from oracles import (
-    as_plain, oracle_canonical, oracle_schedule, random_instance, step_partition,
+    as_plain, oracle_canonical, oracle_replay, oracle_schedule, random_instance, step_partition,
 )
 
 
@@ -264,6 +268,118 @@ def test_builder_matches_oracle_on_adversarial_sets(name):
             kinds_per_step.add(frozenset(str(v.kind) for v in built.vertices if v.step == k))
     if name == "cascades":
         assert frozenset(("appear", "merge", "split", "disappear")) in kinds_per_step
+
+
+def chains(rng):
+    """Trajectories stepping along a line of unit-spaced lattice points, so
+    that groups are runs of neighbouring points joined at exactly epsilon
+    1, and most trajectories end at one of three steps: deaths inside a run
+    leave several dying and several surviving pieces."""
+    n = int(rng.integers(10, 25))
+    starts = rng.integers(0, 4, n)
+    ends = rng.choice([6, 9, 12], n)
+    trajs = []
+    for tid, (st, end) in enumerate(zip(starts, ends)):
+        x = int(rng.integers(0, 12)) + np.cumsum(rng.integers(-1, 2, end - st + 1))
+        trajs.append((tid, np.column_stack([x, 0 * x, 0 * x]).astype(float), int(st)))
+    return trajs
+
+
+def bundle(rng):
+    """A small sunflower bundle: large groups with many events per step."""
+    s = tr.make_bundle(int(rng.integers(20, 80)), 30, seed=int(rng.integers(1 << 30)))
+    return as_plain(s)
+
+
+REPLAY_SETS = dict(ADVERSARIAL, chains=chains, bundle=bundle)
+
+
+def _dead_and_alive_pieces(r):
+    """(dying, surviving) piece counts at each split vertex of r."""
+    out = []
+    for v in r.vertices:
+        if v.kind is VertexKind.SPLIT:
+            succ = r.edges_out(v.id)
+            dead = sum(r.vertex(e.v).kind is VertexKind.DISAPPEAR and e.interval == (v.step, v.step)
+                       for e in succ)
+            out.append((dead, len(succ) - dead))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_SETS))
+def test_replay_matches_even_shiloach_oracle(name):
+    """build_reeb labels each phase graph from scratch; the oracle replays
+    the same schedule event by event on a fully dynamic connectivity
+    engine.  Their Reeb JSON must agree byte for byte, which pins vertex
+    order, edge order and every vertex's witness."""
+    rng = np.random.default_rng(sorted(REPLAY_SETS).index(name) + 401)
+    pieces = []
+    for trial in range(30):
+        if name == "offset_starts":
+            plain = offset_starts(rng)
+            eps = random_instance(rng, n_range=(5, 15), m_range=(6, 25))[1]
+        else:
+            plain = REPLAY_SETS[name](rng)
+            eps = {"chains": 1.0, "bundle": 1.2}.get(name) or float(rng.choice([1.0, np.sqrt(2.0)]))
+        s = build_set(plain)
+        schedule = tr.detect_all_events(s, eps)
+        got = tr.build_reeb(s, eps, schedule=schedule)
+        assert tr.graph_to_json(got) == tr.graph_to_json(oracle_replay(s, eps, schedule)), \
+            f"{name} trial {trial}"
+        pieces += _dead_and_alive_pieces(got)
+    if name == "chains":
+        assert any(dead >= 2 and alive >= 2 for dead, alive in pieces)
+
+
+def _schedule(*events):
+    """An EventSchedule of (kind, step, subjects) triples."""
+    return tr.EventSchedule(tr.Event(kind, k, subjects, tr.Point3(0, 0, 0))
+                            for kind, k, subjects in events)
+
+
+_A, _C, _D, _X = EventKind.APPEAR, EventKind.CONNECT, EventKind.DISCONNECT, EventKind.DISAPPEAR
+_LIVES = ((_A, 0, (0,)), (_A, 0, (1,)), (_X, 5, (0,)), (_X, 5, (1,)))
+MALFORMED = {
+    "unknown_id": (_LIVES + ((_A, 1, (3,)), (_X, 2, (3,))), "trajectory 3"),
+    "double_connect": (_LIVES + ((_C, 1, (0, 1)), (_C, 2, (0, 1))), "already"),
+    "pair_on_inactive": (((_A, 0, (0,)), (_C, 0, (0, 1)), (_A, 2, (1,)),
+                          (_X, 5, (0,)), (_X, 5, (1,))), "absent"),
+    "disconnect_unconnected": (_LIVES + ((_D, 3, (0, 1)),), "absent"),
+    "groups_left_open": (_LIVES[:3], "left open"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_schedule_is_contract_error(pair_set, case):
+    events, message = MALFORMED[case]
+    with pytest.raises(tr.ContractError, match=message):
+        tr.build_reeb(pair_set, 1.5, schedule=_schedule(*events))
+
+
+def test_replay_of_100k_trajectories_within_time_and_memory():
+    """Replay of a bundle with 10**5 trajectories active at each of its 10
+    steps (1.3M events): at most 8 s, and at most 200 MB of peak-RSS growth
+    across replay.  A fresh interpreter keeps other tests out of ru_maxrss
+    (kilobytes on Linux)."""
+    code = (
+        "import resource, time\n"
+        "import trajreeb as tr\n"
+        "s = tr.make_bundle(100_000, 10, seed=0)\n"
+        "schedule = tr.detect_all_events(s, 1.2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "t0 = time.perf_counter()\n"
+        "tr.build_reeb(s, 1.2, schedule=schedule)\n"
+        "seconds = time.perf_counter() - t0\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(seconds, grown / 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    seconds, grown_mb = map(float, proc.stdout.split())
+    assert seconds <= 8.0, f"replay took {seconds:.1f} s"
+    assert grown_mb <= 200.0, f"peak RSS grew by {grown_mb:.0f} MB across replay"
 
 
 # ---------------------------------------------------------------------------
