@@ -46,6 +46,14 @@ and each step's connects and disconnects are the codes that the previous
 or the current sorted code array lacks.  The schedule it returns is four
 integer columns (step, kind, subjects); :class:`Event` objects are built
 only when a caller iterates it.
+
+Detection copies no point array.  The readers, ``resample`` and
+``orient_align`` leave every trajectory of a set a view of one read-only
+(P, 3) array, a reversed trajectory a view with a negative row stride, and
+the step index reads that array in place: a trajectory's point at step k is
+row ``offset + sign * k``.  Only a set assembled from separate arrays is
+concatenated into one.  Each step gathers its rows and transposes them once
+into the (3, n) coordinates that the grid and the list read.
 """
 
 from __future__ import annotations
@@ -220,8 +228,14 @@ _FORWARD_ROWS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
 class _StepIndex:
     """Per-step views of the active trajectories of a set.
 
-    Columnar: all points in one (3, P) array of x, y and z rows, trajectory
-    i's point at global step k in column ``offset[i] + k``.
+    All points sit in one C-contiguous (P, 3) float64 array, trajectory i's
+    point at global step k in row ``offset[i] + sign[i] * k``.  When every
+    trajectory's points view one such array, as in every set that the
+    readers, :func:`~trajreeb.io.resample` and
+    :func:`~trajreeb.io.orient_align` make, that array is read in place:
+    each trajectory's first row comes from its view's address and its
+    direction from its row stride, -1 for a reversed view.  The points of
+    any other set are copied into one new array.
     """
 
     def __init__(self, s: TrajectorySet):
@@ -232,15 +246,45 @@ class _StepIndex:
         self.start = np.fromiter((t.start_step for t in s), dtype=np.int64, count=n)
         lengths = np.fromiter((len(t) for t in s), dtype=np.int64, count=n)
         self.end = self.start + lengths - 1
-        self.offset = np.cumsum(lengths) - lengths - self.start
-        self.xyz = np.empty((3, int(lengths.sum())))
-        np.concatenate([t.points.T for t in s], axis=1, out=self.xyz)
+        views = [t.points for t in s]
+        shared = _shared_rows(views)
+        if shared is None:
+            shared = (np.concatenate(views), np.cumsum(lengths) - lengths,
+                      np.ones(n, dtype=np.int64))
+        self.points, first, self.sign = shared
+        self.offset = first - self.sign * self.start
+
+    def at(self, offset: np.ndarray, sign: np.ndarray, k: int) -> np.ndarray:
+        """The points at step k of the trajectories with these offsets and
+        signs, as a (3, n) array."""
+        # one transposed copy of the gathered rows: a take along axis 1 of
+        # points.T would copy the whole array
+        return np.ascontiguousarray(self.points.take(offset + sign * k, axis=0).T)
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the trajectories active at step k, in set order, and their
         points as a (3, n) array."""
         rows = np.flatnonzero((self.start <= k) & (self.end >= k))
-        return rows, self.xyz.take(self.offset[rows] + k, axis=1)
+        return rows, self.at(self.offset[rows], self.sign[rows], k)
+
+
+def _shared_rows(views: list[np.ndarray]):
+    """The C-contiguous (P, 3) float64 array whose whole rows every view
+    reads, each view's first row in it and each view's row direction (1, or
+    -1 when reversed); None when the views share no such array."""
+    base = views[0].base
+    if not (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.ndim == 2 and base.shape[1] == 3 and base.flags.c_contiguous
+            and all(v.base is base for v in views)):
+        return None
+    n, row = len(views), base.strides[0]
+    address = np.fromiter((v.ctypes.data for v in views), dtype=np.int64, count=n)
+    first, off = np.divmod(address - base.ctypes.data, row)
+    if off.any():
+        return None
+    # a Trajectory's strides are (+-row, 8): from a row's start it reads whole rows
+    step = np.fromiter((v.strides[0] for v in views), dtype=np.int64, count=n)
+    return base, first, step // row
 
 
 def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,11 +396,13 @@ _ROTATION_STEPS = 20
 class _CandidateList:
     """The pairs of one anchor step's active points within reach of each
     other, as rank codes in sorted order and the positions of their points
-    among the active rows, plus the anchor points centred on their mean."""
+    among the active rows, plus the anchor points centred on their mean and
+    the rows' offsets and signs in the step index."""
 
-    def __init__(self, rows: np.ndarray, base: np.ndarray, xyz: np.ndarray,
+    def __init__(self, index: _StepIndex, rows: np.ndarray, xyz: np.ndarray,
                  code: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-        self.rows, self.base, self.code, self.ii, self.jj = rows, base, code, ii, jj
+        self.rows, self.code, self.ii, self.jj = rows, code, ii, jj
+        self.offset, self.sign = index.offset[rows], index.sign[rows]
         self.anchor, self.magnitude = _centred(xyz)
 
     @classmethod
@@ -367,7 +413,7 @@ class _CandidateList:
         ii, jj, d2 = _hits(xyz, reach)
         code = _pack(keys[ii], keys[jj])
         order = np.argsort(code)
-        listed = cls(rows, index.offset[rows], xyz, code[order], ii[order], jj[order])
+        listed = cls(index, rows, xyz, code[order], ii[order], jj[order])
         return listed, d2[order]
 
     def prune(self, keep: np.ndarray) -> None:
@@ -375,13 +421,14 @@ class _CandidateList:
         at = np.cumsum(keep) - 1
         both = keep[self.ii] & keep[self.jj]
         self.code, self.ii, self.jj = self.code[both], at[self.ii[both]], at[self.jj[both]]
-        self.rows, self.base, self.anchor = self.rows[keep], self.base[keep], self.anchor[:, keep]
+        self.rows, self.anchor = self.rows[keep], self.anchor[:, keep]
+        self.offset, self.sign = self.offset[keep], self.sign[keep]
 
-    def distances(self, xyz_all: np.ndarray, k: int, delta: float, slack: float):
+    def distances(self, index: _StepIndex, k: int, delta: float, slack: float):
         """Squared distances of the listed pairs at step k, or None when the
         points have drifted past delta from a rigid motion of the anchor or
         the float margins above cannot be shown."""
-        xyz = xyz_all.take(self.base + k, axis=1)
+        xyz = index.at(self.offset, self.sign, k)
         if xyz.shape[1] > 1 and not self._rigid(xyz, delta, slack):
             return None
         return _squared_distances(xyz, self.ii, self.jj)
@@ -499,7 +546,7 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
         if listed is not None and not appear[k - kmin]:
             if ended[k - kmin]:
                 listed.prune(index.end[listed.rows] >= k)
-            d2 = listed.distances(index.xyz, k, delta, slack)
+            d2 = listed.distances(index, k, delta, slack)
         if d2 is None:
             listed, d2 = _CandidateList.grid(index, rank, k, reach)
         curs = [listed.code[d2 <= sq] for sq in squares]

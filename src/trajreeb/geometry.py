@@ -89,7 +89,11 @@ class Trajectory:
             raise ValueError("trajectory id must be non-negative")
         if self.start_step < 0:
             raise ValueError("start_step must be non-negative")
-        pts = np.ascontiguousarray(pts)
+        # a row-reversed view, as reversed() makes, is kept as it is: it
+        # shares memory with the array it views and copies nothing
+        row = 3 * pts.itemsize
+        if pts.strides[1] != pts.itemsize or abs(pts.strides[0]) != row:
+            pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

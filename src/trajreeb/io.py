@@ -29,6 +29,7 @@ and acquisition pipelines differ in how densely they sample.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import math
@@ -72,17 +73,18 @@ def parse(data: bytes, fmt: FileFormat) -> TrajectorySet:
     raise FormatError(f"unknown format {fmt!r}")
 
 
-def _finish(point_lists: list[np.ndarray], source: str) -> TrajectorySet:
+def _finish(rows: np.ndarray, starts, stops, source: str) -> TrajectorySet:
+    """The set of the streamlines rows[start:stop], each a view of rows,
+    which is frozen; streamlines of one point are dropped and tallied."""
+    rows.flags.writeable = False
     kept = []
     dropped = 0
-    for pts in point_lists:
-        if len(pts) >= 2:
-            kept.append(pts)
-        elif len(pts) >= 1:
+    for a, b in zip(starts, stops):
+        if b - a >= 2:
+            kept.append(rows[a:b])
+        elif b - a == 1:
             dropped += 1
-    trajs = tuple(
-        Trajectory(i, np.asarray(p, dtype=np.float64)) for i, p in enumerate(kept)
-    )
+    trajs = tuple(Trajectory(i, p) for i, p in enumerate(kept))
     meta = {"source_format": source}
     if dropped:
         meta["dropped_short"] = str(dropped)
@@ -142,47 +144,56 @@ def _parse_tck(data: bytes) -> TrajectorySet:
         raise FormatError(f"tck header: malformed field 'file' ({file_field!r})") from None
     if offset < 0 or offset > len(data):
         raise FormatError(f"tck header: field 'file' offset {offset} out of range")
+    # the END line ends at its newline, or at the end of the file
+    header_end = min(end.end() + 1, len(data))
+    if offset < header_end:
+        raise FormatError(
+            f"tck header: field 'file' offset {offset} lies inside the header "
+            f"({header_end} bytes)"
+        )
 
-    payload = data[offset:]
-    if len(payload) % (3 * dtype.itemsize) != 0:
+    size = len(data) - offset
+    if size % (3 * dtype.itemsize) != 0:
         raise FormatError(f"tck payload: length is not a whole number of {datatype} triplets")
-    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
-        rows = np.frombuffer(payload, dtype=dtype).reshape(-1, 3).astype(np.float64)
-    if rows.shape[0] == 0:
+    if size == 0:
         raise FormatError("tck payload: empty")
+    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
+        rows = np.frombuffer(data, dtype=dtype, offset=offset).reshape(-1, 3).astype(np.float64)
 
-    inf_rows = np.isinf(rows).all(axis=1)
-    stop = np.flatnonzero(inf_rows)
+    # the rows holding a non-finite coordinate: separators, terminators and
+    # bad points; one column at a time keeps the temporaries to P booleans
+    finite = np.isfinite(rows[:, 0])
+    for c in (1, 2):
+        finite &= np.isfinite(rows[:, c])
+    odd = np.flatnonzero(~finite)
+    stop = odd[np.isinf(rows[odd]).all(axis=1)]
     if stop.size == 0:
         raise FormatError("tck payload: missing (Inf,Inf,Inf) terminator")
-    rows = rows[: stop[0]]
-    nan_rows = np.isnan(rows).all(axis=1)
-
-    point_lists: list[np.ndarray] = []
-    start = 0
-    boundaries = list(np.flatnonzero(nan_rows)) + [rows.shape[0]]
-    for b in boundaries:
-        seg = rows[start:b]
-        start = b + 1
-        if seg.shape[0] == 0:
-            continue
-        if not np.isfinite(seg).all():
-            raise ParseError(
-                f"tck payload: non-finite coordinate in streamline {len(point_lists)}"
-            )
-        point_lists.append(seg)
+    odd = odd[odd < stop[0]]
+    separator = np.isnan(rows[odd]).all(axis=1)
+    cuts, bad = odd[separator], odd[~separator]
+    starts = np.concatenate(([0], cuts + 1))
+    stops = np.concatenate((cuts, stop[:1]))
+    nonempty = stops > starts
+    starts, stops = starts[nonempty].tolist(), stops[nonempty].tolist()
+    if bad.size:
+        # the streamline holding the first bad row, counting non-empty ones
+        raise ParseError(
+            "tck payload: non-finite coordinate in streamline "
+            f"{bisect.bisect_right(stops, int(bad[0]))}"
+        )
     count = fields.get("count")
     if count is not None:
         try:
             declared = int(count)
         except ValueError:
             raise FormatError(f"tck header: malformed field 'count' ({count!r})") from None
-        if declared != len(point_lists):
+        if declared != len(starts):
             raise FormatError(
                 f"tck header: count {declared} does not match the "
-                f"{len(point_lists)} streamlines in the payload"
+                f"{len(starts)} streamlines in the payload"
             )
-    return _finish(point_lists, "tck")
+    return _finish(rows, starts, stops, "tck")
 
 
 def to_tck(s: TrajectorySet) -> bytes:
@@ -231,7 +242,8 @@ def _parse_csv(data: bytes) -> TrajectorySet:
             f"csv header: expected {CSV_HEADER!r}, got {lines[0].strip()!r}"
         )
 
-    point_lists: list[list[list[float]]] = []
+    coords: list[list[float]] = []
+    starts: list[int] = []
     prev_key: tuple[int, int] | None = None
     prev_id: int | None = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -253,14 +265,15 @@ def _parse_csv(data: bytes) -> TrajectorySet:
             )
         prev_key = key
         if sid != prev_id:
-            point_lists.append([])
+            starts.append(len(coords))
             prev_id = sid
         if not all(math.isfinite(c) for c in xyz):
             raise ParseError(
-                f"csv: non-finite coordinate in streamline {len(point_lists) - 1}"
+                f"csv: non-finite coordinate in streamline {len(starts) - 1}"
             )
-        point_lists[-1].append(xyz)
-    return _finish([np.asarray(p) for p in point_lists], "csv")
+        coords.append(xyz)
+    rows = np.array(coords, dtype=np.float64)
+    return _finish(rows, starts, starts[1:] + [len(coords)], "csv")
 
 
 def to_csv(s: TrajectorySet) -> str:
@@ -282,11 +295,12 @@ def _parse_json(data: bytes) -> TrajectorySet:
         raise FormatError(f"json: {exc}") from None
     if not isinstance(obj, list):
         raise FormatError("json: top level must be an array of trajectories")
-    point_lists = []
+    coords: list[list[float]] = []
+    starts: list[int] = []
     for si, stream in enumerate(obj):
         if not isinstance(stream, list):
             raise FormatError(f"json: trajectory {si} is not an array")
-        pts = []
+        starts.append(len(coords))
         for p in stream:
             if not isinstance(p, list) or len(p) != 3:
                 raise FormatError(f"json: trajectory {si} has a non-[x,y,z] point")
@@ -296,9 +310,9 @@ def _parse_json(data: bytes) -> TrajectorySet:
                 raise FormatError(f"json: trajectory {si} has a non-numeric point") from None
             if not all(math.isfinite(c) for c in xyz):
                 raise ParseError(f"json: non-finite coordinate in streamline {si}")
-            pts.append(xyz)
-        point_lists.append(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
-    return _finish(point_lists, "json")
+            coords.append(xyz)
+    rows = np.array(coords, dtype=np.float64)
+    return _finish(rows, starts, starts[1:] + [len(coords)], "json")
 
 
 def to_json(s: TrajectorySet) -> str:
@@ -320,22 +334,41 @@ def resample(t: Trajectory, delta: float) -> Trajectory:
     inter-point gap equals delta except possibly the last one, which lies in
     (0, delta].  Id and start_step are preserved.
     """
+    return _resample((t,), delta)[0]
+
+
+def _resample(trajs, delta: float) -> list[Trajectory]:
+    """:func:`resample` of each trajectory, all written into one new array
+    that every result views.  The first pass only sizes that array and the
+    second recomputes each trajectory's arc lengths as it fills it: holding
+    every trajectory's arc lengths and targets instead costs ~16 bytes a
+    point at the build's peak."""
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    pts = t.points
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    sizes = [len(_arc_targets(t, delta)[1]) + 1 for t in trajs]
+    out = np.empty((sum(sizes), 3))
+    stops = np.cumsum(sizes).tolist()
+    for t, hi, size in zip(trajs, stops, sizes):
+        cum, targets = _arc_targets(t, delta)
+        for c in range(3):
+            out[hi - size:hi - 1, c] = np.interp(targets, cum, t.points[:, c])
+        out[hi - 1] = t.points[-1]
+    out.flags.writeable = False
+    return [Trajectory(t.id, out[hi - size:hi], t.start_step)
+            for t, hi, size in zip(trajs, stops, sizes)]
+
+
+def _arc_targets(t: Trajectory, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative arc length at each point of t, and the arc-length
+    positions 0, delta, ... short of its end at which to resample it."""
+    seg = np.linalg.norm(np.diff(t.points, axis=0), axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
     if total == 0.0:
         raise ValueError(f"zero-length trajectory (id {t.id})")
     n_whole = int(math.floor(total / delta)) + 1
     targets = np.arange(n_whole) * delta
-    targets = targets[targets < total * (1.0 - 1e-12)]
-    out = np.empty((len(targets) + 1, 3))
-    for c in range(3):
-        out[:-1, c] = np.interp(targets, cum, pts[:, c])
-    out[-1] = pts[-1]
-    return Trajectory(t.id, out, t.start_step)
+    return cum, targets[targets < total * (1.0 - 1e-12)]
 
 
 def orient_align(s: TrajectorySet) -> TrajectorySet:
@@ -361,9 +394,8 @@ def orient_align(s: TrajectorySet) -> TrajectorySet:
 def prepare(s: TrajectorySet, config: Config) -> TrajectorySet:
     """Apply the configured preprocessing (resample, then orient-align)."""
     if config.resample_delta is not None:
-        s = TrajectorySet(
-            tuple(resample(t, config.resample_delta) for t in s), s.metadata
-        )
+        s = TrajectorySet(tuple(_resample(s.trajectories, config.resample_delta)),
+                          s.metadata)
     if config.orient_align:
         s = orient_align(s)
     return s

@@ -344,6 +344,37 @@ def test_cli_build_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "out.json").stat().st_size > 0
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
+    """`build --orient-align` on a ragged, half-reversed TCK: the peak
+    memory growth past import is the file's bytes plus one float64 copy of
+    the points, and a margin for the Reeb graph.  A payload copy at parse,
+    copies of the reversed streamlines or of the whole set at detect would
+    each add a large fraction of one copy more."""
+    rng = np.random.default_rng(5)
+    lists = [t.points[: 3000 - int(rng.integers(0, 300))]
+             for t in tr.make_bundle(200, 3000, wobble=0.1, seed=5)]
+    data = tr.to_tck(tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)]))
+    (tmp_path / "in.tck").write_bytes(data)
+    one_copy = 24 * sum(len(p) for p in lists)
+    code = (
+        "from trajreeb.cli import run\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        f"code = run(['build', '--orient-align', '--epsilon', '0.3', '--input', "
+        f"{str(tmp_path / 'in.tck')!r}, '--output', {str(tmp_path / 'out.json')!r}])\n"
+        "print(code, 1024 * (hwm() - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, growth = map(int, proc.stdout.split())
+    assert exit_code == 0, proc.stderr
+    assert growth < len(data) + 1.7 * one_copy, (growth, len(data), one_copy)
+
+
 def _cli_subprocess(args, timeout=None):
     """Run the CLI on `args` in a fresh interpreter with default warning
     filters; exits with the command's code, or 3 if a scipy module loaded."""

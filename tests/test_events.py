@@ -294,6 +294,55 @@ def test_candidate_list_equals_grid_oracle(monkeypatch):
     assert counts["list"] >= 100 and counts["grid"] >= 100, counts
 
 
+def shared_layout(rng, trajs):
+    """The plain-tuple trajectories as views of one read-only (P, 3) array,
+    as the readers and orient_align leave them: stored in shuffled order
+    with a spare row between neighbours, about half of them reversed in
+    storage and read back through a negative-stride view."""
+    order = rng.permutation(len(trajs))
+    flip = rng.random(len(trajs)) < 0.5
+    base = np.empty((sum(len(p) + 1 for _, p, _ in trajs), 3))
+    spans, row = {}, 0
+    for i in order.tolist():
+        pts = trajs[i][1]
+        base[row:row + len(pts)] = pts[::-1] if flip[i] else pts
+        base[row + len(pts)] = rng.normal(0.0, 1e3, 3)
+        spans[i], row = (row, row + len(pts)), row + len(pts) + 1
+    base.flags.writeable = False
+    views = [base[a:b][::-1] if flip[i] else base[a:b] for i, (a, b) in sorted(spans.items())]
+    s = tr.TrajectorySet(tuple(tr.Trajectory(t, v, st) for (t, _, st), v in zip(trajs, views)))
+    return s, base
+
+
+def test_shared_point_array_equals_separate_arrays(monkeypatch):
+    """Detection and groups_at_step on trajectories viewing one array,
+    forward and reversed, with staggered starts and ragged ends, against the
+    same set rebuilt from separate arrays, which the step index
+    concatenates: column for column, on grid and list steps, for several
+    lists of epsilons with ties at epsilon."""
+    seen = spy_on_candidate_list(monkeypatch)
+    rng = np.random.default_rng(71)
+    instances = [moving_instance(rng, lattice=bool(i % 2)) for i in range(12)]
+    instances += [lattice_instance(rng) for _ in range(6)]
+    instances += [random_instance(rng, n_range=(5, 30), m_range=(8, 40)) for _ in range(6)]
+    for trajs, eps in instances:
+        shared, base = shared_layout(rng, trajs)
+        separate = tr.TrajectorySet(tuple(
+            tr.Trajectory(t.id, np.array(t.points), t.start_step) for t in shared))
+        assert events._StepIndex(shared).points is base
+        assert events._StepIndex(separate).points.base is None
+        assert any(t.points.strides[0] < 0 for t in shared)
+        for epsilons in ([eps], sorted({eps * 0.5, eps * 0.75, eps}),
+                         sorted({eps, eps * float(rng.uniform(1.0, 2.0))})):
+            for g, w in zip(_detect(shared, epsilons), _detect(separate, epsilons)):
+                assert_same_columns(g, w)
+        kmin, kmax = shared.step_range
+        for k in {kmin, kmax, int(rng.integers(kmin, kmax + 1))}:
+            assert tr.groups_at_step(shared, eps, k) == tr.groups_at_step(separate, eps, k)
+    counts = Counter(seen)
+    assert counts["list"] >= 100 and counts["grid"] >= 100, counts
+
+
 def test_candidate_list_drift_boundary(monkeypatch):
     """One point drifts a little over delta = 0.2 epsilon from the rigid
     motion of the rest, toward a point it started just over the list's

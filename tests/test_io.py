@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajreeb as tr
+from trajreeb import events
 from trajreeb.cli import run
 from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
 
@@ -215,6 +216,25 @@ def tck_bytes(point_lists, datatype="Float32LE", count=None):
     return f"{head}{offset:08d}\nEND\n".encode("ascii") + payload
 
 
+def test_tck_offset_inside_header_rejected(tmp_path):
+    """An offset before the end of the END line would decode header bytes
+    as points; an offset at the end of the file is an empty payload."""
+    data = tr.to_tck(tr.make_bundle(5, 8))
+    assert b"file: . 58\nEND\n" in data and data.index(b"END\n") + 4 == 58
+    bad = data.replace(b"file: . 58", b"file: . 46")
+    with pytest.raises(FormatError, match="offset 46 lies inside the header"):
+        tr.parse(bad, tr.FileFormat.TCK)
+    path = tmp_path / "in.tck"
+    path.write_bytes(bad)
+    assert run(["build", "--epsilon", "1", "--input", str(path),
+                "--output", str(tmp_path / "out.json")]) == 1
+    data = tck_bytes([[(0, 0, 0), (1, 0, 0)]])
+    head = data.index(b"\nEND\n")
+    at_end = data[:head - 8] + b"%08d" % len(data) + data[head:]
+    with pytest.raises(FormatError, match="tck payload: empty"):
+        tr.parse(at_end, tr.FileFormat.TCK)
+
+
 @pytest.mark.parametrize("datatype", sorted(TCK_DTYPES))
 def test_tck_datatype_roundtrip(datatype):
     rng = np.random.default_rng(12)
@@ -363,6 +383,28 @@ def test_prepare_applies_config():
     out = tr.prepare(s, tr.Config(epsilon=1.0, resample_delta=2.0, orient_align=True))
     assert all(len(t) == 6 for t in out)
     assert out.trajectories[1].points[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("fmt", list(tr.FileFormat))
+def test_points_view_one_frozen_array_from_parse_to_detect(fmt):
+    """Readers, resample and orient_align each leave every trajectory a view
+    of one read-only (P, 3) array, and the step index reads that array in
+    place: no stage copies the points per trajectory."""
+    rng = np.random.default_rng(17)
+    lists = [t.points[: 12 - int(rng.integers(0, 4))] for t in tr.make_bundle(9, 12, seed=4)]
+    s = tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)])
+    data = {tr.FileFormat.TCK: tr.to_tck(s), tr.FileFormat.CSV: tr.to_csv(s).encode(),
+            tr.FileFormat.JSON: tr.to_json(s).encode()}[fmt]
+    parsed = tr.parse(data, fmt)
+    oriented = tr.prepare(parsed, tr.Config(1.0, orient_align=True))
+    assert any(t.points.strides[0] < 0 for t in oriented)
+    for s in (parsed, oriented, tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5)),
+              tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5, orient_align=True))):
+        base = s.trajectories[0].points.base
+        assert isinstance(base, np.ndarray) and base.shape[1:] == (3,)
+        assert not base.flags.writeable
+        assert all(t.points.base is base and np.shares_memory(t.points, base) for t in s)
+        assert events._StepIndex(s).points is base
 
 
 def test_parse_never_returns_short_trajectories():
