@@ -39,11 +39,12 @@ leaves the list.
 
 Detection runs over the steps once for any number of epsilons: each step's
 pairs come from one list or grid at the largest epsilon, with their squared
-distances, and each epsilon keeps those within its own radius.  Pairs are
-coded by the ranks of their ids, which order as the ids do: a pair ended
-by a disappearance drops out through a lookup of its members' last steps,
-and each step's connects and disconnects are the codes that the previous
-or the current sorted code array lacks.  The schedule it returns is four
+distances, and each epsilon keeps those within its own radius.  The step
+index holds the trajectories in id order, and pairs are coded by its rows,
+so codes order as the id pairs do: a pair ended by a disappearance drops
+out through a lookup of its members' last steps, and each step's connects
+and disconnects are the codes that the current or the previous sorted code
+array lacks, found by one binary search.  The schedule it returns is four
 integer columns (step, kind, subjects); :class:`Event` objects are built
 only when a caller iterates it.
 
@@ -225,10 +226,23 @@ _CELLS_PER_AXIS = (1 << 21) - 4
 _FORWARD_ROWS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
 
 
+def _in_id_order(s: TrajectorySet):
+    """The trajectories of a set sorted by id, and their ids, first steps
+    and last steps as arrays in that order."""
+    ts = sorted(s, key=lambda t: t.id)
+    n = len(ts)
+    ids = np.fromiter((t.id for t in ts), dtype=np.int64, count=n)
+    start = np.fromiter((t.start_step for t in ts), dtype=np.int64, count=n)
+    end = start + np.fromiter((len(t) for t in ts), dtype=np.int64, count=n) - 1
+    return ts, ids, start, end
+
+
 class _StepIndex:
     """Per-step views of the active trajectories of a set.
 
-    All points sit in one C-contiguous (P, 3) float64 array, trajectory i's
+    The trajectories are held in id order, so row i of every per-trajectory
+    array is the trajectory of the i-th smallest id, and rows sort as ids
+    do.  All points sit in one C-contiguous (P, 3) float64 array, row i's
     point at global step k in row ``offset[i] + sign[i] * k``.  When every
     trajectory's points view one such array, as in every set that the
     readers, :func:`~trajreeb.io.resample` and
@@ -239,33 +253,30 @@ class _StepIndex:
     """
 
     def __init__(self, s: TrajectorySet):
-        n = len(s)
-        self.ids = np.fromiter((t.id for t in s), dtype=np.int64, count=n)
-        if self.ids.max() >= 1 << 31:
+        ts, self.ids, self.start, self.end = _in_id_order(s)
+        if self.ids[-1] >= 1 << 31:
             raise ContractError("trajectory ids must fit in 31 bits")
-        self.start = np.fromiter((t.start_step for t in s), dtype=np.int64, count=n)
-        lengths = np.fromiter((len(t) for t in s), dtype=np.int64, count=n)
-        self.end = self.start + lengths - 1
-        views = [t.points for t in s]
+        views = [t.points for t in ts]
         shared = _shared_rows(views)
         if shared is None:
+            lengths = self.end - self.start + 1
             shared = (np.concatenate(views), np.cumsum(lengths) - lengths,
-                      np.ones(n, dtype=np.int64))
+                      np.ones(len(ts), dtype=np.int64))
         self.points, first, self.sign = shared
         self.offset = first - self.sign * self.start
 
-    def at(self, offset: np.ndarray, sign: np.ndarray, k: int) -> np.ndarray:
-        """The points at step k of the trajectories with these offsets and
-        signs, as a (3, n) array."""
+    def at(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The points at step k of these rows, as a (3, n) array."""
         # one transposed copy of the gathered rows: a take along axis 1 of
         # points.T would copy the whole array
-        return np.ascontiguousarray(self.points.take(offset + sign * k, axis=0).T)
+        return np.ascontiguousarray(
+            self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0).T)
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the trajectories active at step k, in set order, and their
-        points as a (3, n) array."""
+        """The rows active at step k, in id order, and their points as a
+        (3, n) array."""
         rows = np.flatnonzero((self.start <= k) & (self.end >= k))
-        return rows, self.at(self.offset[rows], self.sign[rows], k)
+        return rows, self.at(rows, k)
 
 
 def _shared_rows(views: list[np.ndarray]):
@@ -356,12 +367,16 @@ def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LOW31 = (1 << 31) - 1
 
 
-def _missing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The elements of sorted x that sorted y lacks."""
-    if y.shape[0] == 0:
-        return x
-    at = np.minimum(np.searchsorted(y, x), y.shape[0] - 1)
-    return x[y[at] != x]
+def _diff(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the elements of cur that prev lacks, those of prev that cur lacks),
+    of two sorted arrays of distinct elements, by one binary search."""
+    if cur.shape[0] == 0:
+        return cur, prev
+    at = np.searchsorted(cur, prev)
+    found = cur.take(at, mode="clip") == prev
+    kept = np.zeros(cur.shape[0], dtype=bool)
+    kept[at[found]] = True
+    return cur[~kept], prev[~found]
 
 
 # A Verlet candidate list (Verlet, Phys. Rev. 159, 98, 1967) serves the steps
@@ -395,25 +410,23 @@ _ROTATION_STEPS = 20
 
 class _CandidateList:
     """The pairs of one anchor step's active points within reach of each
-    other, as rank codes in sorted order and the positions of their points
-    among the active rows, plus the anchor points centred on their mean and
-    the rows' offsets and signs in the step index."""
+    other, as sorted codes of their step-index rows and the positions of
+    their points among the list's rows, plus the anchor points centred on
+    their mean."""
 
-    def __init__(self, index: _StepIndex, rows: np.ndarray, xyz: np.ndarray,
+    def __init__(self, rows: np.ndarray, xyz: np.ndarray,
                  code: np.ndarray, ii: np.ndarray, jj: np.ndarray):
         self.rows, self.code, self.ii, self.jj = rows, code, ii, jj
-        self.offset, self.sign = index.offset[rows], index.sign[rows]
         self.anchor, self.magnitude = _centred(xyz)
 
     @classmethod
-    def grid(cls, index: _StepIndex, rank: np.ndarray, k: int, reach: float):
+    def grid(cls, index: _StepIndex, k: int, reach: float):
         """The list of step k, found by the grid, and its squared distances."""
         rows, xyz = index.active(k)
-        keys = rank[rows]
         ii, jj, d2 = _hits(xyz, reach)
-        code = _pack(keys[ii], keys[jj])
+        code = _pack(rows[ii], rows[jj])
         order = np.argsort(code)
-        listed = cls(index, rows, xyz, code[order], ii[order], jj[order])
+        listed = cls(rows, xyz, code[order], ii[order], jj[order])
         return listed, d2[order]
 
     def prune(self, keep: np.ndarray) -> None:
@@ -422,13 +435,12 @@ class _CandidateList:
         both = keep[self.ii] & keep[self.jj]
         self.code, self.ii, self.jj = self.code[both], at[self.ii[both]], at[self.jj[both]]
         self.rows, self.anchor = self.rows[keep], self.anchor[:, keep]
-        self.offset, self.sign = self.offset[keep], self.sign[keep]
 
     def distances(self, index: _StepIndex, k: int, delta: float, slack: float):
         """Squared distances of the listed pairs at step k, or None when the
         points have drifted past delta from a rigid motion of the anchor or
         the float margins above cannot be shown."""
-        xyz = index.at(self.offset, self.sign, k)
+        xyz = index.at(self.rows, k)
         if xyz.shape[1] > 1 and not self._rigid(xyz, delta, slack):
             return None
         return _squared_distances(xyz, self.ii, self.jj)
@@ -513,8 +525,8 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     the list cannot serve the step; every epsilon keeps the pairs within its
     own radius and diffs them against its previous step.  The list holds
     every pair of a smaller epsilon, and thresholding the same d2 decides
-    ties exactly as a separate pass would.  Pairs are coded by the ranks of
-    their ids, which sort as the ids do, and mapped back to ids once the
+    ties exactly as a separate pass would.  Pairs are coded by the step
+    index's rows, which are in id order, and mapped back to ids once the
     steps are done.
     """
     if len(s) == 0:
@@ -523,11 +535,6 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
         raise ValueError("epsilon must be positive")
     index = _StepIndex(s)
     n = len(s)
-    by_id = np.argsort(index.ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_id] = np.arange(n)
-    # a pair whose member ended at k - 1 ends without a Disconnect at k
-    end_by_rank = index.end[by_id]
 
     kmin, kmax = s.step_range
     squares = [e * e for e in epsilons]
@@ -548,24 +555,25 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
                 listed.prune(index.end[listed.rows] >= k)
             d2 = listed.distances(index, k, delta, slack)
         if d2 is None:
-            listed, d2 = _CandidateList.grid(index, rank, k, reach)
+            listed, d2 = _CandidateList.grid(index, k, reach)
         curs = [listed.code[d2 <= sq] for sq in squares]
         # held into the next step's grid, it fragments the heap and raises
         # peak RSS (by ~0.8 MB over a 1500 x 600 ragged build)
         del d2
         for j, cur in enumerate(curs):
-            gone = _missing(prev[j], cur)
-            gone = gone[np.minimum(end_by_rank[gone >> 31], end_by_rank[gone & _LOW31]) >= k]
-            parts[j] += (_missing(cur, prev[j]), gone)
+            new, gone = _diff(prev[j], cur)
+            # a pair whose member ended at k - 1 ends without a Disconnect at k
+            gone = gone[np.minimum(index.end[gone >> 31], index.end[gone & _LOW31]) >= k]
+            parts[j] += (new, gone)
             prev[j] = cur
 
     # appear and disappear of every trajectory, in id order; a stable sort
     # by (step, kind) then yields the (step, kind, subjects) order, because
     # pair codes come in step order and sorted within each step
-    sorted_ids = index.ids[by_id]
-    life_step = np.concatenate([index.start[by_id], end_by_rank])
+    ids = index.ids
+    life_step = np.concatenate([index.start, index.end])
     life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
-    life_a = np.tile(sorted_ids, 2)
+    life_a = np.tile(ids, 2)
     pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
     pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
     out = []
@@ -575,8 +583,8 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
         step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
         kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
         order = np.argsort(step * 4 + kind, kind="stable")
-        a = np.concatenate([life_a, sorted_ids[code >> 31]])[order]
-        b = np.concatenate([np.full(2 * n, -1), sorted_ids[code & _LOW31]])[order]
+        a = np.concatenate([life_a, ids[code >> 31]])[order]
+        b = np.concatenate([np.full(2 * n, -1), ids[code & _LOW31]])[order]
         out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
     return out
 

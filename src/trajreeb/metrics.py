@@ -33,7 +33,7 @@ import heapq
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import networkx as nx
 import numpy as np
@@ -52,17 +52,6 @@ CENTRALITY_KIND = "betweenness_normalized"
 # 600-vertex one.
 _BLOCK_ENTRIES = 1 << 18
 
-REPORT_COLUMNS = (
-    "epsilon",
-    "n_vertices",
-    "n_edges",
-    "avg_clustering",
-    "avg_betweenness",
-    "modularity",
-    "global_efficiency",
-)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     epsilon: float
@@ -75,6 +64,13 @@ class MetricsReport:
 
     def values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(MetricsReport))
+# per report column, its CSV cell's (writer, reader), by the field's
+# annotation (a string, as this module postpones annotations)
+_CELLS = tuple({"float": (fmt17, float), "int": (str, int)}[f.type]
+               for f in fields(MetricsReport))
 
 
 @dataclass(frozen=True)
@@ -318,19 +314,7 @@ def compare_cohorts(a: list[MetricsReport], b: list[MetricsReport]) -> CohortCom
 def reports_to_csv(reports: list[MetricsReport]) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    fmt17(r.epsilon),
-                    str(r.n_vertices),
-                    str(r.n_edges),
-                    fmt17(r.avg_clustering),
-                    fmt17(r.avg_betweenness),
-                    fmt17(r.modularity),
-                    fmt17(r.global_efficiency),
-                )
-            )
-        )
+        lines.append(",".join(write(v) for (write, _), v in zip(_CELLS, r.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -343,15 +327,7 @@ def reports_from_csv(text: str) -> list[MetricsReport]:
         cells = row.split(",")
         if len(cells) != len(REPORT_COLUMNS):
             raise ValueError(f"report csv row has {len(cells)} cells: {row!r}")
-        report = MetricsReport(
-            epsilon=float(cells[0]),
-            n_vertices=int(cells[1]),
-            n_edges=int(cells[2]),
-            avg_clustering=float(cells[3]),
-            avg_betweenness=float(cells[4]),
-            modularity=float(cells[5]),
-            global_efficiency=float(cells[6]),
-        )
+        report = MetricsReport(*(read(c) for (_, read), c in zip(_CELLS, cells)))
         if not all(math.isfinite(v) for v in report.values()):
             raise ValueError(f"report csv row has a non-finite cell: {row!r}")
         out.append(report)
@@ -359,35 +335,11 @@ def reports_from_csv(text: str) -> list[MetricsReport]:
 
 
 def report_to_json(r: MetricsReport) -> str:
-    obj = {
-        "epsilon": r.epsilon,
-        "n_vertices": r.n_vertices,
-        "n_edges": r.n_edges,
-        "avg_clustering": r.avg_clustering,
-        "avg_betweenness": r.avg_betweenness,
-        "modularity": r.modularity,
-        "global_efficiency": r.global_efficiency,
-        "centrality": CENTRALITY_KIND,
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps({**asdict(r), "centrality": CENTRALITY_KIND}, indent=2) + "\n"
 
 
 def comparison_to_json(c: CohortComparison) -> str:
-    obj = {
-        "epsilon": c.epsilon,
-        "n_a": c.n_a,
-        "n_b": c.n_b,
-        "centrality": CENTRALITY_KIND,
-        "metrics": {
-            name: {
-                "mean_a": mc.mean_a,
-                "median_a": mc.median_a,
-                "mean_b": mc.mean_b,
-                "median_b": mc.median_b,
-                "mannwhitney_p": mc.mannwhitney_p,
-                "welch_p": mc.welch_p,
-            }
-            for name, mc in c.metrics.items()
-        },
-    }
+    obj = asdict(c)
+    obj["centrality"] = CENTRALITY_KIND
+    obj["metrics"] = obj.pop("metrics")  # moved past "centrality"
     return json.dumps(obj, indent=2) + "\n"

@@ -37,7 +37,9 @@ import numpy as np
 
 from .connectivity import component_roots
 from .errors import ContractError, InvalidTransitionError
-from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _LOW31, _StepIndex
+from .events import (
+    Event, EventKind, EventSchedule, detect_all_events, _hits, _in_id_order, _LOW31, _StepIndex,
+)
 from .geometry import Point3, TrajectorySet
 
 
@@ -195,7 +197,8 @@ class _Replay:
 
     def __init__(self, s: TrajectorySet):
         self.s = s
-        self.ids = np.sort(np.fromiter((t.id for t in s), dtype=np.int64, count=len(s)))
+        # each rank's id, first step and last step
+        _, self.ids, self.start, self.end = _in_id_order(s)
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
         self.open: dict[int, tuple[int, frozenset[int], int]] = {}
@@ -353,6 +356,12 @@ def build_reeb(
     unknown = ends[rp.ids[np.minimum(at, len(s) - 1)] != ends]
     if unknown.shape[0]:
         raise ContractError(f"schedule names trajectory {unknown[0]}, which is not in the set")
+    outside = (schedule._step < rp.start[at]) | (schedule._step > rp.end[at])
+    if outside.any():
+        e, side = np.argwhere(outside.T)[0]
+        x = at[side, e]
+        raise ContractError(f"schedule has an event at step {schedule._step[e]} for trajectory "
+                            f"{rp.ids[x]}, outside its steps [{rp.start[x]}, {rp.end[x]}]")
     code = (ra << 31) + rb
     for k, kind, lo, hi in schedule._runs():
         if kind == EventKind.APPEAR:
@@ -389,8 +398,9 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     ids = index.ids[rows]
     ii, jj, _ = _hits(xyz, epsilon)
     root = component_roots(ids.shape[0], ii, jj)
-    groups = (frozenset(ids[p].tolist()) for p in _components(root, np.unique(root).tolist()).values())
-    return sorted(groups, key=min)
+    # rows are in id order, so the labels (least rows) are in least-id order
+    labels = np.unique(root).tolist()
+    return [frozenset(ids[p].tolist()) for p in _components(root, labels).values()]
 
 
 # ---------------------------------------------------------------------------

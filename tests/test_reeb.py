@@ -346,6 +346,9 @@ MALFORMED = {
                           (_X, 5, (0,)), (_X, 5, (1,))), "absent"),
     "disconnect_unconnected": (_LIVES + ((_D, 3, (0, 1)),), "absent"),
     "groups_left_open": (_LIVES[:3], "left open"),
+    # the pair's points span steps 0..5
+    "step_outside_life": (_LIVES[:3] + ((_X, 6, (1,)),),
+                          r"step 6 for trajectory 1, outside its steps \[0, 5\]"),
 }
 
 
@@ -471,6 +474,26 @@ def test_fsm_follow_other_branch(pair_set):
     state, _ = tr.fsm_next(r, state, connect)
     state, _ = tr.fsm_next(r, state, disconnect, follow=1)
     assert r.edge(state.edge_id).members == frozenset({1})
+
+
+def test_fsm_disappear_fast_forwards_through_partial_death():
+    """Trajectory 2 (3 points) dies out of the chain 0 - 1 - 2 at step 2:
+    the group closes at a Split vertex whose zero-length edge {2} ends at
+    its own Disappear vertex, and the disappear event walks that edge."""
+    s = tr.make_set([[(x, y, 0) for x in range(m)] for y, m in ((0, 6), (0.5, 6), (1.0, 3))])
+    r = tr.build_reeb(s, 0.6)
+    sched = tr.detect_all_events(s, 0.6)
+    connect = next(e for e in sched if e.kind is EventKind.CONNECT and 2 in e.subjects)
+    disappear = next(e for e in sched if e.kind is EventKind.DISAPPEAR and e.subjects == (2,))
+    assert [str(v.kind) for v in r.vertices if v.step == 2] == ["split", "disappear"]
+    state, _ = tr.fsm_start(r, 2)
+    state, _ = tr.fsm_next(r, state, connect)
+    assert r.edge(state.edge_id).members == frozenset({0, 1, 2})
+    assert str(r.vertex(r.edge(state.edge_id).v).kind) == "split"
+    state, loc = tr.fsm_next(r, state, disappear)
+    assert state.terminal and state.vertex_id == 5
+    assert r.vertex(5).kind is VertexKind.DISAPPEAR
+    assert loc == tr.Point3(2.0, 1.0, 0.0)  # trajectory 2's last point
 
 
 def test_fsm_single_trajectory_terminal():
