@@ -2,10 +2,11 @@
 
 A set of spatial trajectories (dMRI tractography streamlines, typically) is
 modeled by the evolution of its max-width epsilon-connected groups across
-point steps: appear/disappear/connect/disconnect events drive a dynamic
-step graph whose component history is recorded as a Reeb graph with 3D
-point correspondence, queryable as a finite state machine and summarized by
-graph-theoretic features for cohort comparison.
+point steps: appear/disappear/connect/disconnect events are replayed step
+by step, and the history of the groups (the components after each phase of
+each step) is recorded as a Reeb graph with 3D point correspondence,
+queryable as a finite state machine and summarized by graph-theoretic
+features for cohort comparison.
 """
 
 from .errors import (

@@ -17,7 +17,7 @@ import sys
 
 from .errors import ContractError, TrajreebError
 from .events import detect_all_events
-from .geometry import Config, TrajectorySet
+from .geometry import Config, TrajectorySet, _check_epsilon
 from .io import FileFormat, format_from_path, parse, prepare
 from .metrics import (
     compare_cohorts,
@@ -85,15 +85,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _check_epsilon(value: float) -> float:
-    if not (value > 0):
-        raise ValueError("epsilon must be positive")
-    # an infinite epsilon would reach the JSON as a bare inf or Infinity token
-    if not math.isfinite(value):
-        raise ValueError(f"epsilon must be finite, got {value!r}")
-    return float(value)
-
-
 # sweep keeps per-epsilon state through its detect pass, so the count of
 # epsilons bounds its memory
 _MAX_EPSILONS = 10_000
@@ -155,18 +146,18 @@ def _emit(payload: bytes, output: str | None) -> None:
 
 
 def _run(args) -> int:
+    if "epsilon" in vars(args):
+        _check_epsilon(args.epsilon)  # before the input is read
     if args.command == "build":
-        epsilon = _check_epsilon(args.epsilon)
         s = _load(args)
-        r = build_reeb(s, epsilon)
+        r = build_reeb(s, args.epsilon)
         fmt = "graphml" if args.graphml else "dot" if args.dot else "json"
         _emit(serialize_graph(r, fmt), args.output)
         return 0
 
     if args.command == "metrics":
-        epsilon = _check_epsilon(args.epsilon)
         s = _load(args)
-        report = compute_metrics(build_reeb(s, epsilon))
+        report = compute_metrics(build_reeb(s, args.epsilon))
         if args.output and args.output.lower().endswith(".csv"):
             payload = reports_to_csv([report]).encode("utf-8")
         else:
@@ -194,9 +185,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "export-schedule":
-        epsilon = _check_epsilon(args.epsilon)
         s = _load(args)
-        schedule = detect_all_events(s, epsilon)
+        schedule = detect_all_events(s, args.epsilon)
         _emit(schedule.to_jsonl().encode("utf-8"), args.output)
         return 0
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Point3, Trajectory, TrajectorySet
+from .geometry import Point3, Trajectory, TrajectorySet, _check_epsilon
 
 
 class EventKind(enum.IntEnum):
@@ -203,8 +203,7 @@ class EventSchedule:
 
 def pairwise_events(t1: Trajectory, t2: Trajectory, epsilon: float) -> list[Event]:
     """Connect/disconnect events for one pair over their common step range."""
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if t1.id == t2.id:
         raise ContractError("pairwise_events needs two distinct trajectories")
     schedule = _detect(TrajectorySet((t1, t2)), [epsilon])[0]
@@ -254,8 +253,6 @@ class _StepIndex:
 
     def __init__(self, s: TrajectorySet):
         ts, self.ids, self.start, self.end = _in_id_order(s)
-        if self.ids[-1] >= 1 << 31:
-            raise ContractError("trajectory ids must fit in 31 bits")
         views = [t.points for t in ts]
         shared = _shared_rows(views)
         if shared is None:
@@ -531,8 +528,8 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     """
     if len(s) == 0:
         raise ValueError("trajectory set is empty")
-    if not all(e > 0 for e in epsilons):
-        raise ValueError("epsilon must be positive")
+    for e in epsilons:
+        _check_epsilon(e)
     index = _StepIndex(s)
     n = len(s)
 

@@ -27,9 +27,6 @@ class Point3(NamedTuple):
     y: float
     z: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 def as_point(p) -> Point3:
     """Coerce a length-3 sequence or array into a Point3."""
@@ -54,14 +51,22 @@ def distance(p, q) -> float:
     return math.sqrt(squared_distance(p, q))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The one rule for a grouping radius: positive and finite."""
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be positive")
+    # an infinite epsilon would reach the JSON as a bare inf or Infinity token
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+
+
 def eps_connected(p, q, epsilon: float) -> bool:
     """True iff d(p, q) <= epsilon.  The boundary d == epsilon is connected.
 
     Implemented as ``d^2 <= epsilon^2`` so that all code paths (scalar,
     vectorized, gridded) agree bit-for-bit on ties.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return squared_distance(p, q) <= epsilon * epsilon
 
 
@@ -85,8 +90,9 @@ class Trajectory:
             raise ValueError(f"trajectory {self.id}: needs at least 2 points")
         if not np.isfinite(pts).all():
             raise ValueError(f"trajectory {self.id}: non-finite coordinate")
-        if self.id < 0:
-            raise ValueError("trajectory id must be non-negative")
+        # ids are held in int64 columns
+        if not (0 <= self.id < 1 << 63):
+            raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63")
         if self.start_step < 0:
             raise ValueError("start_step must be non-negative")
         # a row-reversed view, as reversed() makes, is kept as it is: it
@@ -184,7 +190,6 @@ class Config:
     orient_align: bool = False
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         if self.resample_delta is not None and not (self.resample_delta > 0):
             raise ValueError("resample_delta must be positive")

@@ -39,7 +39,7 @@ import networkx as nx
 import numpy as np
 
 from .events import _detect
-from .geometry import TrajectorySet
+from .geometry import TrajectorySet, _check_epsilon
 from .io import fmt17
 from .reeb import ReebGraph, build_reeb
 
@@ -247,8 +247,6 @@ def sweep(s: TrajectorySet, epsilons) -> list[MetricsReport]:
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilon must be positive")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
     schedules = _detect(s, eps)
@@ -330,6 +328,7 @@ def reports_from_csv(text: str) -> list[MetricsReport]:
         report = MetricsReport(*(read(c) for (_, read), c in zip(_CELLS, cells)))
         if not all(math.isfinite(v) for v in report.values()):
             raise ValueError(f"report csv row has a non-finite cell: {row!r}")
+        _check_epsilon(report.epsilon)
         out.append(report)
     return out
 

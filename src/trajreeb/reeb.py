@@ -40,7 +40,7 @@ from .errors import ContractError, InvalidTransitionError
 from .events import (
     Event, EventKind, EventSchedule, detect_all_events, _hits, _in_id_order, _LOW31, _StepIndex,
 )
-from .geometry import Point3, TrajectorySet
+from .geometry import Point3, TrajectorySet, _check_epsilon
 
 
 class VertexKind(enum.Enum):
@@ -115,13 +115,6 @@ class ReebGraph:
 
     def incident_edges(self, vid: int) -> list[ReebEdge]:
         return self.edges_in(vid) + self.edges_out(vid)
-
-    @property
-    def trajectory_ids(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            out |= e.members
-        return out
 
     def appear_vertex(self, tid: int) -> ReebVertex:
         try:
@@ -346,8 +339,7 @@ def build_reeb(
     """Construct the Reeb graph of a trajectory set at one epsilon."""
     if len(s) == 0:
         raise ValueError("trajectory set is empty")
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if schedule is None:
         schedule = detect_all_events(s, epsilon)
     rp = _Replay(s)
@@ -388,8 +380,7 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     """
     if len(s) == 0:
         raise ValueError("trajectory set is empty")
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import ContractError, FormatError
-from .geometry import Point3
+from .geometry import Point3, _check_epsilon
 from .io import fmt17
 from .reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
@@ -62,6 +62,7 @@ def graph_from_json(text: str | bytes) -> ReebGraph:
         raise FormatError(f"reeb json: {exc}") from None
     try:
         epsilon = float(obj["epsilon"])
+        _check_epsilon(epsilon)  # json.loads takes NaN and Infinity tokens
         metadata = {str(k): str(v) for k, v in obj.get("metadata", {}).items()}
         vertices = []
         for i, v in enumerate(obj["vertices"]):
@@ -84,9 +85,7 @@ def graph_from_json(text: str | bytes) -> ReebGraph:
             edges.append(ReebEdge(i, u, v, members, (k1, k2)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"reeb json: malformed document ({exc})") from None
-    r = ReebGraph(tuple(vertices), tuple(edges), epsilon, metadata)
-    _check(r)
-    return r
+    return ReebGraph(tuple(vertices), tuple(edges), epsilon, metadata)
 
 
 _GRAPHML_KEYS = (

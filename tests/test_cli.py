@@ -94,13 +94,27 @@ def test_reeb_json_deep_nesting_is_format_error():
         graph_from_json("[" * 100_000)
 
 
-@pytest.mark.parametrize("end", ["u", "v"])
-def test_reeb_json_edge_to_unknown_vertex_is_format_error(pair_set, end):
-    """Outside input naming no vertex is malformed input, not an internal
-    contract violation."""
+@pytest.mark.parametrize("key", ["u", "v", "members"])
+def test_reeb_json_edge_to_unknown_vertex_is_format_error(pair_set, key):
+    """Outside input naming no vertex, or an edge with no members, is
+    malformed input, not an internal contract violation."""
     obj = json.loads(graph_to_json(tr.build_reeb(pair_set, 1.5)))
-    obj["edges"][0][end] = len(obj["vertices"])
-    with pytest.raises(tr.FormatError, match="unknown vertex"):
+    if key == "members":
+        obj["edges"][0]["members"], match = [], "empty members"
+    else:
+        obj["edges"][0][key], match = len(obj["vertices"]), "unknown vertex"
+    with pytest.raises(tr.FormatError, match=match):
+        graph_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_reeb_json_bad_epsilon_is_format_error(pair_set, epsilon):
+    """The reader holds epsilon to build_reeb's rule: json.loads takes the
+    NaN and Infinity tokens, which graph_to_json cannot write back."""
+    obj = json.loads(graph_to_json(tr.build_reeb(pair_set, 1.5)))
+    obj["epsilon"] = epsilon
+    with pytest.raises(tr.FormatError, match="epsilon must be"):
         graph_from_json(json.dumps(obj))
 
 
@@ -175,6 +189,30 @@ def test_infinite_epsilon_exits_1(pair_csv, tmp_path, capsys, command):
 def test_unknown_flag_exits_1(pair_csv, capsys):
     assert run(["build", "--input", str(pair_csv), "--epsilon", "1", "--frobnicate"]) == 1
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("extra, stderr", [
+    ([], None),
+    (["--frobnicate"], "unrecognized arguments"),
+    (["--epsilon", "inf"], "epsilon must be finite"),
+], ids=["build", "unknown-flag", "infinite-epsilon"])
+def test_main_entry_point(tmp_path, extra, stderr):
+    """`python -m trajreeb.cli` runs main(), the target of the installed
+    `trajreeb` script: its exit code is run()'s, and an input error is one
+    stderr line."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_bundle(8, 12, seed=1)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajreeb.cli", "build", "--input", str(tck),
+         "--epsilon", "1.2", *extra],
+        env=env, capture_output=True, text=True, timeout=60)
+    if stderr is None:
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert graph_to_json(graph_from_json(proc.stdout)) == proc.stdout
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and stderr in proc.stderr
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -288,6 +326,21 @@ def test_compare_non_finite_cell_exits_1(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-finite" in err and rows[2] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1"])
+def test_compare_non_positive_epsilon_exits_1(tmp_path, capsys, epsilon):
+    """Report CSVs hold epsilon to the rule of every other entry point, even
+    when both cohorts agree on it."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    reports = [tr.MetricsReport(1.0, 2, 1, 0.1 * i, 0.0, 0.2, 0.5) for i in range(3)]
+    header, *rows = tr.reports_to_csv(reports).splitlines()
+    text = "\n".join([header] + [epsilon + r[r.index(","):] for r in rows]) + "\n"
+    a.write_text(text)
+    b.write_text(text)
+    assert run(["compare", "--cohort-a", str(a), "--cohort-b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "epsilon must be positive" in err
 
 
 def test_build_resample_and_orient(pair_csv, tmp_path):

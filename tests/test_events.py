@@ -9,7 +9,10 @@ import trajreeb as tr
 from trajreeb import events
 from trajreeb.events import EventKind, _detect
 
-from oracles import oracle_grid_detect, oracle_pairwise_events, oracle_schedule, random_instance
+from oracles import (
+    oracle_canonical, oracle_grid_detect, oracle_pairwise_events, oracle_schedule, random_instance,
+    step_partition,
+)
 
 
 def kinds_steps(events):
@@ -76,9 +79,29 @@ def test_pairwise_events_contract():
     for epsilon in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             tr.pairwise_events(a, tr.Trajectory(1, np.ones((3, 3))), epsilon)
-    # ids past 31 bits are refused as by whole-set detection
-    with pytest.raises(tr.ContractError, match="31 bits"):
-        tr.pairwise_events(a, tr.Trajectory(1 << 31, np.ones((3, 3))), 1.0)
+
+
+def test_ids_past_31_bits_match_the_oracles():
+    """Pairs are coded by step-index row, not by id, so any id a Trajectory
+    accepts (below 2**63, the int64 column width) detects, replays and
+    groups as the oracles do.  Each instance's ids run in steps of 7 across
+    2**31, 2**40 or 2**62, in an order unrelated to the set's."""
+    rng = np.random.default_rng(63)
+    for i in range(40):
+        trajs, eps = random_instance(rng, n_range=(5, 20), m_range=(8, 30))
+        base = (1 << 31, 1 << 40, 1 << 62)[i % 3] - 21
+        perm = rng.permutation(len(trajs)).tolist()
+        plain = [(base + 7 * j, pts, start) for j, (_, pts, start) in zip(perm, trajs)]
+        s = tr.TrajectorySet(tuple(tr.Trajectory(*t) for t in plain))
+        assert tr.detect_all_events(s, eps) == oracle_schedule(plain, eps)
+        assert tr.build_reeb(s, eps).canonical_form() == oracle_canonical(plain, eps)
+        kmin, kmax = s.step_range
+        for k in range(kmin, kmax + 1):
+            assert tr.groups_at_step(s, eps, k) == step_partition(plain, eps, k)
+    top = tr.Trajectory((1 << 63) - 1, np.zeros((3, 3)))
+    assert tr.groups_at_step(tr.TrajectorySet((top,)), 1.0, 0) == [frozenset({top.id})]
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        tr.Trajectory(1 << 63, np.zeros((3, 3)))
 
 
 def test_detect_single_trajectory():

@@ -39,6 +39,33 @@ def test_eps_requires_positive_epsilon():
         tr.eps_connected((0, 0, 0), (1, 0, 0), 0.0)
 
 
+ENTRY_POINTS = {
+    "build_reeb": lambda s, e: tr.build_reeb(s, e),
+    "build_reeb_schedule": lambda s, e: tr.build_reeb(s, e, schedule=tr.detect_all_events(s, 1.5)),
+    "detect_all_events": lambda s, e: tr.detect_all_events(s, e),
+    "pairwise_events": lambda s, e: tr.pairwise_events(*s.trajectories, e),
+    "groups_at_step": lambda s, e: tr.groups_at_step(s, e, 2),
+    "sweep": lambda s, e: tr.sweep(s, [e]),
+    "eps_connected": lambda s, e: tr.eps_connected((0, 0, 0), (1, 0, 0), e),
+    "Config": lambda s, e: tr.Config(epsilon=e),
+}
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    (0.0, "epsilon must be positive"),
+    (-1.0, "epsilon must be positive"),
+    (float("nan"), "epsilon must be positive"),
+    (float("inf"), "epsilon must be finite"),
+], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_epsilon(pair_set, entry, epsilon, message):
+    """One rule, positive and finite, with the CLI's messages: an infinite
+    epsilon would reach the Reeb JSON and the sweep CSV as a token their
+    readers refuse."""
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](pair_set, epsilon)
+
+
 @given(points, points)
 def test_distance_nonnegative_and_symmetric(p, q):
     d = tr.distance(p, q)
