@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -87,6 +88,28 @@ def test_empty_members_edge_refused():
     bad = ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset(), (0, 1)),), 1.0, {})
     with pytest.raises(ContractError, match="empty members"):
         graph_to_json(bad)
+
+
+# sha256 of each writer's bytes; any change to vertex order, edge order,
+# member order or number formatting shows here
+GOLDEN_GRAPH_DIGESTS = {
+    ("bundle", "json"): "08c75a2809aad71be1f8076375d52cc822394b9668252c070ccacd6ee1e917b0",
+    ("bundle", "graphml"): "696662facc6178428f4656c134e8827614726aceb0bc4281375b6bbd8ee1de1d",
+    ("bundle", "dot"): "34402666df88710f9017cf3f235e2d531697d0c3d9300d7e917c2f27794bc39a",
+    ("pair_csv", "json"): "b49cfc2a0e4b96df6b5101caf23835abac09a6b33a38ce8fa4a0c723be89f73b",
+    ("pair_csv", "graphml"): "0bdde70389f5e15d4deaad6ab6f5f45ceff737805e529a4d49aa6e2c529dd05c",
+    ("pair_csv", "dot"): "50d9b507e4297095d808f6f450b688dd4bc60793beb5ead1cdf958d3a5b2d070",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(GOLDEN_GRAPH_DIGESTS))
+def test_graph_bytes_golden(case, fmt):
+    if case == "bundle":
+        r = tr.build_reeb(tr.make_bundle(60, 40, seed=4), 1.2)
+    else:
+        r = tr.build_reeb(tr.parse(PAIR_CSV.encode(), tr.FileFormat.CSV), 1.5)
+    digest = hashlib.sha256(tr.serialize_graph(r, fmt)).hexdigest()
+    assert digest == GOLDEN_GRAPH_DIGESTS[case, fmt]
 
 
 def test_reeb_json_deep_nesting_is_format_error():
