@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import sys
 
 from .errors import ContractError, TrajreebError
 from .events import detect_all_events
 from .geometry import Config, TrajectorySet, _check_epsilon
-from .io import FileFormat, format_from_path, parse, prepare
+from .io import _CHUNK, FileFormat, format_from_path, parse, prepare
 from .metrics import (
     compare_cohorts,
     comparison_to_json,
@@ -111,13 +112,19 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _load(args) -> TrajectorySet:
+    """The prepared set of the input file, which is hashed and decoded a
+    chunk at a time."""
+    digest = hashlib.sha256()
     try:
         with open(args.input, "rb") as fh:
-            data = fh.read()
+            fmt = FileFormat(args.format) if args.format else format_from_path(args.input)
+            # a pipe cannot be read twice, so its bytes are held instead
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            for chunk in iter(lambda: source.read(_CHUNK), b""):
+                digest.update(chunk)
+            s = parse(source, fmt)
     except OSError as exc:
         raise TrajreebError(f"cannot read {args.input}: {exc.strerror}") from None
-    fmt = FileFormat(args.format) if args.format else format_from_path(args.input)
-    s = parse(data, fmt)
     if len(s) == 0:
         raise TrajreebError(f"{args.input}: no usable trajectories")
     config = Config(
@@ -128,7 +135,7 @@ def _load(args) -> TrajectorySet:
     s = prepare(s, config)
     meta = dict(s.metadata)
     meta["input"] = args.input
-    meta["input_sha256"] = hashlib.sha256(data).hexdigest()
+    meta["input_sha256"] = digest.hexdigest()
     if args.resample is not None:
         meta["resample_delta"] = repr(float(args.resample))
     if args.orient_align:

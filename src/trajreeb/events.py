@@ -262,12 +262,16 @@ class _StepIndex:
         self.points, first, self.sign = shared
         self.offset = first - self.sign * self.start
 
+    def rows_at(self, rows: np.ndarray, k) -> np.ndarray:
+        """The points of these rows at step k, one step or one per row, as
+        an (n, 3) array."""
+        return self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0)
+
     def at(self, rows: np.ndarray, k: int) -> np.ndarray:
         """The points at step k of these rows, as a (3, n) array."""
         # one transposed copy of the gathered rows: a take along axis 1 of
         # points.T would copy the whole array
-        return np.ascontiguousarray(
-            self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0).T)
+        return np.ascontiguousarray(self.rows_at(rows, k).T)
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows active at step k, in id order, and their points as a

@@ -60,6 +60,15 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
 
 
+def _check_resample_delta(delta: float) -> None:
+    """The rule for a resampling spacing: positive and finite."""
+    if not (delta > 0):
+        raise ValueError("resample_delta must be positive")
+    # an infinite spacing would reach numpy as inf * 0
+    if not math.isfinite(delta):
+        raise ValueError(f"resample_delta must be finite, got {delta!r}")
+
+
 def eps_connected(p, q, epsilon: float) -> bool:
     """True iff d(p, q) <= epsilon.  The boundary d == epsilon is connected.
 
@@ -191,5 +200,5 @@ class Config:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if self.resample_delta is not None and not (self.resample_delta > 0):
-            raise ValueError("resample_delta must be positive")
+        if self.resample_delta is not None:
+            _check_resample_delta(self.resample_delta)

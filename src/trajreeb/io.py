@@ -1,8 +1,9 @@
 """Trajectory file ingestion and preprocessing.
 
-Readers accept raw bytes and return a :class:`TrajectorySet` with ids
-reassigned 0..n-1 in file order.  Streamlines with fewer than two points are
-dropped and tallied in ``metadata["dropped_short"]``.
+Readers accept a file's bytes or the open file and return a
+:class:`TrajectorySet` with ids reassigned 0..n-1 in file order.
+Streamlines with fewer than two points are dropped and tallied in
+``metadata["dropped_short"]``.
 
 Formats:
 
@@ -31,14 +32,16 @@ from __future__ import annotations
 
 import bisect
 import enum
+import io
 import json
 import math
 import re
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import FormatError, ParseError, UnsupportedFormatError
-from .geometry import Config, Trajectory, TrajectorySet, distance
+from .geometry import Config, Trajectory, TrajectorySet, _check_resample_delta, distance
 
 
 class FileFormat(enum.Enum):
@@ -60,16 +63,29 @@ def format_from_path(path: str) -> FileFormat:
     raise FormatError(f"cannot infer format from file name {path!r}")
 
 
-def parse(data: bytes, fmt: FileFormat) -> TrajectorySet:
-    """Decode trajectory file bytes into a TrajectorySet."""
-    if not data:
+# bytes per read of a file: hashing, the TCK header search and the TCK
+# payload decode read this much at a time
+_CHUNK = 1 << 20
+
+
+def parse(data: bytes | BinaryIO, fmt: FileFormat) -> TrajectorySet:
+    """Decode a trajectory file into a TrajectorySet.
+
+    `data` is the file's bytes, or the file itself open in binary mode and
+    seekable, which is read from its start.  A TCK file is decoded a chunk
+    at a time into the point array, without holding its bytes.
+    """
+    source = io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    size = source.seek(0, io.SEEK_END)
+    source.seek(0)
+    if not size:
         raise FormatError("empty input")
     if fmt is FileFormat.TCK:
-        return _parse_tck(data)
+        return _parse_tck(source, size)
     if fmt is FileFormat.CSV:
-        return _parse_csv(data)
+        return _parse_csv(source.read())
     if fmt is FileFormat.JSON:
-        return _parse_json(data)
+        return _parse_json(source.read())
     raise FormatError(f"unknown format {fmt!r}")
 
 
@@ -101,12 +117,25 @@ _TCK_END = re.compile(rb"^[ \t]*END[ \t]*\r?$", re.MULTILINE)
 _TCK_DTYPES = {"Float32LE": "<f4", "Float32BE": ">f4", "Float64LE": "<f8", "Float64BE": ">f8"}
 
 
-def _parse_tck(data: bytes) -> TrajectorySet:
-    end = _TCK_END.search(data)
-    if end is None:
-        raise FormatError("tck header: missing END")
+def _tck_header(fh: BinaryIO, size: int) -> tuple[dict[str, str], np.dtype, int]:
+    """The header fields of a TCK file of `size` bytes, its payload's dtype
+    and the payload's offset; reads the file from its start up to at least
+    the END line."""
+    head = bytearray()
+    while True:
+        # a match that ends where the bytes read so far end may go on
+        # in the next read, so the search resumes at that line's start
+        line = head.rfind(b"\n") + 1
+        chunk = fh.read(_CHUNK)
+        head += chunk
+        end = _TCK_END.search(head, line)
+        whole = not chunk or len(head) >= size
+        if end is not None and (end.end() < len(head) or whole):
+            break
+        if whole:
+            raise FormatError("tck header: missing END")
     try:
-        header_text = data[:end.start()].decode("ascii")
+        header_text = head[:end.start()].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"tck header: not ascii ({exc})") from None
     lines = header_text.splitlines()
@@ -142,24 +171,32 @@ def _parse_tck(data: bytes) -> TrajectorySet:
         offset = int(parts[1])
     except ValueError:
         raise FormatError(f"tck header: malformed field 'file' ({file_field!r})") from None
-    if offset < 0 or offset > len(data):
+    if offset < 0 or offset > size:
         raise FormatError(f"tck header: field 'file' offset {offset} out of range")
     # the END line ends at its newline, or at the end of the file
-    header_end = min(end.end() + 1, len(data))
+    header_end = min(end.end() + 1, size)
     if offset < header_end:
         raise FormatError(
             f"tck header: field 'file' offset {offset} lies inside the header "
             f"({header_end} bytes)"
         )
-
-    size = len(data) - offset
-    if size % (3 * dtype.itemsize) != 0:
+    if (size - offset) % (3 * dtype.itemsize) != 0:
         raise FormatError(f"tck payload: length is not a whole number of {datatype} triplets")
-    if size == 0:
+    if size == offset:
         raise FormatError("tck payload: empty")
-    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
-        rows = np.frombuffer(data, dtype=dtype, offset=offset).reshape(-1, 3).astype(np.float64)
+    return fields, dtype, offset
 
+
+def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
+    fields, dtype, offset = _tck_header(fh, size)
+    triplet = 3 * dtype.itemsize
+    rows = np.empty(((size - offset) // triplet, 3))
+    per_read = _CHUNK // triplet
+    fh.seek(offset)
+    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
+        for lo in range(0, rows.shape[0], per_read):
+            rows[lo:lo + per_read] = np.frombuffer(fh.read(per_read * triplet),
+                                                   dtype=dtype).reshape(-1, 3)
     # the rows holding a non-finite coordinate: separators, terminators and
     # bad points; one column at a time keeps the temporaries to P booleans
     finite = np.isfinite(rows[:, 0])
@@ -343,8 +380,7 @@ def _resample(trajs, delta: float) -> list[Trajectory]:
     second recomputes each trajectory's arc lengths as it fills it: holding
     every trajectory's arc lengths and targets instead costs ~16 bytes a
     point at the build's peak."""
-    if not (delta > 0):
-        raise ValueError("delta must be positive")
+    _check_resample_delta(delta)
     sizes = [len(_arc_targets(t, delta)[1]) + 1 for t in trajs]
     out = np.empty((sum(sizes), 3))
     stops = np.cumsum(sizes).tolist()

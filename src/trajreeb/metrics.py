@@ -215,13 +215,13 @@ def _shortest_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
 
 def compute_metrics(r: ReebGraph) -> MetricsReport:
     """Feature vector of one Reeb graph."""
-    if not r.vertices:
+    n = r._step.shape[0]
+    if not n:
         raise ValueError("cannot compute metrics of an empty graph")
-    n = len(r.vertices)
-    ends = np.array([(e.u, e.v) for e in r.edges], dtype=np.int64).reshape(-1, 2)
+    ends = np.stack((r._u, r._v), axis=1)
     bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
     if bad.size:
-        raise ValueError(f"edge {r.edges[bad[0]].id} references unknown vertex")
+        raise ValueError(f"edge {bad[0]} references unknown vertex")
     # the simple graph: distinct (u <= v) pairs, sorted, with ids as positions
     codes = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
     ends = np.stack(divmod(codes, n), axis=1).astype(np.int32)

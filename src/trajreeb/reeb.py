@@ -26,20 +26,30 @@ gapless path from its Appear vertex to its Disappear vertex.
 Vertex locations are real input coordinates: the witness (the lowest
 trajectory id in the affected group) contributes its point at the event
 step.
+
+A :class:`ReebGraph` is stored as columns.  Each vertex has a step, a kind,
+a witness and a row of one (V, 3) location array; each edge has its ends u
+and v and its interval k1..k2.  The members of all edges share one arena of
+int32 ranks into the sorted member ids, which order as the ids do: edge e's
+members, in id order, are ``ids[members[first[e]:first[e + 1]]]``.  The
+replay keeps each open group as a sorted run of ranks: a merge concatenates
+the groups' runs and sorts them, a split partitions a run by its component
+labels, and a closed group's run is the edge's run of the arena.  No set is
+built per edge.  The :class:`ReebVertex` and :class:`ReebEdge` objects are
+made only when asked for; the writers and the metrics read the columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .connectivity import component_roots
 from .errors import ContractError, InvalidTransitionError
-from .events import (
-    Event, EventKind, EventSchedule, detect_all_events, _hits, _in_id_order, _LOW31, _StepIndex,
-)
+from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _LOW31, _StepIndex
 from .geometry import Point3, TrajectorySet, _check_epsilon
 
 
@@ -51,6 +61,11 @@ class VertexKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# a vertex's kind is stored as its position in this tuple
+_KINDS = tuple(VertexKind)
+_APPEAR, _MERGE, _SPLIT, _DISAPPEAR = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -80,61 +95,149 @@ class ReebEdge:
         return self.interval[0] <= k <= self.interval[1]
 
 
-@dataclass(frozen=True)
-class ReebGraph:
-    vertices: tuple[ReebVertex, ...]
-    edges: tuple[ReebEdge, ...]
-    epsilon: float
-    metadata: dict = field(default_factory=dict)
+# the columns of a ReebGraph and their types, in the order _from_columns
+# takes them
+_COLUMNS = {"_step": np.int64, "_kind": np.int8, "_witness": np.int64, "_location": np.float64,
+            "_u": np.int64, "_v": np.int64, "_k1": np.int64, "_k2": np.int64,
+            "_first": np.int64, "_members": np.int32, "_ids": np.int64}
 
-    def __post_init__(self):
-        by_vertex_out: dict[int, list[ReebEdge]] = {}
-        by_vertex_in: dict[int, list[ReebEdge]] = {}
-        for e in self.edges:
-            by_vertex_out.setdefault(e.u, []).append(e)
-            by_vertex_in.setdefault(e.v, []).append(e)
-        appear: dict[int, ReebVertex] = {}
-        for v in self.vertices:
-            if v.kind is VertexKind.APPEAR:
-                appear.setdefault(v.witness, v)
-        object.__setattr__(self, "_out", by_vertex_out)
-        object.__setattr__(self, "_in", by_vertex_in)
-        object.__setattr__(self, "_appear", appear)
+
+class ReebGraph:
+    """A Reeb graph held as columns (see the module docstring).
+
+    ``ReebGraph(vertices, edges, epsilon, metadata)`` stores
+    :class:`ReebVertex` and :class:`ReebEdge` objects, each of whose ids
+    must be its position.  ``vertices`` and ``edges`` give such objects
+    back, made on first access; the other lookups read the columns.
+    """
+
+    def __init__(self, vertices, edges, epsilon: float, metadata: dict | None = None):
+        vs, es = tuple(vertices), tuple(edges)
+        if any(x.id != i for xs in (vs, es) for i, x in enumerate(xs)):
+            raise ValueError("each vertex and edge id must be its position")
+        first = np.cumsum([0, *(len(e.members) for e in es)])
+        members = np.fromiter((t for e in es for t in sorted(e.members)), np.int64, int(first[-1]))
+        ids = np.unique(members)
+        self._store(
+            [v.step for v in vs], [_KINDS.index(v.kind) for v in vs], [v.witness for v in vs],
+            np.array([tuple(v.location) for v in vs], dtype=np.float64).reshape(-1, 3),
+            [e.u for e in es], [e.v for e in es],
+            [e.interval[0] for e in es], [e.interval[1] for e in es],
+            first, ids.searchsorted(members), ids, epsilon, metadata)
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "ReebGraph":
+        """A graph of these columns (see ``_COLUMNS``), then epsilon and
+        metadata."""
+        r = cls.__new__(cls)
+        r._store(*columns)
+        return r
+
+    def _store(self, *columns) -> None:
+        *arrays, self.epsilon, metadata = columns
+        for (name, dtype), values in zip(_COLUMNS.items(), arrays):
+            a = np.asarray(values, dtype=dtype)
+            a.flags.writeable = False
+            setattr(self, name, a)
+        self.metadata = dict(metadata or {})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReebGraph):
+            return NotImplemented
+        # two graphs may rank the same members among different ids
+        same = [np.array_equal(getattr(self, c), getattr(other, c))
+                for c in _COLUMNS if c not in ("_members", "_ids")]
+        return (self.epsilon == other.epsilon and self.metadata == other.metadata and all(same)
+                and np.array_equal(self._ids[self._members], other._ids[other._members]))
+
+    __hash__ = None
+
+    @cached_property
+    def vertices(self) -> tuple[ReebVertex, ...]:
+        return tuple(map(self.vertex, range(len(self._step))))
+
+    @cached_property
+    def edges(self) -> tuple[ReebEdge, ...]:
+        return tuple(map(self.edge, range(len(self._u))))
 
     def vertex(self, vid: int) -> ReebVertex:
-        return self.vertices[vid]
+        i = range(len(self._step))[vid]
+        x, y, z = self._location[i].tolist()
+        return ReebVertex(i, int(self._step[i]), _KINDS[self._kind[i]], Point3(x, y, z),
+                          int(self._witness[i]))
 
     def edge(self, eid: int) -> ReebEdge:
-        return self.edges[eid]
+        i = range(len(self._u))[eid]
+        return ReebEdge(i, int(self._u[i]), int(self._v[i]),
+                        frozenset(self._ids[self._run(i)].tolist()),
+                        (int(self._k1[i]), int(self._k2[i])))
+
+    def _run(self, eid: int) -> np.ndarray:
+        """The sorted member ranks of edge eid."""
+        return self._members[self._first[eid]:self._first[eid + 1]]
+
+    def _holds(self, eid: int, tid: int) -> bool:
+        """Whether edge eid holds trajectory tid."""
+        rank = int(self._ids.searchsorted(tid))
+        run = self._run(eid)
+        i = int(run.searchsorted(rank))
+        return i < run.shape[0] and int(run[i]) == rank and int(self._ids[rank]) == tid
+
+    @cached_property
+    def _by_end(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For the u and the v column: the edge ids sorted stably by it, and
+        its values in that order."""
+        ends = (self._u, self._v)
+        orders = [end.argsort(kind="stable") for end in ends]
+        return [(order, end[order]) for order, end in zip(orders, ends)]
+
+    def _incident(self, end: int, vid: int) -> list[int]:
+        """The ids of the edges whose u (end 0) or v (end 1) is vid, in
+        id order."""
+        order, at = self._by_end[end]
+        return order[at.searchsorted(vid):at.searchsorted(vid, side="right")].tolist()
+
+    def _next(self, vid: int, tid: int) -> list[int]:
+        """The ids of the edges out of vertex vid that hold trajectory tid."""
+        return [e for e in self._incident(0, vid) if self._holds(e, tid)]
 
     def edges_out(self, vid: int) -> list[ReebEdge]:
-        return list(self._out.get(vid, ()))
+        return [self.edge(e) for e in self._incident(0, vid)]
 
     def edges_in(self, vid: int) -> list[ReebEdge]:
-        return list(self._in.get(vid, ()))
+        return [self.edge(e) for e in self._incident(1, vid)]
 
     def incident_edges(self, vid: int) -> list[ReebEdge]:
         return self.edges_in(vid) + self.edges_out(vid)
 
+    @cached_property
+    def _appear(self) -> dict[int, int]:
+        """The first Appear vertex of each witness, by witness."""
+        out: dict[int, int] = {}
+        rows = np.flatnonzero(self._kind == _APPEAR)
+        for vid, tid in zip(rows.tolist(), self._witness[rows].tolist()):
+            out.setdefault(tid, vid)
+        return out
+
     def appear_vertex(self, tid: int) -> ReebVertex:
         try:
-            return self._appear[tid]
+            return self.vertex(self._appear[tid])
         except KeyError:
             raise KeyError(f"no appear vertex for trajectory {tid}") from None
 
     def trajectory_path(self, tid: int) -> list[ReebEdge]:
         """Edges containing `tid`, in step order from Appear to Disappear."""
         cur = self.appear_vertex(tid).id
-        path: list[ReebEdge] = []
+        path: list[int] = []
         while True:
-            nxt = [e for e in self._out.get(cur, ()) if tid in e.members]
+            nxt = self._next(cur, tid)
             if not nxt:
                 break
             if len(nxt) > 1:
                 raise ContractError(f"trajectory {tid} has a branching path at vertex {cur}")
             path.append(nxt[0])
-            cur = nxt[0].v
-        return path
+            cur = int(self._v[nxt[0]])
+        return [self.edge(e) for e in path]
 
     def edges_at_step(self, k: int) -> list[ReebEdge]:
         """Edges whose closed interval contains step k.
@@ -142,7 +245,7 @@ class ReebGraph:
         At a boundary step both the closing and the opened edges qualify;
         interior steps see exactly one edge per trajectory.
         """
-        return [e for e in self.edges if e.covers(k)]
+        return [self.edge(e) for e in np.flatnonzero((self._k1 <= k) & (k <= self._k2)).tolist()]
 
     def covering_groups(self, k: int) -> list[frozenset[int]]:
         """Maximal member sets among the edges covering step k.
@@ -157,89 +260,86 @@ class ReebGraph:
 
     def canonical_form(self):
         """Id-independent structure summary used for oracle comparison."""
-        verts = []
-        for v in self.vertices:
-            incident = tuple(
-                sorted(tuple(sorted(e.members)) for e in self.incident_edges(v.id))
-            )
-            verts.append((v.step, str(v.kind), incident))
-        verts.sort()
-        edges = sorted((e.interval, tuple(sorted(e.members))) for e in self.edges)
+        runs = [tuple(self._ids[self._run(e)].tolist()) for e in range(len(self._u))]
+        verts = sorted(
+            (step, str(_KINDS[kind]),
+             tuple(sorted(runs[e] for end in (1, 0) for e in self._incident(end, vid))))
+            for vid, (step, kind) in enumerate(zip(self._step.tolist(), self._kind.tolist())))
+        edges = sorted(zip(zip(self._k1.tolist(), self._k2.tolist()), runs))
         return tuple(verts), tuple(edges)
 
 
-def _components(root: np.ndarray, labels: list[int]) -> dict[int, np.ndarray]:
-    """The nodes of each component of ``root`` (each node's least node)
-    whose label is in ``labels``, by label."""
-    order = root.argsort(kind="stable")
-    at = root[order]
-    lo, hi = at.searchsorted(labels).tolist(), at.searchsorted(labels, side="right").tolist()
-    return {x: order[i:j] for x, i, j in zip(labels, lo, hi)}
+def _pieces(run: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
+    """The entries of `run` split by their `labels`, by label in increasing
+    order; each piece keeps the entries in run's order."""
+    order = labels.argsort(kind="stable")
+    at = labels[order]
+    cuts = np.flatnonzero(at[1:] != at[:-1]) + 1
+    bounds = [0, *cuts.tolist(), at.shape[0]] if at.shape[0] else []
+    return {int(at[i]): run[order[i:j]] for i, j in zip(bounds, bounds[1:])}
 
 
 class _Replay:
-    """Replays an event schedule into Reeb vertices and edges.
+    """Replays an event schedule into the columns of a Reeb graph.
 
     Trajectories are numbered by the ranks of their ids, which order as the
-    ids do.  ``cur`` holds the step graph's pairs as sorted codes
-    (rank << 31) + rank.  The open groups are the components of the graph
-    after each phase, and each is labelled by its least member: ``group``
-    maps each active rank to its group's label, and ``open`` each label to
-    the group's open edge as (start vertex, members, start step).
+    ids do, and are the rows of ``index``.  ``cur`` holds the step graph's
+    pairs as sorted codes (rank << 31) + rank.  The open groups are the
+    components of the graph after each phase, and each is labelled by its
+    least member: ``group`` maps each active rank to its group's label, and
+    ``open`` each label to the group's open edge as (start vertex, sorted
+    member ranks, start step).
     """
 
     def __init__(self, s: TrajectorySet):
-        self.s = s
-        # each rank's id, first step and last step
-        _, self.ids, self.start, self.end = _in_id_order(s)
+        self.index = _StepIndex(s)
+        self.ids = self.index.ids
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
-        self.open: dict[int, tuple[int, frozenset[int], int]] = {}
+        self.open: dict[int, tuple[int, np.ndarray, int]] = {}
         self.cur = np.empty(0, dtype=np.int64)
-        self.vertices: list[ReebVertex] = []
-        self.edges: list[ReebEdge] = []
+        self.vertices: list[tuple[int, int, int]] = []  # (step, kind, witness rank)
+        self.edges: list[tuple[int, int, int, int]] = []  # (u, v, k1, k2)
+        self.runs: list[np.ndarray] = []  # each edge's sorted member ranks, int32
 
-    def new_vertex(self, kind: VertexKind, step: int, witness: int) -> int:
+    def new_vertex(self, kind: int, step: int, witness: int) -> int:
         """A vertex whose witness is the trajectory of rank `witness`."""
-        vid = len(self.vertices)
-        tid = int(self.ids[witness])
-        self.vertices.append(ReebVertex(vid, step, kind, self.s.by_id(tid).location_at(step), tid))
-        return vid
+        self.vertices.append((step, kind, witness))
+        return len(self.vertices) - 1
 
-    def add_edge(self, u: int, members: frozenset[int], k1: int, v: int, k2: int) -> None:
-        self.edges.append(ReebEdge(len(self.edges), u, v, members, (k1, k2)))
+    def add_edge(self, u: int, members: np.ndarray, k1: int, v: int, k2: int) -> None:
+        self.edges.append((u, v, k1, k2))
+        self.runs.append(members)
+
+    def graph(self, epsilon: float, metadata: dict) -> ReebGraph:
+        """The graph of the vertices and edges made so far."""
+        step, kind, witness = np.array(self.vertices, dtype=np.int64).reshape(-1, 3).T
+        u, v, k1, k2 = np.array(self.edges, dtype=np.int64).reshape(-1, 4).T
+        first = np.cumsum([0, *(run.shape[0] for run in self.runs)])
+        return ReebGraph._from_columns(
+            step, kind, self.ids[witness], self.index.rows_at(witness, step),
+            u, v, k1, k2, first, np.concatenate(self.runs), self.ids, epsilon, metadata)
 
     def close_groups(self, k: int, labels, root: np.ndarray | None,
                      alive: dict[int, set[int]], dead: dict[int, set[int]]) -> None:
         """Close the open groups `labels`, in order of label.
 
-        A group in `alive` splits: its surviving members lie in the
-        components of `root` labelled ``alive[label]``, and its dying ones
-        in those labelled ``dead[label]``, each closed at a Disappear vertex
-        of its own.  The largest surviving piece, the lowest first among
-        equals, is found as the complement, so only the other pieces are
-        built.  Any other group dies whole.
+        A group in `alive` splits into the components of `root` among its
+        members: those labelled ``alive[label]`` survive and open edges,
+        and those labelled ``dead[label]`` die, each closed at a Disappear
+        vertex of its own.  Any other group dies whole.
         """
-        if alive:
-            size = np.bincount(root)
-            big = {g: max(xs, key=lambda x: (size[x], -x)) for g, xs in alive.items()}
-            nodes = _components(root, [x for g, xs in alive.items() for x in xs if x != big[g]]
-                                + [x for xs in dead.values() for x in xs])
-        ids = self.ids
         for g in sorted(labels):
-            u, members, k1 = self.open.pop(g)
-            vid = self.new_vertex(VertexKind.SPLIT if g in alive else VertexKind.DISAPPEAR, k, g)
-            self.add_edge(u, members, k1, vid, k)
+            u, run, k1 = self.open.pop(g)
+            vid = self.new_vertex(_SPLIT if g in alive else _DISAPPEAR, k, g)
+            self.add_edge(u, run, k1, vid, k)
             if g not in alive:
                 continue
-            gone = []
+            pieces = _pieces(run, root[run])
             for x in sorted(dead.get(g, ())):
-                gone.append(frozenset(ids[nodes[x]].tolist()))
-                self.add_edge(vid, gone[-1], k, self.new_vertex(VertexKind.DISAPPEAR, k, x), k)
-            for x in alive[g] - {big[g]}:
-                gone.append(frozenset(ids[nodes[x]].tolist()))
-                self.open[x] = (vid, gone[-1], k)
-            self.open[big[g]] = (vid, members.difference(*gone), k)
+                self.add_edge(vid, pieces[x], k, self.new_vertex(_DISAPPEAR, k, x), k)
+            for x in alive[g]:
+                self.open[x] = (vid, pieces[x], k)
         if root is not None:
             self.group = root
 
@@ -250,8 +350,10 @@ class _Replay:
             raise ContractError(f"appear at step {k}: trajectory already present")
         self.active[ranks] = True
         self.group[ranks] = ranks
-        for x, tid in zip(ranks.tolist(), self.ids[ranks].tolist()):
-            self.open[x] = (self.new_vertex(VertexKind.APPEAR, k, x), frozenset((tid,)), k)
+        # the arena's runs are int32
+        runs = ranks.astype(np.int32)
+        for i, x in enumerate(ranks.tolist()):
+            self.open[x] = (self.new_vertex(_APPEAR, k, x), runs[i:i + 1], k)
 
     def connect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
         if np.count_nonzero(~(self.active[ra] & self.active[rb])):
@@ -275,10 +377,10 @@ class _Replay:
             merged.setdefault(int(root[x]), []).append(x)
         for g, labels in sorted(merged.items()):
             preds = [self.open.pop(x) for x in labels]
-            vid = self.new_vertex(VertexKind.MERGE, k, g)
+            vid = self.new_vertex(_MERGE, k, g)
             for p in preds:
                 self.add_edge(*p, vid, k)
-            self.open[g] = (vid, frozenset().union(*(p[1] for p in preds)), k)
+            self.open[g] = (vid, np.sort(np.concatenate([p[1] for p in preds])), k)
         self.group = root[self.group]
 
     def disconnect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
@@ -314,7 +416,7 @@ class _Replay:
         dying_of: dict[int, list[int]] = {}
         for g, x in zip(self.group[ranks].tolist(), ranks.tolist()):
             dying_of.setdefault(g, []).append(x)
-        partial = [g for g, xs in dying_of.items() if len(xs) < len(self.open[g][1])]
+        partial = [g for g, xs in dying_of.items() if len(xs) < self.open[g][1].shape[0]]
         alive: dict[int, set[int]] = {}
         root = None
         if partial:
@@ -343,17 +445,18 @@ def build_reeb(
     if schedule is None:
         schedule = detect_all_events(s, epsilon)
     rp = _Replay(s)
+    ids, start, end = rp.ids, rp.index.start, rp.index.end
     ends = np.stack((schedule._a, np.where(schedule._b < 0, schedule._a, schedule._b)))
-    ra, rb = at = rp.ids.searchsorted(ends)
-    unknown = ends[rp.ids[np.minimum(at, len(s) - 1)] != ends]
+    ra, rb = at = ids.searchsorted(ends)
+    unknown = ends[ids[np.minimum(at, len(s) - 1)] != ends]
     if unknown.shape[0]:
         raise ContractError(f"schedule names trajectory {unknown[0]}, which is not in the set")
-    outside = (schedule._step < rp.start[at]) | (schedule._step > rp.end[at])
+    outside = (schedule._step < start[at]) | (schedule._step > end[at])
     if outside.any():
         e, side = np.argwhere(outside.T)[0]
         x = at[side, e]
         raise ContractError(f"schedule has an event at step {schedule._step[e]} for trajectory "
-                            f"{rp.ids[x]}, outside its steps [{rp.start[x]}, {rp.end[x]}]")
+                            f"{ids[x]}, outside its steps [{start[x]}, {end[x]}]")
     code = (ra << 31) + rb
     for k, kind, lo, hi in schedule._runs():
         if kind == EventKind.APPEAR:
@@ -365,11 +468,11 @@ def build_reeb(
         else:
             rp.disappear(k, ra[lo:hi])
     if rp.open:
-        left = sorted(x for _, members, _ in rp.open.values() for x in members)
-        raise ContractError(f"groups left open after replay: {left}")
+        left = ids[np.concatenate([run for _, run, _ in rp.open.values()])]
+        raise ContractError(f"groups left open after replay: {sorted(left.tolist())}")
     metadata = dict(s.metadata)
     metadata["n_trajectories"] = str(len(s))
-    return ReebGraph(tuple(rp.vertices), tuple(rp.edges), float(epsilon), metadata)
+    return rp.graph(float(epsilon), metadata)
 
 
 def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[int]]:
@@ -390,8 +493,7 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     ii, jj, _ = _hits(xyz, epsilon)
     root = component_roots(ids.shape[0], ii, jj)
     # rows are in id order, so the labels (least rows) are in least-id order
-    labels = np.unique(root).tolist()
-    return [frozenset(ids[p].tolist()) for p in _components(root, labels).values()]
+    return [frozenset(p.tolist()) for p in _pieces(ids, root).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +520,10 @@ class FsmState:
 def fsm_start(r: ReebGraph, tid: int) -> tuple[FsmState, Point3]:
     """Initial state of trajectory `tid`: the edge opened by its Appear vertex."""
     v = r.appear_vertex(tid)
-    out = [e for e in r.edges_out(v.id) if tid in e.members]
+    out = r._next(v.id, tid)
     if len(out) != 1:
         raise ContractError(f"appear vertex of {tid} does not open exactly one edge")
-    return FsmState(out[0].id, tracked=tid), v.location
+    return FsmState(out[0], tracked=tid), v.location
 
 
 def fsm_next(
@@ -436,8 +538,8 @@ def fsm_next(
     """
     if state.terminal:
         raise InvalidTransitionError("state is terminal")
-    edge = r.edge(state.edge_id)
-    v = r.vertex(edge.v)
+    eid = state.edge_id
+    v = r.vertex(int(r._v[eid]))
     if event.step != v.step:
         raise InvalidTransitionError(
             f"event at step {event.step} not incident to vertex at step {v.step}"
@@ -447,39 +549,38 @@ def fsm_next(
     if event.kind is EventKind.CONNECT:
         if v.kind is not VertexKind.MERGE:
             raise InvalidTransitionError("connect event but closing vertex is not a merge")
-        succ = r.edges_out(v.id)
+        succ = r._incident(0, v.id)
         if len(succ) != 1:
             raise ContractError("merge vertex must open exactly one edge")
         nxt = succ[0]
-        if not set(event.subjects) <= nxt.members or not set(event.subjects) & edge.members:
+        if (not all(r._holds(nxt, t) for t in event.subjects)
+                or not any(r._holds(eid, t) for t in event.subjects)):
             raise InvalidTransitionError("connect event does not involve this group")
-        return FsmState(nxt.id, tracked=state.tracked), v.location
+        return FsmState(nxt, tracked=state.tracked), v.location
 
     if event.kind is EventKind.DISCONNECT:
         if v.kind is not VertexKind.SPLIT:
             raise InvalidTransitionError("disconnect event but closing vertex is not a split")
-        if not set(event.subjects) <= edge.members:
+        if not all(r._holds(eid, t) for t in event.subjects):
             raise InvalidTransitionError("disconnect event does not involve this group")
         if fol is None:
             raise InvalidTransitionError("split transition needs a trajectory to follow")
-        nxt = [e for e in r.edges_out(v.id) if fol in e.members]
+        nxt = r._next(v.id, fol)
         if len(nxt) != 1:
             raise InvalidTransitionError(f"trajectory {fol} does not continue past this split")
-        return FsmState(nxt[0].id, tracked=state.tracked), v.location
+        return FsmState(nxt[0], tracked=state.tracked), v.location
 
     if event.kind is EventKind.DISAPPEAR:
         subject = event.subjects[0]
-        if subject not in edge.members:
+        if not r._holds(eid, subject):
             raise InvalidTransitionError("disappear event does not involve this group")
-        cur_edge, cur_v = edge, v
-        while cur_v.kind is not VertexKind.DISAPPEAR:
-            nxt = [e for e in r.edges_out(cur_v.id) if subject in e.members]
-            if len(nxt) != 1 or nxt[0].interval != (event.step, event.step):
+        while v.kind is not VertexKind.DISAPPEAR:
+            nxt = r._next(v.id, subject)
+            if len(nxt) != 1 or not r._k1[nxt[0]] == r._k2[nxt[0]] == event.step:
                 raise InvalidTransitionError(
                     f"trajectory {subject} does not disappear at step {event.step}"
                 )
-            cur_edge = nxt[0]
-            cur_v = r.vertex(cur_edge.v)
-        return FsmState(None, tracked=state.tracked, vertex_id=cur_v.id), cur_v.location
+            v = r.vertex(int(r._v[nxt[0]]))
+        return FsmState(None, tracked=state.tracked, vertex_id=v.id), v.location
 
     raise InvalidTransitionError("appear events enter the machine via fsm_start")

@@ -8,20 +8,44 @@ viewers.
 
 from __future__ import annotations
 
+import itertools
 import json
+
+import numpy as np
 
 from .errors import ContractError, FormatError
 from .geometry import Point3, _check_epsilon
 from .io import fmt17
-from .reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
+from .reeb import _KINDS, ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 
 def _check(r: ReebGraph) -> None:
-    for e in r.edges:
-        if not e.members:
-            raise ContractError(f"edge {e.id} has empty members")
-        if not (0 <= e.u < len(r.vertices) and 0 <= e.v < len(r.vertices)):
-            raise ContractError(f"edge {e.id} references unknown vertex")
+    empty = r._first[1:] == r._first[:-1]
+    n = r._step.shape[0]
+    unknown = (r._u < 0) | (r._u >= n) | (r._v < 0) | (r._v >= n)
+    bad = np.flatnonzero(empty | unknown)
+    if bad.size:
+        e = int(bad[0])
+        raise ContractError(f"edge {e} has empty members" if empty[e]
+                            else f"edge {e} references unknown vertex")
+
+
+def _vertices(r: ReebGraph):
+    """(id, step, kind, location, witness) of each vertex, in id order."""
+    kinds = [_KINDS[c].value for c in r._kind.tolist()]
+    return zip(itertools.count(), r._step.tolist(), kinds, r._location.tolist(),
+               r._witness.tolist())
+
+
+def _edges(r: ReebGraph):
+    """(id, u, v, members, k1, k2) of each edge, in id order; members are
+    the edge's run of the arena, written in the order it is stored."""
+    first = r._first.tolist()
+    # each member id's text is made once, and a run's text joins its ranks'
+    texts = np.array([str(t) for t in r._ids.tolist()], dtype=object)
+    members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
+    return zip(itertools.count(), r._u.tolist(), r._v.tolist(), members, r._k1.tolist(),
+               r._k2.tolist())
 
 
 def graph_to_json(r: ReebGraph) -> str:
@@ -34,23 +58,16 @@ def graph_to_json(r: ReebGraph) -> str:
         )
     )
     parts.append('},"vertices":[')
-    vparts = []
-    for v in r.vertices:
-        loc = ",".join(fmt17(c) for c in v.location)
-        vparts.append(
-            f'{{"id":{v.id},"step":{v.step},"kind":"{v.kind.value}",'
-            f'"location":[{loc}],"witness":{v.witness}}}'
-        )
-    parts.append(",".join(vparts))
+    parts.append(",".join(
+        f'{{"id":{i},"step":{k},"kind":"{kind}",'
+        f'"location":[{fmt17(x)},{fmt17(y)},{fmt17(z)}],"witness":{w}}}'
+        for i, k, kind, (x, y, z), w in _vertices(r)
+    ))
     parts.append('],"edges":[')
-    eparts = []
-    for e in r.edges:
-        members = ",".join(str(t) for t in sorted(e.members))
-        eparts.append(
-            f'{{"u":{e.u},"v":{e.v},"members":[{members}],'
-            f'"interval":[{e.interval[0]},{e.interval[1]}]}}'
-        )
-    parts.append(",".join(eparts))
+    parts.append(",".join(
+        f'{{"u":{u},"v":{v},"members":[{members}],"interval":[{k1},{k2}]}}'
+        for _, u, v, members, k1, k2 in _edges(r)
+    ))
     parts.append("]}")
     return "".join(parts)
 
@@ -83,9 +100,10 @@ def graph_from_json(text: str | bytes) -> ReebGraph:
             if not (0 <= u < len(vertices) and 0 <= v < len(vertices)):
                 raise FormatError(f"reeb json: edge {i} references unknown vertex")
             edges.append(ReebEdge(i, u, v, members, (k1, k2)))
-    except (KeyError, TypeError, ValueError) as exc:
+        # the columns are int64: a larger number raises OverflowError
+        return ReebGraph(vertices, edges, epsilon, metadata)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"reeb json: malformed document ({exc})") from None
-    return ReebGraph(tuple(vertices), tuple(edges), epsilon, metadata)
 
 
 _GRAPHML_KEYS = (
@@ -109,19 +127,19 @@ def graph_to_graphml(r: ReebGraph) -> str:
         out.append(f'  <key id="{kid}" for="{domain}" attr.name="{name}" attr.type="{typ}"/>')
     out.append('  <graph id="reeb" edgedefault="undirected">')
     out.append(f'    <data key="d8">{fmt17(r.epsilon)}</data>')
-    for v in r.vertices:
-        out.append(f'    <node id="n{v.id}">')
-        out.append(f'      <data key="d0">{v.step}</data>')
-        out.append(f'      <data key="d1">{v.kind.value}</data>')
-        out.append(f'      <data key="d2">{fmt17(v.location.x)}</data>')
-        out.append(f'      <data key="d3">{fmt17(v.location.y)}</data>')
-        out.append(f'      <data key="d4">{fmt17(v.location.z)}</data>')
-        out.append(f'      <data key="d5">{v.witness}</data>')
+    for i, k, kind, (x, y, z), w in _vertices(r):
+        out.append(f'    <node id="n{i}">')
+        out.append(f'      <data key="d0">{k}</data>')
+        out.append(f'      <data key="d1">{kind}</data>')
+        out.append(f'      <data key="d2">{fmt17(x)}</data>')
+        out.append(f'      <data key="d3">{fmt17(y)}</data>')
+        out.append(f'      <data key="d4">{fmt17(z)}</data>')
+        out.append(f'      <data key="d5">{w}</data>')
         out.append("    </node>")
-    for e in r.edges:
-        out.append(f'    <edge id="e{e.id}" source="n{e.u}" target="n{e.v}">')
-        out.append(f'      <data key="d6">{",".join(str(t) for t in sorted(e.members))}</data>')
-        out.append(f'      <data key="d7">{e.interval[0]},{e.interval[1]}</data>')
+    for i, u, v, members, k1, k2 in _edges(r):
+        out.append(f'    <edge id="e{i}" source="n{u}" target="n{v}">')
+        out.append(f'      <data key="d6">{members}</data>')
+        out.append(f'      <data key="d7">{k1},{k2}</data>')
         out.append("    </edge>")
     out.append("  </graph>")
     out.append("</graphml>")
@@ -131,18 +149,14 @@ def graph_to_graphml(r: ReebGraph) -> str:
 def graph_to_dot(r: ReebGraph) -> str:
     _check(r)
     out = ["graph reeb {"]
-    for v in r.vertices:
+    for i, k, kind, (x, y, z), w in _vertices(r):
         out.append(
-            f'  n{v.id} [step={v.step}, kind="{v.kind.value}", '
-            f'x="{fmt17(v.location.x)}", y="{fmt17(v.location.y)}", '
-            f'z="{fmt17(v.location.z)}", witness={v.witness}];'
+            f'  n{i} [step={k}, kind="{kind}", '
+            f'x="{fmt17(x)}", y="{fmt17(y)}", '
+            f'z="{fmt17(z)}", witness={w}];'
         )
-    for e in r.edges:
-        members = ",".join(str(t) for t in sorted(e.members))
-        out.append(
-            f'  n{e.u} -- n{e.v} [members="{members}", '
-            f'interval="{e.interval[0]},{e.interval[1]}"];'
-        )
+    for _, u, v, members, k1, k2 in _edges(r):
+        out.append(f'  n{u} -- n{v} [members="{members}", interval="{k1},{k2}"];')
     out.append("}")
     return "\n".join(out) + "\n"
 

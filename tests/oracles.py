@@ -6,8 +6,11 @@ after every update, the Reeb evolution from diffing consecutive partitions
 or from replaying the schedule on a fully dynamic connectivity engine,
 path features from networkx's all-pairs distances as exact rationals,
 modularity from a pair rescan and networkx's edge and degree views.
-Deliberately slow and obvious.  The one fast piece is the detector's earlier
-searchsorted grid, kept whole as the reference for the detector's columns.
+Deliberately slow and obvious.  Two fast pieces are earlier package code
+kept whole as references: the detector's searchsorted grid, for the
+detector's columns, and the replay that held each edge's members as a
+frozenset, for the replay's column store; the latter labels components with
+the package's own component_roots.
 """
 
 import itertools
@@ -18,9 +21,10 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
+from trajreeb.connectivity import component_roots
 from trajreeb.errors import ContractError
-from trajreeb.events import Event, EventKind, EventSchedule
-from trajreeb.geometry import Point3
+from trajreeb.events import Event, EventKind, EventSchedule, _in_id_order, _LOW31
+from trajreeb.geometry import Point3, TrajectorySet
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 
@@ -652,6 +656,220 @@ def oracle_replay(s, epsilon, schedule):
     metadata = dict(s.metadata)
     metadata["n_trajectories"] = str(len(s))
     return ReebGraph(tuple(b.vertices), tuple(b.edges), float(epsilon), metadata)
+
+
+def _components(root: np.ndarray, labels: list[int]) -> dict[int, np.ndarray]:
+    """The nodes of each component of ``root`` (each node's least node)
+    whose label is in ``labels``, by label."""
+    order = root.argsort(kind="stable")
+    at = root[order]
+    lo, hi = at.searchsorted(labels).tolist(), at.searchsorted(labels, side="right").tolist()
+    return {x: order[i:j] for x, i, j in zip(labels, lo, hi)}
+
+
+class _FrozensetReplay:
+    """The package's replay before its graphs were stored as columns: each
+    edge's members are a frozenset of ids, and each vertex is a ReebVertex
+    made as it is created.
+
+    Trajectories are numbered by the ranks of their ids, which order as the
+    ids do.  ``cur`` holds the step graph's pairs as sorted codes
+    (rank << 31) + rank.  The open groups are the components of the graph
+    after each phase, and each is labelled by its least member: ``group``
+    maps each active rank to its group's label, and ``open`` each label to
+    the group's open edge as (start vertex, members, start step).
+    """
+
+    def __init__(self, s: TrajectorySet):
+        self.s = s
+        # each rank's id, first step and last step
+        _, self.ids, self.start, self.end = _in_id_order(s)
+        self.active = np.zeros(len(s), dtype=bool)
+        self.group = np.arange(len(s))
+        self.open: dict[int, tuple[int, frozenset[int], int]] = {}
+        self.cur = np.empty(0, dtype=np.int64)
+        self.vertices: list[ReebVertex] = []
+        self.edges: list[ReebEdge] = []
+
+    def new_vertex(self, kind: VertexKind, step: int, witness: int) -> int:
+        """A vertex whose witness is the trajectory of rank `witness`."""
+        vid = len(self.vertices)
+        tid = int(self.ids[witness])
+        self.vertices.append(ReebVertex(vid, step, kind, self.s.by_id(tid).location_at(step), tid))
+        return vid
+
+    def add_edge(self, u: int, members: frozenset[int], k1: int, v: int, k2: int) -> None:
+        self.edges.append(ReebEdge(len(self.edges), u, v, members, (k1, k2)))
+
+    def close_groups(self, k: int, labels, root: np.ndarray | None,
+                     alive: dict[int, set[int]], dead: dict[int, set[int]]) -> None:
+        """Close the open groups `labels`, in order of label.
+
+        A group in `alive` splits: its surviving members lie in the
+        components of `root` labelled ``alive[label]``, and its dying ones
+        in those labelled ``dead[label]``, each closed at a Disappear vertex
+        of its own.  The largest surviving piece, the lowest first among
+        equals, is found as the complement, so only the other pieces are
+        built.  Any other group dies whole.
+        """
+        if alive:
+            size = np.bincount(root)
+            big = {g: max(xs, key=lambda x: (size[x], -x)) for g, xs in alive.items()}
+            nodes = _components(root, [x for g, xs in alive.items() for x in xs if x != big[g]]
+                                + [x for xs in dead.values() for x in xs])
+        ids = self.ids
+        for g in sorted(labels):
+            u, members, k1 = self.open.pop(g)
+            vid = self.new_vertex(VertexKind.SPLIT if g in alive else VertexKind.DISAPPEAR, k, g)
+            self.add_edge(u, members, k1, vid, k)
+            if g not in alive:
+                continue
+            gone = []
+            for x in sorted(dead.get(g, ())):
+                gone.append(frozenset(ids[nodes[x]].tolist()))
+                self.add_edge(vid, gone[-1], k, self.new_vertex(VertexKind.DISAPPEAR, k, x), k)
+            for x in alive[g] - {big[g]}:
+                gone.append(frozenset(ids[nodes[x]].tolist()))
+                self.open[x] = (vid, gone[-1], k)
+            self.open[big[g]] = (vid, members.difference(*gone), k)
+        if root is not None:
+            self.group = root
+
+    # -- phases ------------------------------------------------------------
+
+    def appear(self, k: int, ranks: np.ndarray) -> None:
+        if np.count_nonzero(self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
+            raise ContractError(f"appear at step {k}: trajectory already present")
+        self.active[ranks] = True
+        self.group[ranks] = ranks
+        for x, tid in zip(ranks.tolist(), self.ids[ranks].tolist()):
+            self.open[x] = (self.new_vertex(VertexKind.APPEAR, k, x), frozenset((tid,)), k)
+
+    def connect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
+        if np.count_nonzero(~(self.active[ra] & self.active[rb])):
+            raise ContractError(f"connect at step {k}: endpoint absent from the step graph")
+        cur = np.concatenate((self.cur, code))
+        cur.sort(kind="stable")
+        if np.count_nonzero(cur[1:] == cur[:-1]):
+            raise ContractError(f"connect at step {k}: pair already connected")
+        self.cur = cur
+        # a merge is a set of open groups that the new pairs join: the
+        # components of the graph on group labels that those pairs link,
+        # each labelled by its least label, the merged group's label
+        ga, gb = self.group[ra], self.group[rb]
+        apart = (ga != gb).nonzero()[0]
+        if not apart.shape[0]:
+            return
+        ga, gb = ga[apart], gb[apart]
+        root = component_roots(self.group.shape[0], ga, gb)
+        merged: dict[int, list[int]] = {}
+        for x in sorted(set(ga.tolist()).union(gb.tolist())):
+            merged.setdefault(int(root[x]), []).append(x)
+        for g, labels in sorted(merged.items()):
+            preds = [self.open.pop(x) for x in labels]
+            vid = self.new_vertex(VertexKind.MERGE, k, g)
+            for p in preds:
+                self.add_edge(*p, vid, k)
+            self.open[g] = (vid, frozenset().union(*(p[1] for p in preds)), k)
+        self.group = root[self.group]
+
+    def disconnect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
+        cur = self.cur
+        at = cur.searchsorted(code)
+        # a pair twice in the run is absent the second time
+        if (not cur.shape[0] or np.count_nonzero(cur.take(at, mode="clip") != code)
+                or np.count_nonzero(code[1:] == code[:-1])):
+            raise ContractError(f"disconnect at step {k}: pair absent from the step graph")
+        drop = np.zeros(cur.shape[0], dtype=bool)
+        drop[at] = True
+        self.cur = cur = cur[~drop]
+        # a group splits only where a deleted pair's ends fall apart, and
+        # each piece holds an end of such a pair
+        root = component_roots(self.group.shape[0], cur >> 31, cur & _LOW31)
+        cut = (root[ra] != root[rb]).nonzero()[0]
+        if not cut.shape[0]:
+            return
+        alive: dict[int, set[int]] = {}
+        for g, x, y in zip(self.group[ra[cut]].tolist(), root[ra[cut]].tolist(),
+                           root[rb[cut]].tolist()):
+            alive.setdefault(g, set()).update((x, y))
+        self.close_groups(k, alive, root, alive, {})
+
+    def disappear(self, k: int, ranks: np.ndarray) -> None:
+        if np.count_nonzero(~self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
+            raise ContractError(f"disappear at step {k}: trajectory absent from the step graph")
+        self.active[ranks] = False
+        cur = self.cur
+        a, b = cur >> 31, cur & _LOW31
+        da, db = ~self.active[a], ~self.active[b]
+        self.cur = cur[~(da | db)]
+        dying_of: dict[int, list[int]] = {}
+        for g, x in zip(self.group[ranks].tolist(), ranks.tolist()):
+            dying_of.setdefault(g, []).append(x)
+        partial = [g for g, xs in dying_of.items() if len(xs) < len(self.open[g][1])]
+        alive: dict[int, set[int]] = {}
+        root = None
+        if partial:
+            # without the pairs between dying members and survivors, each
+            # component is all dying or all surviving, and each surviving
+            # piece holds a survivor's end of such a pair
+            cut = da != db
+            root = component_roots(self.group.shape[0], a[~cut], b[~cut])
+            ends = np.where(da[cut], b[cut], a[cut])
+            for g, x in zip(self.group[ends].tolist(), root[ends].tolist()):
+                alive.setdefault(g, set()).add(x)
+        dead = {g: set(root[dying_of[g]].tolist()) for g in partial}
+        self.close_groups(k, dying_of, root, alive, dead)
+
+
+def frozenset_replay(s, epsilon, schedule):
+    """The Reeb graph of `schedule` replayed with one frozenset per edge, as
+    the arguments of its ReebGraph: (vertices, edges, epsilon, metadata)."""
+    rp = _FrozensetReplay(s)
+    ends = np.stack((schedule._a, np.where(schedule._b < 0, schedule._a, schedule._b)))
+    ra, rb = rp.ids.searchsorted(ends)
+    code = (ra << 31) + rb
+    for k, kind, lo, hi in schedule._runs():
+        if kind == EventKind.APPEAR:
+            rp.appear(k, ra[lo:hi])
+        elif kind == EventKind.CONNECT:
+            rp.connect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
+        elif kind == EventKind.DISCONNECT:
+            rp.disconnect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
+        else:
+            rp.disappear(k, ra[lo:hi])
+    if rp.open:
+        left = sorted(x for _, members, _ in rp.open.values() for x in members)
+        raise ContractError(f"groups left open after replay: {left}")
+    metadata = dict(s.metadata)
+    metadata["n_trajectories"] = str(len(s))
+    return tuple(rp.vertices), tuple(rp.edges), float(epsilon), metadata
+
+
+def object_canonical(vertices, edges):
+    """ReebGraph.canonical_form() computed from vertex and edge objects."""
+    incident = {v.id: [] for v in vertices}
+    for e in edges:
+        for end in (e.u, e.v):
+            incident[end].append(tuple(sorted(e.members)))
+    verts = sorted((v.step, str(v.kind), tuple(sorted(incident[v.id]))) for v in vertices)
+    return tuple(verts), tuple(sorted((e.interval, tuple(sorted(e.members))) for e in edges))
+
+
+def object_path(vertices, edges, tid):
+    """ReebGraph.trajectory_path(tid) walked over vertex and edge objects."""
+    out = {}
+    for e in edges:
+        out.setdefault(e.u, []).append(e)
+    cur = next(v.id for v in vertices if v.kind is VertexKind.APPEAR and v.witness == tid)
+    path = []
+    while True:
+        nxt = [e for e in out.get(cur, ()) if tid in e.members]
+        if not nxt:
+            return path
+        assert len(nxt) == 1, f"trajectory {tid} branches at vertex {cur}"
+        path.append(nxt[0])
+        cur = nxt[0].v
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,9 @@ def test_unknown_flag_exits_1(pair_csv, capsys):
     ([], None),
     (["--frobnicate"], "unrecognized arguments"),
     (["--epsilon", "inf"], "epsilon must be finite"),
-], ids=["build", "unknown-flag", "infinite-epsilon"])
+    (["--resample", "inf"], "resample_delta must be finite"),
+    (["--resample", "nan"], "resample_delta must be positive"),
+], ids=["build", "unknown-flag", "infinite-epsilon", "infinite-resample", "nan-resample"])
 def test_main_entry_point(tmp_path, extra, stderr):
     """`python -m trajreeb.cli` runs main(), the target of the installed
     `trajreeb` script: its exit code is run()'s, and an input error is one
@@ -236,6 +238,22 @@ def test_main_entry_point(tmp_path, extra, stderr):
     else:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and stderr in proc.stderr
+
+
+def test_build_reads_a_pipe():
+    """A pipe cannot be read twice, as the file is for its hash and then
+    its points: its bytes are held and read from memory."""
+    data = tr.to_tck(tr.make_bundle(8, 12, seed=1))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajreeb.cli", "build", "--input", "/dev/stdin",
+         "--format", "tck", "--epsilon", "1.2"],
+        input=data, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    r = graph_from_json(proc.stdout)
+    assert r.metadata["input_sha256"] == hashlib.sha256(data).hexdigest()
+    want = tr.build_reeb(tr.parse(data, tr.FileFormat.TCK), 1.2)
+    assert r.vertices == want.vertices and r.edges == want.edges
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trajreeb as tr
+import trajreeb.io
 from trajreeb import events
 from trajreeb.cli import run
 from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
@@ -476,3 +478,29 @@ def test_cli_build_on_mutated_file_exits_0_or_1(fmt, edits):
         code = run(["build", "--epsilon", "1", "--input", str(path),
                     "--output", str(Path(tmp) / "out.json")])
     assert code in (0, 1)
+
+
+def _decoded(data: bytes):
+    """The points and metadata that parse makes of TCK bytes, or its error."""
+    try:
+        s = tr.parse(data, tr.FileFormat.TCK)
+    except TrajreebError as exc:
+        return type(exc), str(exc)
+    return [t.points.tolist() for t in s], s.metadata
+
+
+# the valid file's END line is bytes 54..57, its newline included
+@settings(max_examples=200, deadline=None)
+@given(edits=EDITS, chunk=st.sampled_from([24, 25, 36, 56, 57, 61]))
+@example(edits=[], chunk=56)  # a read ends inside END
+@example(edits=[(1, 57, ord("X"))], chunk=57)  # a read ends after END, which goes on as ENDX
+def test_tck_reads_of_any_size_decode_as_one_read(edits, chunk):
+    """The TCK reader searches for the header's END line and decodes the
+    payload a chunk at a time.  A file this small fits in one chunk, as if
+    read whole; reads of two to five triplets, which split the header's
+    lines, must give the same set or the same error on every mutation."""
+    assert VALID_BYTES[tr.FileFormat.TCK][54:58] == b"END\n"
+    data = mutate(VALID_BYTES[tr.FileFormat.TCK], edits)
+    whole = _decoded(data)
+    with mock.patch.object(trajreeb.io, "_CHUNK", chunk):
+        assert _decoded(data) == whole

@@ -1,16 +1,18 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import trajreeb as tr
 from trajreeb.events import EventKind
-from trajreeb.reeb import VertexKind
+from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 from oracles import (
-    as_plain, oracle_canonical, oracle_replay, oracle_schedule, random_instance, step_partition,
+    as_plain, frozenset_replay, object_canonical, object_path, oracle_canonical, oracle_replay,
+    oracle_schedule, random_instance, step_partition,
 )
 
 
@@ -329,6 +331,84 @@ def test_replay_matches_even_shiloach_oracle(name):
         pieces += _dead_and_alive_pieces(got)
     if name == "chains":
         assert any(dead >= 2 and alive >= 2 for dead, alive in pieces)
+
+
+def past_31_bits(rng):
+    """The chains instance with ids in steps of 7 across 2**31, 2**40 or
+    2**62, in an order unrelated to the set's."""
+    base = int(rng.choice([1 << 31, 1 << 40, 1 << 62])) - 21
+    trajs = chains(rng)
+    perm = rng.permutation(len(trajs)).tolist()
+    return [(base + 7 * j, pts, start) for j, (_, pts, start) in zip(perm, trajs)]
+
+
+ARENA_SETS = dict(REPLAY_SETS, past_31_bits=past_31_bits)
+
+
+@pytest.mark.parametrize("name", sorted(ARENA_SETS))
+def test_column_store_matches_frozenset_replay(name):
+    """build_reeb keeps each edge's members as a run of one arena; the
+    oracle is the replay that made a frozenset per edge and a ReebVertex
+    per vertex.  The two graphs must agree in their JSON bytes, canonical
+    form, objects and every trajectory's path, and so must the graph read
+    back from the JSON."""
+    rng = np.random.default_rng(sorted(ARENA_SETS).index(name) + 601)
+    pieces, cascades = [], 0
+    for trial in range(20):
+        plain = ARENA_SETS[name](rng)
+        if name == "offset_starts":
+            eps = random_instance(rng, n_range=(5, 15), m_range=(6, 25))[1]
+        else:
+            eps = ({"chains": 1.0, "past_31_bits": 1.0, "bundle": 1.2}.get(name)
+                   or float(rng.choice([1.0, np.sqrt(2.0)])))
+        s = build_set(plain)
+        schedule = tr.detect_all_events(s, eps)
+        want = frozenset_replay(s, eps, schedule)
+        vertices, edges = want[:2]
+        text = tr.graph_to_json(ReebGraph(*want))
+        canonical = object_canonical(vertices, edges)
+        got = tr.build_reeb(s, eps, schedule=schedule)
+        for r in (got, tr.graph_from_json(text)):
+            assert tr.graph_to_json(r) == text, f"{name} trial {trial}"
+            assert r.canonical_form() == canonical
+            assert r.vertices == vertices and r.edges == edges
+            for t in s:
+                assert r.trajectory_path(t.id) == object_path(vertices, edges, t.id)
+        pieces += _dead_and_alive_pieces(got)
+        cascades += sum(e.interval[0] == e.interval[1] for e in edges)
+    assert any(dead for dead, _ in pieces) and cascades
+    if name == "past_31_bits":
+        assert min(v.witness for v in vertices) >= 1 << 31
+
+
+def test_graph_holds_its_members_in_one_arena(monkeypatch):
+    """A graph from build_reeb keeps each edge's members as int32 ranks in
+    one arena and its other fields in per-vertex and per-edge columns: at
+    most 16 bytes per member on a dense bundle (~7 measured), where a
+    frozenset per edge and its ints took ~46.  Writing the graph and
+    computing its metrics read the columns and make no ReebVertex or
+    ReebEdge."""
+    s = tr.make_bundle(2000, 40)
+    schedule = tr.detect_all_events(s, 1.2)
+    tracemalloc.start()
+    try:
+        r = tr.build_reeb(s, 1.2, schedule=schedule)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Reeb vertex or edge object was made")
+
+    for cls in (ReebEdge, ReebVertex):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for fmt in ("json", "graphml", "dot"):
+        tr.serialize_graph(r, fmt)
+    tr.compute_metrics(r)
+    monkeypatch.undo()
+    members = sum(len(e.members) for e in r.edges)
+    assert members > 100_000
+    assert held <= 16 * members, f"{held / members:.1f} bytes per member"
 
 
 def _schedule(*events):
