@@ -10,7 +10,7 @@ class FormatError(TrajreebError):
 
 
 class ParseError(TrajreebError):
-    """Structurally valid file with bad content (e.g. non-finite coordinates)."""
+    """Structurally valid file with bad content (e.g. a NaN or infinite coordinate)."""
 
 
 class UnsupportedFormatError(FormatError):

@@ -252,6 +252,8 @@ class _StepIndex:
     """
 
     def __init__(self, s: TrajectorySet):
+        if len(s) == 0:
+            raise ValueError("trajectory set is empty")
         ts, self.ids, self.start, self.end = _in_id_order(s)
         views = [t.points for t in ts]
         shared = _shared_rows(views)
@@ -530,8 +532,6 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     index's rows, which are in id order, and mapped back to ids once the
     steps are done.
     """
-    if len(s) == 0:
-        raise ValueError("trajectory set is empty")
     for e in epsilons:
         _check_epsilon(e)
     index = _StepIndex(s)

@@ -98,7 +98,7 @@ class Trajectory:
         if pts.shape[0] < 2:
             raise ValueError(f"trajectory {self.id}: needs at least 2 points")
         if not np.isfinite(pts).all():
-            raise ValueError(f"trajectory {self.id}: non-finite coordinate")
+            raise ValueError(f"trajectory {self.id}: coordinates must be finite")
         # ids are held in int64 columns
         if not (0 <= self.id < 1 << 63):
             raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63")

@@ -3,7 +3,8 @@
 Readers accept a file's bytes or the open file and return a
 :class:`TrajectorySet` with ids reassigned 0..n-1 in file order.
 Streamlines with fewer than two points are dropped and tallied in
-``metadata["dropped_short"]``.
+``metadata["dropped_short"]``; one holding a NaN or an infinity, whatever
+its length, is refused with a ``ParseError``.
 
 Formats:
 
@@ -30,7 +31,6 @@ and acquisition pipelines differ in how densely they sample.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import io
 import json
@@ -89,9 +89,16 @@ def parse(data: bytes | BinaryIO, fmt: FileFormat) -> TrajectorySet:
     raise FormatError(f"unknown format {fmt!r}")
 
 
-def _finish(rows: np.ndarray, starts, stops, source: str) -> TrajectorySet:
+def _finish(rows: np.ndarray, starts, stops, odd: np.ndarray, source: str) -> TrajectorySet:
     """The set of the streamlines rows[start:stop], each a view of rows,
-    which is frozen; streamlines of one point are dropped and tallied."""
+    which is frozen; streamlines of one point are dropped and tallied.  One
+    holding any of the `odd` rows (increasing, those with a NaN or an
+    infinity, perhaps also rows between streamlines) is refused instead."""
+    # odd row r lies in the first streamline that stops past r, if it starts by r
+    at = np.searchsorted(stops, odd, side="right")
+    held = np.flatnonzero(np.append(starts, rows.shape[0])[at] <= odd)
+    if held.size:
+        raise ParseError(f"{source}: non-finite coordinate in streamline {at[held[0]]}")
     rows.flags.writeable = False
     kept = []
     dropped = 0
@@ -197,7 +204,7 @@ def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
         for lo in range(0, rows.shape[0], per_read):
             rows[lo:lo + per_read] = np.frombuffer(fh.read(per_read * triplet),
                                                    dtype=dtype).reshape(-1, 3)
-    # the rows holding a non-finite coordinate: separators, terminators and
+    # the rows holding a NaN or an infinity: separators, terminators and
     # bad points; one column at a time keeps the temporaries to P booleans
     finite = np.isfinite(rows[:, 0])
     for c in (1, 2):
@@ -207,18 +214,11 @@ def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
     if stop.size == 0:
         raise FormatError("tck payload: missing (Inf,Inf,Inf) terminator")
     odd = odd[odd < stop[0]]
-    separator = np.isnan(rows[odd]).all(axis=1)
-    cuts, bad = odd[separator], odd[~separator]
+    cuts = odd[np.isnan(rows[odd]).all(axis=1)]
     starts = np.concatenate(([0], cuts + 1))
     stops = np.concatenate((cuts, stop[:1]))
     nonempty = stops > starts
-    starts, stops = starts[nonempty].tolist(), stops[nonempty].tolist()
-    if bad.size:
-        # the streamline holding the first bad row, counting non-empty ones
-        raise ParseError(
-            "tck payload: non-finite coordinate in streamline "
-            f"{bisect.bisect_right(stops, int(bad[0]))}"
-        )
+    starts, stops = starts[nonempty], stops[nonempty]
     count = fields.get("count")
     if count is not None:
         try:
@@ -230,7 +230,7 @@ def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
                 f"tck header: count {declared} does not match the "
                 f"{len(starts)} streamlines in the payload"
             )
-    return _finish(rows, starts, stops, "tck")
+    return _finish(rows, starts.tolist(), stops.tolist(), odd, "tck")
 
 
 def to_tck(s: TrajectorySet) -> bytes:
@@ -304,13 +304,10 @@ def _parse_csv(data: bytes) -> TrajectorySet:
         if sid != prev_id:
             starts.append(len(coords))
             prev_id = sid
-        if not all(math.isfinite(c) for c in xyz):
-            raise ParseError(
-                f"csv: non-finite coordinate in streamline {len(starts) - 1}"
-            )
         coords.append(xyz)
-    rows = np.array(coords, dtype=np.float64)
-    return _finish(rows, starts, starts[1:] + [len(coords)], "csv")
+    rows = np.array(coords or np.empty((0, 3)), dtype=np.float64)
+    odd = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return _finish(rows, starts, starts[1:] + [len(coords)], odd, "csv")
 
 
 def to_csv(s: TrajectorySet) -> str:
@@ -345,11 +342,10 @@ def _parse_json(data: bytes) -> TrajectorySet:
                 xyz = [float(c) for c in p]
             except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"json: trajectory {si} has a non-numeric point") from None
-            if not all(math.isfinite(c) for c in xyz):
-                raise ParseError(f"json: non-finite coordinate in streamline {si}")
             coords.append(xyz)
-    rows = np.array(coords, dtype=np.float64)
-    return _finish(rows, starts, starts[1:] + [len(coords)], "json")
+    rows = np.array(coords or np.empty((0, 3)), dtype=np.float64)
+    odd = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return _finish(rows, starts, starts[1:] + [len(coords)], odd, "json")
 
 
 def to_json(s: TrajectorySet) -> str:

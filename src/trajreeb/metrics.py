@@ -219,9 +219,6 @@ def compute_metrics(r: ReebGraph) -> MetricsReport:
     if not n:
         raise ValueError("cannot compute metrics of an empty graph")
     ends = np.stack((r._u, r._v), axis=1)
-    bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"edge {bad[0]} references unknown vertex")
     # the simple graph: distinct (u <= v) pairs, sorted, with ids as positions
     codes = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
     ends = np.stack(divmod(codes, n), axis=1).astype(np.int32)

@@ -37,6 +37,12 @@ the groups' runs and sorts them, a split partitions a run by its component
 labels, and a closed group's run is the edge's run of the arena.  No set is
 built per edge.  The :class:`ReebVertex` and :class:`ReebEdge` objects are
 made only when asked for; the writers and the metrics read the columns.
+
+Every graph, replayed, built from objects or read from JSON, is stored by
+``ReebGraph._store``, the one place that checks the rules of a graph:
+epsilon positive and finite, every vertex location finite, and every edge
+between two of its vertices with a member.  The writers and the metrics
+check nothing.
 """
 
 from __future__ import annotations
@@ -134,12 +140,27 @@ class ReebGraph:
         return r
 
     def _store(self, *columns) -> None:
+        """Hold these columns, then epsilon and metadata, if they pass the
+        rules of a graph (see the module docstring)."""
         *arrays, self.epsilon, metadata = columns
+        _check_epsilon(self.epsilon)
         for (name, dtype), values in zip(_COLUMNS.items(), arrays):
             a = np.asarray(values, dtype=dtype)
             a.flags.writeable = False
             setattr(self, name, a)
         self.metadata = dict(metadata or {})
+        # a bare nan or inf in the JSON would be a token no reader takes
+        odd = np.flatnonzero(~np.isfinite(self._location).all(axis=1))
+        if odd.size:
+            raise ValueError(f"vertex {odd[0]} has a non-finite location")
+        n = self._step.shape[0]
+        empty = self._first[1:] == self._first[:-1]
+        unknown = (self._u < 0) | (self._u >= n) | (self._v < 0) | (self._v >= n)
+        bad = np.flatnonzero(empty | unknown)
+        if bad.size:
+            e = int(bad[0])
+            raise ValueError(f"edge {e} has empty members" if empty[e]
+                             else f"edge {e} references unknown vertex")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReebGraph):
@@ -439,8 +460,6 @@ def build_reeb(
     schedule: EventSchedule | None = None,
 ) -> ReebGraph:
     """Construct the Reeb graph of a trajectory set at one epsilon."""
-    if len(s) == 0:
-        raise ValueError("trajectory set is empty")
     _check_epsilon(epsilon)
     if schedule is None:
         schedule = detect_all_events(s, epsilon)
@@ -481,13 +500,11 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     Equals the step graph components at k: disappear-step trajectories are
     still active at their final step.
     """
-    if len(s) == 0:
-        raise ValueError("trajectory set is empty")
     _check_epsilon(epsilon)
+    index = _StepIndex(s)
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")
-    index = _StepIndex(s)
     rows, xyz = index.active(k)
     ids = index.ids[rows]
     ii, jj, _ = _hits(xyz, epsilon)

@@ -4,6 +4,11 @@ JSON is the lossless interchange format: fixed key order, floats printed
 with 17 significant digits, so serialize -> parse -> serialize is
 byte-identical.  GraphML and DOT are write-only exports for external graph
 viewers.
+
+The rules of a valid graph live in :class:`~trajreeb.reeb.ReebGraph`, which
+checks them as it stores its columns, so the writers check nothing.  The
+JSON reader hands the document to its constructor and reports a refusal as
+a ``FormatError``; what it accepts is written back as strict JSON.
 """
 
 from __future__ import annotations
@@ -13,21 +18,10 @@ import json
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .geometry import Point3, _check_epsilon
+from .errors import FormatError
+from .geometry import Point3
 from .io import fmt17
 from .reeb import _KINDS, ReebEdge, ReebGraph, ReebVertex, VertexKind
-
-
-def _check(r: ReebGraph) -> None:
-    empty = r._first[1:] == r._first[:-1]
-    n = r._step.shape[0]
-    unknown = (r._u < 0) | (r._u >= n) | (r._v < 0) | (r._v >= n)
-    bad = np.flatnonzero(empty | unknown)
-    if bad.size:
-        e = int(bad[0])
-        raise ContractError(f"edge {e} has empty members" if empty[e]
-                            else f"edge {e} references unknown vertex")
 
 
 def _vertices(r: ReebGraph):
@@ -49,7 +43,6 @@ def _edges(r: ReebGraph):
 
 
 def graph_to_json(r: ReebGraph) -> str:
-    _check(r)
     parts = ['{"epsilon":', fmt17(r.epsilon), ',"metadata":{']
     parts.append(
         ",".join(
@@ -78,31 +71,19 @@ def graph_from_json(text: str | bytes) -> ReebGraph:
     except (ValueError, RecursionError) as exc:  # bad json or utf-8, too deep, too many digits
         raise FormatError(f"reeb json: {exc}") from None
     try:
-        epsilon = float(obj["epsilon"])
-        _check_epsilon(epsilon)  # json.loads takes NaN and Infinity tokens
-        metadata = {str(k): str(v) for k, v in obj.get("metadata", {}).items()}
-        vertices = []
-        for i, v in enumerate(obj["vertices"]):
-            if int(v["id"]) != i:
-                raise FormatError("reeb json: vertex ids must be sequential")
-            x, y, z = (float(c) for c in v["location"])
-            vertices.append(
-                ReebVertex(i, int(v["step"]), VertexKind(v["kind"]),
-                           Point3(x, y, z), int(v["witness"]))
-            )
+        vertices = [ReebVertex(int(v["id"]), int(v["step"]), VertexKind(v["kind"]),
+                               Point3(*(float(c) for c in v["location"])), int(v["witness"]))
+                    for v in obj["vertices"]]
         edges = []
         for i, e in enumerate(obj["edges"]):
-            members = frozenset(int(t) for t in e["members"])
-            if not members:
-                raise FormatError(f"reeb json: edge {i} has empty members")
             k1, k2 = (int(k) for k in e["interval"])
-            u, v = int(e["u"]), int(e["v"])
-            if not (0 <= u < len(vertices) and 0 <= v < len(vertices)):
-                raise FormatError(f"reeb json: edge {i} references unknown vertex")
-            edges.append(ReebEdge(i, u, v, members, (k1, k2)))
-        # the columns are int64: a larger number raises OverflowError
-        return ReebGraph(vertices, edges, epsilon, metadata)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            edges.append(ReebEdge(i, int(e["u"]), int(e["v"]),
+                                  frozenset(int(t) for t in e["members"]), (k1, k2)))
+        metadata = {str(k): str(v) for k, v in obj.get("metadata", {}).items()}
+        # the constructor holds the graph to its rules; the columns are
+        # int64, so a larger number raises OverflowError
+        return ReebGraph(vertices, edges, float(obj["epsilon"]), metadata)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"reeb json: malformed document ({exc})") from None
 
 
@@ -120,7 +101,6 @@ _GRAPHML_KEYS = (
 
 
 def graph_to_graphml(r: ReebGraph) -> str:
-    _check(r)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">')
     for kid, domain, name, typ in _GRAPHML_KEYS:
@@ -147,7 +127,6 @@ def graph_to_graphml(r: ReebGraph) -> str:
 
 
 def graph_to_dot(r: ReebGraph) -> str:
-    _check(r)
     out = ["graph reeb {"]
     for i, k, kind, (x, y, z), w in _vertices(r):
         out.append(

@@ -12,7 +12,6 @@ import pytest
 
 import trajreeb as tr
 from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
-from trajreeb.errors import ContractError
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 from trajreeb.serialize import graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json
 
@@ -82,14 +81,6 @@ def test_graphml_wellformed_and_counts(pair_set):
     assert keys["d0"] == "0" and keys["d1"] == "appear"
 
 
-def test_empty_members_edge_refused():
-    v = ReebVertex(0, 0, VertexKind.APPEAR, tr.Point3(0, 0, 0), 0)
-    w = ReebVertex(1, 1, VertexKind.DISAPPEAR, tr.Point3(0, 0, 0), 0)
-    bad = ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset(), (0, 1)),), 1.0, {})
-    with pytest.raises(ContractError, match="empty members"):
-        graph_to_json(bad)
-
-
 # sha256 of each writer's bytes; any change to vertex order, edge order,
 # member order or number formatting shows here
 GOLDEN_GRAPH_DIGESTS = {
@@ -117,17 +108,28 @@ def test_reeb_json_deep_nesting_is_format_error():
         graph_from_json("[" * 100_000)
 
 
-@pytest.mark.parametrize("key", ["u", "v", "members"])
+@pytest.mark.parametrize("key", ["u", "v", "members", "NaN", "Infinity", "-Infinity", "id",
+                                 "metadata"])
 def test_reeb_json_edge_to_unknown_vertex_is_format_error(pair_set, key):
-    """Outside input naming no vertex, or an edge with no members, is
-    malformed input, not an internal contract violation."""
+    """Outside input naming no vertex, an edge with no members, a location
+    that no writer could print as JSON (json.loads takes the NaN and
+    Infinity tokens), a vertex out of id order or metadata that is not an
+    object is malformed input, not an internal contract violation."""
     obj = json.loads(graph_to_json(tr.build_reeb(pair_set, 1.5)))
     if key == "members":
-        obj["edges"][0]["members"], match = [], "empty members"
+        obj["edges"][0]["members"], match = [], "edge 0 has empty members"
+    elif key in ("u", "v"):
+        obj["edges"][0][key], match = len(obj["vertices"]), "edge 0 references unknown vertex"
+    elif key == "id":
+        obj["vertices"][0]["id"], match = 1, "each vertex and edge id must be its position"
+    elif key == "metadata":
+        obj["metadata"], match = [], "malformed document"
     else:
-        obj["edges"][0][key], match = len(obj["vertices"]), "unknown vertex"
+        obj["vertices"][1]["location"][2], match = float(key), "vertex 1 has a non-finite location"
+    text = json.dumps(obj)
+    assert key not in ("NaN", "Infinity", "-Infinity") or f"{key}]" in text
     with pytest.raises(tr.FormatError, match=match):
-        graph_from_json(json.dumps(obj))
+        graph_from_json(text)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")],

@@ -48,6 +48,7 @@ ENTRY_POINTS = {
     "sweep": lambda s, e: tr.sweep(s, [e]),
     "eps_connected": lambda s, e: tr.eps_connected((0, 0, 0), (1, 0, 0), e),
     "Config": lambda s, e: tr.Config(epsilon=e),
+    "ReebGraph": lambda s, e: tr.ReebGraph((), (), e),
 }
 
 

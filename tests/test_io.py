@@ -90,6 +90,10 @@ def test_json_malformed():
 def test_json_nonfinite():
     with pytest.raises(ParseError, match="streamline 0"):
         tr.parse(b"[[[Infinity,0,0],[1,0,0]]]", tr.FileFormat.JSON)
+    # an empty stream still counts: the bad stream, whose first row is where
+    # the empty one starts and stops, is named by its own index
+    with pytest.raises(ParseError, match="streamline 2$"):
+        tr.parse(b"[[[0,0,0],[1,0,0]],[],[[0,NaN,0],[1,1,0]]]", tr.FileFormat.JSON)
 
 
 def test_json_deep_nesting_is_format_error(tmp_path):
@@ -190,6 +194,14 @@ def test_tck_partial_nan_is_parse_error():
     data = build_tck_fixture()
     data = data[:64] + bad + data[64 + 12:]
     with pytest.raises(ParseError, match="streamline 0"):
+        tr.parse(data, tr.FileFormat.TCK)
+    # a bad row that is a whole streamline, one point long, is refused, not
+    # dropped as a short streamline
+    data = build_tck_fixture()
+    data = data[:64 + 3 * 12] + b"".join(
+        struct.pack("<3f", *t) for t in [(float("nan"),) * 3, (1.0, float("inf"), 2.0)]
+    ) + data[64 + 3 * 12:]
+    with pytest.raises(ParseError, match="streamline 1$"):
         tr.parse(data, tr.FileFormat.TCK)
 
 

@@ -601,8 +601,19 @@ def test_fsm_rejects_non_incident_event(pair_set):
         tr.fsm_next(r, state, appear)
 
 
+def test_empty_members_edge_refused():
+    v = ReebVertex(0, 0, VertexKind.APPEAR, tr.Point3(0, 0, 0), 0)
+    w = ReebVertex(1, 1, VertexKind.DISAPPEAR, tr.Point3(0, 0, 0), 0)
+    with pytest.raises(ValueError, match="^edge 0 has empty members$"):
+        ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset(), (0, 1)),), 1.0, {})
+
+
 def test_build_rejects_bad_inputs(pair_set):
-    with pytest.raises(ValueError):
-        tr.build_reeb(tr.TrajectorySet(()), 1.0)
+    empty = tr.TrajectorySet(())
+    for build in (lambda: tr.build_reeb(empty, 1.0),
+                  lambda: tr.build_reeb(empty, 1.0, schedule=tr.detect_all_events(pair_set, 1.0)),
+                  lambda: tr.groups_at_step(empty, 1.0, 0)):
+        with pytest.raises(ValueError, match="^trajectory set is empty$"):
+            build()
     with pytest.raises(ValueError, match="epsilon must be positive"):
         tr.build_reeb(pair_set, -2.0)
