@@ -54,7 +54,8 @@ Detection copies no point array.  The readers, ``resample`` and
 the step index reads that array in place: a trajectory's point at step k is
 row ``offset + sign * k``.  Only a set assembled from separate arrays is
 concatenated into one.  Each step gathers its rows and transposes them once
-into the (3, n) coordinates that the grid and the list read.
+into the (3, n) coordinates that the grid and the list read, widened to
+float64 in the same copy when the array holds a Float32 file's points.
 """
 
 from __future__ import annotations
@@ -241,14 +242,15 @@ class _StepIndex:
 
     The trajectories are held in id order, so row i of every per-trajectory
     array is the trajectory of the i-th smallest id, and rows sort as ids
-    do.  All points sit in one C-contiguous (P, 3) float64 array, row i's
-    point at global step k in row ``offset[i] + sign[i] * k``.  When every
-    trajectory's points view one such array, as in every set that the
-    readers, :func:`~trajreeb.io.resample` and
-    :func:`~trajreeb.io.orient_align` make, that array is read in place:
-    each trajectory's first row comes from its view's address and its
-    direction from its row stride, -1 for a reversed view.  The points of
-    any other set are copied into one new array.
+    do.  All points sit in one C-contiguous (P, 3) float32 or float64
+    array, row i's point at global step k in row ``offset[i] + sign[i] *
+    k``, and the rows a step gathers are widened to float64 in the copy
+    that gathers them.  When every trajectory's points view one such
+    array, as in every set that the readers, :func:`~trajreeb.io.resample`
+    and :func:`~trajreeb.io.orient_align` make, that array is read in
+    place: each trajectory's first row comes from its view's address and
+    its direction from its row stride, -1 for a reversed view.  The points
+    of any other set are copied into one new array.
     """
 
     def __init__(self, s: TrajectorySet):
@@ -264,16 +266,19 @@ class _StepIndex:
         self.points, first, self.sign = shared
         self.offset = first - self.sign * self.start
 
-    def rows_at(self, rows: np.ndarray, k) -> np.ndarray:
-        """The points of these rows at step k, one step or one per row, as
-        an (n, 3) array."""
+    def _take(self, rows: np.ndarray, k) -> np.ndarray:
         return self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0)
 
+    def rows_at(self, rows: np.ndarray, k) -> np.ndarray:
+        """The points of these rows at step k, one step or one per row, as
+        an (n, 3) float64 array."""
+        return self._take(rows, k).astype(np.float64, copy=False)
+
     def at(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """The points at step k of these rows, as a (3, n) array."""
-        # one transposed copy of the gathered rows: a take along axis 1 of
-        # points.T would copy the whole array
-        return np.ascontiguousarray(self.rows_at(rows, k).T)
+        """The points at step k of these rows, as a (3, n) float64 array."""
+        # one widened, transposed copy of the gathered rows: a take along
+        # axis 1 of points.T would copy the whole array
+        return np.ascontiguousarray(self._take(rows, k).T, dtype=np.float64)
 
     def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows active at step k, in id order, and their points as a
@@ -283,11 +288,12 @@ class _StepIndex:
 
 
 def _shared_rows(views: list[np.ndarray]):
-    """The C-contiguous (P, 3) float64 array whose whole rows every view
-    reads, each view's first row in it and each view's row direction (1, or
-    -1 when reversed); None when the views share no such array."""
+    """The C-contiguous (P, 3) float32 or float64 array whose whole rows
+    every view reads, each view's first row in it and each view's row
+    direction (1, or -1 when reversed); None when the views share no such
+    array."""
     base = views[0].base
-    if not (isinstance(base, np.ndarray) and base.dtype == np.float64
+    if not (isinstance(base, np.ndarray) and base.dtype in (np.float32, np.float64)
             and base.ndim == 2 and base.shape[1] == 3 and base.flags.c_contiguous
             and all(v.base is base for v in views)):
         return None
@@ -296,7 +302,7 @@ def _shared_rows(views: list[np.ndarray]):
     first, off = np.divmod(address - base.ctypes.data, row)
     if off.any():
         return None
-    # a Trajectory's strides are (+-row, 8): from a row's start it reads whole rows
+    # a Trajectory's strides are (+-row, itemsize): from a row's start it reads whole rows
     step = np.fromiter((v.strides[0] for v in views), dtype=np.int64, count=n)
     return base, first, step // row
 

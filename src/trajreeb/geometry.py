@@ -1,8 +1,10 @@
 """Core domain types and geometric primitives.
 
-Coordinates are kept as 64-bit floats throughout, even when a source file
-stores 32-bit values: comparisons against epsilon are exact (no tolerance
-band) and must not flip because of narrowing arithmetic.
+A trajectory's coordinates are held at the precision its source stores:
+float32 as a Float32 TCK file gives them, float64 otherwise.  Every value
+is widened to float64 before any arithmetic, and widening is exact, so
+comparisons against epsilon are exact (no tolerance band) and do not
+depend on how the coordinates are stored.
 
 Every module in the package decides epsilon-connectivity through
 :func:`eps_connected`, which compares squared distances computed as
@@ -84,7 +86,9 @@ class Trajectory:
     """An ordered sequence of 3D points with an id and a start step.
 
     The point occupied at global step ``k`` is ``points[k - start_step]``,
-    defined for ``start_step <= k <= end_step``.
+    defined for ``start_step <= k <= end_step``.  ``points`` is a read-only
+    (m, 3) array: a native float32 array, as the TCK reader makes of a
+    Float32 file, is kept as it is, and any other is converted to float64.
     """
 
     id: int
@@ -92,7 +96,9 @@ class Trajectory:
     start_step: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points)
+        if pts.dtype != np.float32:
+            pts = pts.astype(np.float64, copy=False)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"trajectory {self.id}: points must have shape (m, 3)")
         if pts.shape[0] < 2:

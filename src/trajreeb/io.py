@@ -14,11 +14,15 @@ Formats:
   A (NaN, NaN, NaN) triplet separates streamlines and an (Inf, Inf, Inf)
   triplet terminates the stream.  ``datatype`` is one of Float32LE,
   Float32BE, Float64LE and Float64BE.  A declared ``count`` must equal the
-  number of streamlines in the payload, short ones included.
+  number of streamlines in the payload, short ones included.  The points
+  keep the payload's precision, in native byte order: the trajectories of
+  a Float32 file are float32, and each use widens them to float64.
 * CSV -- header row ``id,point_index,x,y,z``, UTF-8, LF newlines, rows
   sorted by (id, point_index).  Unsorted rows are an error, never silently
   reordered.
 * JSON -- array of trajectories, each an array of [x, y, z] arrays.
+
+CSV and JSON points, and resampled ones, are float64.
 
 Writers print floats with 17 significant digits, which round-trips float64
 bit-exactly.
@@ -197,13 +201,13 @@ def _tck_header(fh: BinaryIO, size: int) -> tuple[dict[str, str], np.dtype, int]
 def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
     fields, dtype, offset = _tck_header(fh, size)
     triplet = 3 * dtype.itemsize
-    rows = np.empty(((size - offset) // triplet, 3))
+    # the file's precision in native byte order: a byte swap, no arithmetic
+    rows = np.empty(((size - offset) // triplet, 3), dtype=dtype.newbyteorder("="))
     per_read = _CHUNK // triplet
     fh.seek(offset)
-    with np.errstate(invalid="ignore"):  # a signalling NaN converts to a quiet one
-        for lo in range(0, rows.shape[0], per_read):
-            rows[lo:lo + per_read] = np.frombuffer(fh.read(per_read * triplet),
-                                                   dtype=dtype).reshape(-1, 3)
+    for lo in range(0, rows.shape[0], per_read):
+        rows[lo:lo + per_read] = np.frombuffer(fh.read(per_read * triplet),
+                                               dtype=dtype).reshape(-1, 3)
     # the rows holding a NaN or an infinity: separators, terminators and
     # bad points; one column at a time keeps the temporaries to P booleans
     finite = np.isfinite(rows[:, 0])
@@ -393,7 +397,7 @@ def _resample(trajs, delta: float) -> list[Trajectory]:
 def _arc_targets(t: Trajectory, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The cumulative arc length at each point of t, and the arc-length
     positions 0, delta, ... short of its end at which to resample it."""
-    seg = np.linalg.norm(np.diff(t.points, axis=0), axis=1)
+    seg = np.linalg.norm(np.diff(t.points.astype(np.float64, copy=False), axis=0), axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
     if total == 0.0:

@@ -7,8 +7,10 @@ viewers.
 
 The rules of a valid graph live in :class:`~trajreeb.reeb.ReebGraph`, which
 checks them as it stores its columns, so the writers check nothing.  The
-JSON reader hands the document to its constructor and reports a refusal as
-a ``FormatError``; what it accepts is written back as strict JSON.
+JSON reader takes each id, step and member only as a JSON integer and
+epsilon and each coordinate only as a JSON number, hands the document to
+its constructor and reports a refusal as a ``FormatError``; what it
+accepts is written back as strict JSON.
 """
 
 from __future__ import annotations
@@ -65,24 +67,38 @@ def graph_to_json(r: ReebGraph) -> str:
     return "".join(parts)
 
 
+def _integer(x) -> int:
+    """A JSON integer, not a float, a string or a boolean."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _number(x) -> float:
+    """A JSON number, not a string or a boolean."""
+    if type(x) not in (int, float):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def graph_from_json(text: str | bytes) -> ReebGraph:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad json or utf-8, too deep, too many digits
         raise FormatError(f"reeb json: {exc}") from None
     try:
-        vertices = [ReebVertex(int(v["id"]), int(v["step"]), VertexKind(v["kind"]),
-                               Point3(*(float(c) for c in v["location"])), int(v["witness"]))
+        vertices = [ReebVertex(_integer(v["id"]), _integer(v["step"]), VertexKind(v["kind"]),
+                               Point3(*map(_number, v["location"])), _integer(v["witness"]))
                     for v in obj["vertices"]]
         edges = []
         for i, e in enumerate(obj["edges"]):
-            k1, k2 = (int(k) for k in e["interval"])
-            edges.append(ReebEdge(i, int(e["u"]), int(e["v"]),
-                                  frozenset(int(t) for t in e["members"]), (k1, k2)))
+            k1, k2 = map(_integer, e["interval"])
+            edges.append(ReebEdge(i, _integer(e["u"]), _integer(e["v"]),
+                                  frozenset(map(_integer, e["members"])), (k1, k2)))
         metadata = {str(k): str(v) for k, v in obj.get("metadata", {}).items()}
         # the constructor holds the graph to its rules; the columns are
         # int64, so a larger number raises OverflowError
-        return ReebGraph(vertices, edges, float(obj["epsilon"]), metadata)
+        return ReebGraph(vertices, edges, _number(obj["epsilon"]), metadata)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"reeb json: malformed document ({exc})") from None
 

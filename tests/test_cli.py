@@ -143,6 +143,34 @@ def test_reeb_json_bad_epsilon_is_format_error(pair_set, epsilon):
         graph_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("where, value", [
+    (("epsilon",), "1.5"),
+    (("vertices", 1, "step"), 0.9),
+    (("edges", 0, "members", 0), True),
+    (("vertices", 0, "location", 1), "0"),
+    (("vertices", 0, "location", 0), False),
+    (("vertices", 2, "id"), 2.0),
+    (("vertices", 0, "witness"), "0"),
+    (("edges", 0, "u"), 0.0),
+    (("edges", 0, "v"), True),
+    (("edges", 0, "interval", 1), 1.5),
+    (("edges", 0, "members", 0), None),
+], ids=["str-epsilon", "float-step", "bool-member", "str-location", "bool-location",
+        "float-id", "str-witness", "float-u", "bool-v", "float-interval", "null-member"])
+def test_reeb_json_number_of_the_wrong_kind_is_format_error(pair_set, where, value):
+    """Ids, steps, witnesses, edge ends, members and intervals are JSON
+    integers, and epsilon and locations JSON numbers; a string, a boolean
+    or a fractional id is refused, never converted into another graph."""
+    obj = json.loads(graph_to_json(tr.build_reeb(pair_set, 1.5)))
+    *path, key = where
+    node = obj
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(tr.FormatError, match="malformed document"):
+        graph_from_json(json.dumps(obj))
+
+
 def test_single_trajectory_roundtrip():
     s = tr.make_set([[(0, 0, 0), (1, 0, 0)]])
     r = tr.build_reeb(s, 1.0)
@@ -440,6 +468,28 @@ def test_cli_build_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "out.json").stat().st_size > 0
 
 
+@pytest.mark.parametrize("args", [["sweep", "--epsilon-range", "0.5:1.5:0.5"],
+                                  ["metrics", "--epsilon", "1"]], ids=["sweep", "metrics"])
+def test_cli_metrics_load_no_numpy_ma(tmp_path, args):
+    """`sweep` and `metrics` load no numpy.ma module past those the CLI's
+    import loaded: np.unique imports it (numpy 2.x), at ~15 ms and ~1.3 MB.
+    numpy 1.x loads numpy.ma with numpy, so only the difference is tested."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_bundle(12, 10, seed=1)))
+    code = (
+        "import sys, trajreeb.cli; "
+        "ma = lambda: {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']}; "
+        f"before = ma(); code = trajreeb.cli.run({args!r} + ['--input', {str(tck)!r}, "
+        f"'--output', {str(tmp_path / 'out.csv')!r}]); "
+        "added = sorted(ma() - before); "
+        "sys.exit(f'exit {code}, added {added}' if code or added else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
     """`build --orient-align` on a ragged, half-reversed TCK: the peak
@@ -469,6 +519,38 @@ def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
     exit_code, growth = map(int, proc.stdout.split())
     assert exit_code == 0, proc.stderr
     assert growth < len(data) + 1.7 * one_copy, (growth, len(data), one_copy)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_cli_build_on_float32_tck_holds_the_points_at_float32(tmp_path):
+    """`build --orient-align` on a ragged, half-reversed Float32 TCK: the
+    peak memory growth past import is one float32 copy of the points, the
+    per-step gathers and a margin for the Reeb graph, whose columns, record
+    strings, joined text and bytes each hold about the JSON's size.  A
+    float64 copy of the points alone is two float32 copies."""
+    rng = np.random.default_rng(6)
+    lists = [t.points[: 3000 - int(rng.integers(0, 300))]
+             for t in tr.make_bundle(400, 3000, wobble=0.1, seed=6)]
+    (tmp_path / "in.tck").write_bytes(
+        tr.to_tck(tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)])))
+    float32_copy = 12 * sum(len(p) for p in lists)
+    code = (
+        "from trajreeb.cli import run\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        f"code = run(['build', '--orient-align', '--epsilon', '0.3', '--input', "
+        f"{str(tmp_path / 'in.tck')!r}, '--output', {str(tmp_path / 'out.json')!r}])\n"
+        "print(code, 1024 * (hwm() - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, growth = map(int, proc.stdout.split())
+    assert exit_code == 0, proc.stderr
+    margin = 8 * (tmp_path / "out.json").stat().st_size
+    assert growth < 1.7 * float32_copy + margin, (growth, float32_copy, margin)
 
 
 def _cli_subprocess(args, timeout=None):

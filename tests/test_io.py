@@ -421,6 +421,76 @@ def test_points_view_one_frozen_array_from_parse_to_detect(fmt):
         assert events._StepIndex(s).points is base
 
 
+@pytest.mark.parametrize("datatype", sorted(TCK_DTYPES))
+def test_tck_points_keep_the_file_precision(datatype):
+    """A Float32 TCK's trajectories are float32 views of one frozen base,
+    and a Float64 one's float64, in native byte order, through
+    orient_align; the step index reads that base and widens what it
+    gathers to float64."""
+    want = np.float32 if datatype.startswith("Float32") else np.float64
+    lists = [t.points for t in tr.make_bundle(6, 9, seed=2)]
+    s = tr.parse(tck_bytes([p[::-1] if i % 2 else p for i, p in enumerate(lists)], datatype),
+                 tr.FileFormat.TCK)
+    oriented = tr.orient_align(s)
+    base = s.trajectories[0].points.base
+    assert base.dtype == want and not base.flags.writeable
+    for t in (*s, *oriented):
+        assert t.points.dtype == want and t.points.base is base
+    index = events._StepIndex(oriented)
+    assert index.points is base
+    rows, xyz = index.active(3)
+    assert xyz.dtype == np.float64 and xyz.flags.c_contiguous
+    assert index.rows_at(rows, 3).dtype == np.float64
+    assert np.array_equal(xyz.T, [oriented.by_id(i).points[3] for i in index.ids[rows]])
+
+
+def test_float32_trajectory_is_frozen_in_place():
+    pts = np.arange(12, dtype=np.float32).reshape(4, 3)
+    t = tr.Trajectory(0, pts)
+    assert t.points is pts and not pts.flags.writeable
+    assert tr.Trajectory(1, pts.astype(">f4")).points.dtype == np.float64
+
+
+def _outputs(s: tr.TrajectorySet, config: tr.Config, epsilons) -> tuple[str, ...]:
+    """Reeb JSON and the event schedule at each epsilon, and the sweep CSV,
+    of a set prepared by `config`, with its metadata dropped."""
+    s = tr.prepare(tr.TrajectorySet(s.trajectories), config)
+    return (*(tr.graph_to_json(tr.build_reeb(s, e)) for e in epsilons),
+            *(tr.detect_all_events(s, e).to_jsonl() for e in epsilons),
+            tr.reports_to_csv(tr.sweep(s, list(epsilons))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), datatype=st.sampled_from(["Float32LE", "Float32BE",
+                                                                 "Float64LE"]),
+       grid=st.booleans(), orient=st.booleans(), delta=st.sampled_from([None, 0.25, 0.4]))
+def test_tck_precision_gives_the_outputs_of_float64_points(seed, datatype, grid, orient, delta):
+    """A set parsed from a TCK of any datatype gives the same Reeb JSON,
+    event schedules and sweep CSV as make_set of the same values in
+    float64.  On a 0.25 grid many pairs lie exactly 0.75, 1 or 1.25 apart,
+    so ties at epsilon are decided on widened float32 values; off the grid,
+    a copy of a trajectory shifted by an epsilon in a random direction
+    makes near-ties that float32 arithmetic would decide differently."""
+    rng = np.random.default_rng(seed)
+    epsilons = (0.75, 1.0, 1.25)
+    lists = []
+    for i in range(int(rng.integers(2, 9))):
+        m = int(rng.integers(2, 12))
+        if grid:
+            # every step moves along x, so no trajectory has zero length
+            pts = np.cumsum(rng.integers(-2, 3, (m, 3)) + [3, 0, 0], axis=0) * 0.25
+        elif i and rng.random() < 0.6:
+            u = rng.normal(size=3)
+            pts = lists[int(rng.integers(i))] + u / np.linalg.norm(u) * rng.choice(epsilons)
+        else:
+            pts = np.cumsum(rng.normal(0, 0.3, (m, 3)), axis=0)
+        lists.append(pts.astype(np.float32).astype(np.float64))
+    parsed = tr.parse(tck_bytes(lists, datatype), tr.FileFormat.TCK)
+    assert len(parsed) == len(lists)
+    config = tr.Config(1.0, resample_delta=delta, orient_align=orient)
+    assert _outputs(parsed, config, epsilons) == _outputs(tr.make_set(lists), config, epsilons)
+
+
 def test_parse_never_returns_short_trajectories():
     s = tr.parse(b"[[[0,0,0],[1,0,0]],[[0,1,0]],[[1,1,1]]]", tr.FileFormat.JSON)
     assert all(len(t) >= 2 for t in s)
