@@ -214,7 +214,7 @@ def run(argv) -> int:
     except AssertionError as exc:
         print(f"trajreeb: internal error: {exc}", file=sys.stderr)
         return 2
-    except (TrajreebError, ValueError, OSError) as exc:
+    except (TrajreebError, ValueError, OSError, MemoryError) as exc:
         print(f"trajreeb: {exc}", file=sys.stderr)
         return 1
 

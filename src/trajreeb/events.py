@@ -48,12 +48,9 @@ array lacks, found by one binary search.  The schedule it returns is four
 integer columns (step, kind, subjects); :class:`Event` objects are built
 only when a caller iterates it.
 
-Detection copies no point array.  The readers, ``resample`` and
-``orient_align`` leave every trajectory of a set a view of one read-only
-(P, 3) array, a reversed trajectory a view with a negative row stride, and
-the step index reads that array in place: a trajectory's point at step k is
-row ``offset + sign * k``.  Only a set assembled from separate arrays is
-concatenated into one.  Each step gathers its rows and transposes them once
+Detection reads the points through the set's step index
+(:class:`trajreeb.geometry._StepIndex`), which the set makes once and
+shares with the replay.  Each step gathers its rows and transposes them once
 into the (3, n) coordinates that the grid and the list read, widened to
 float64 in the same copy when the array holds a Float32 file's points.
 """
@@ -68,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Point3, Trajectory, TrajectorySet, _check_epsilon
+from .geometry import Point3, Trajectory, TrajectorySet, _StepIndex, _check_epsilon
 
 
 class EventKind(enum.IntEnum):
@@ -147,8 +144,9 @@ class EventSchedule:
         """Events lo..hi-1, built on the fly."""
         cols = [c[lo:hi].tolist() for c in (self._step, self._kind, self._a, self._b)]
         if self._locations is None:
-            by_id = self._set.by_id
-            locs = (by_id(a).location_at(k) for k, a in zip(cols[0], cols[2]))
+            index = self._set._index
+            rows = index.ids.searchsorted(self._a[lo:hi])
+            locs = map(Point3._make, index.rows_at(rows, self._step[lo:hi]).tolist())
         else:
             locs = self._locations[lo:hi]
         for k, kind, a, b, loc in zip(*cols, locs):
@@ -224,87 +222,6 @@ _CELLS_PER_AXIS = (1 << 21) - 4
 # (dy, dz) of the point's own row of cells, first, then of the 4 neighbouring
 # rows whose codes are larger
 _FORWARD_ROWS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
-
-
-def _in_id_order(s: TrajectorySet):
-    """The trajectories of a set sorted by id, and their ids, first steps
-    and last steps as arrays in that order."""
-    ts = sorted(s, key=lambda t: t.id)
-    n = len(ts)
-    ids = np.fromiter((t.id for t in ts), dtype=np.int64, count=n)
-    start = np.fromiter((t.start_step for t in ts), dtype=np.int64, count=n)
-    end = start + np.fromiter((len(t) for t in ts), dtype=np.int64, count=n) - 1
-    return ts, ids, start, end
-
-
-class _StepIndex:
-    """Per-step views of the active trajectories of a set.
-
-    The trajectories are held in id order, so row i of every per-trajectory
-    array is the trajectory of the i-th smallest id, and rows sort as ids
-    do.  All points sit in one C-contiguous (P, 3) float32 or float64
-    array, row i's point at global step k in row ``offset[i] + sign[i] *
-    k``, and the rows a step gathers are widened to float64 in the copy
-    that gathers them.  When every trajectory's points view one such
-    array, as in every set that the readers, :func:`~trajreeb.io.resample`
-    and :func:`~trajreeb.io.orient_align` make, that array is read in
-    place: each trajectory's first row comes from its view's address and
-    its direction from its row stride, -1 for a reversed view.  The points
-    of any other set are copied into one new array.
-    """
-
-    def __init__(self, s: TrajectorySet):
-        if len(s) == 0:
-            raise ValueError("trajectory set is empty")
-        ts, self.ids, self.start, self.end = _in_id_order(s)
-        views = [t.points for t in ts]
-        shared = _shared_rows(views)
-        if shared is None:
-            lengths = self.end - self.start + 1
-            shared = (np.concatenate(views), np.cumsum(lengths) - lengths,
-                      np.ones(len(ts), dtype=np.int64))
-        self.points, first, self.sign = shared
-        self.offset = first - self.sign * self.start
-
-    def _take(self, rows: np.ndarray, k) -> np.ndarray:
-        return self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0)
-
-    def rows_at(self, rows: np.ndarray, k) -> np.ndarray:
-        """The points of these rows at step k, one step or one per row, as
-        an (n, 3) float64 array."""
-        return self._take(rows, k).astype(np.float64, copy=False)
-
-    def at(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """The points at step k of these rows, as a (3, n) float64 array."""
-        # one widened, transposed copy of the gathered rows: a take along
-        # axis 1 of points.T would copy the whole array
-        return np.ascontiguousarray(self._take(rows, k).T, dtype=np.float64)
-
-    def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows active at step k, in id order, and their points as a
-        (3, n) array."""
-        rows = np.flatnonzero((self.start <= k) & (self.end >= k))
-        return rows, self.at(rows, k)
-
-
-def _shared_rows(views: list[np.ndarray]):
-    """The C-contiguous (P, 3) float32 or float64 array whose whole rows
-    every view reads, each view's first row in it and each view's row
-    direction (1, or -1 when reversed); None when the views share no such
-    array."""
-    base = views[0].base
-    if not (isinstance(base, np.ndarray) and base.dtype in (np.float32, np.float64)
-            and base.ndim == 2 and base.shape[1] == 3 and base.flags.c_contiguous
-            and all(v.base is base for v in views)):
-        return None
-    n, row = len(views), base.strides[0]
-    address = np.fromiter((v.ctypes.data for v in views), dtype=np.int64, count=n)
-    first, off = np.divmod(address - base.ctypes.data, row)
-    if off.any():
-        return None
-    # a Trajectory's strides are (+-row, itemsize): from a row's start it reads whole rows
-    step = np.fromiter((v.strides[0] for v in views), dtype=np.int64, count=n)
-    return base, first, step // row
 
 
 def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -540,7 +457,7 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     """
     for e in epsilons:
         _check_epsilon(e)
-    index = _StepIndex(s)
+    index = s._index
     n = len(s)
 
     kmin, kmax = s.step_range

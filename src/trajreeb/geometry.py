@@ -11,12 +11,18 @@ Every module in the package decides epsilon-connectivity through
 ``(dx*dx + dy*dy) + dz*dz`` in float64.  Using one shared predicate (and one
 evaluation order) keeps boundary cases bit-identical between the fast paths
 and the brute-force reference paths.
+
+The readers, ``resample`` and ``orient_align`` leave every trajectory of a
+set a view of one read-only (P, 3) array, a reversed trajectory a view with
+a negative row stride.  Each set's step index reads that array in place: a
+trajectory's point at step k is row ``offset + sign * k``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -145,9 +151,86 @@ class Trajectory:
         return Trajectory(self.id, self.points[::-1], self.start_step)
 
 
+class _StepIndex:
+    """Per-step views of the active trajectories of a set.
+
+    The trajectories are held in id order, so row i of every per-trajectory
+    array is the trajectory of the i-th smallest id, and rows sort as ids
+    do.  Row i's point at global step k is row ``offset[i] + sign[i] * k``
+    of one C-contiguous (P, 3) float32 or float64 array, and the rows a step
+    gathers are widened to float64 in the copy that gathers them.  That
+    array is the one every trajectory views, when there is one, or else a
+    copy of their points.  The set keeps its index, so it is read-only.
+    """
+
+    def __init__(self, trajectories: Sequence[Trajectory]):
+        if not trajectories:
+            raise ValueError("trajectory set is empty")
+        ts = sorted(trajectories, key=lambda t: t.id)
+        n = len(ts)
+        self.ids = np.fromiter((t.id for t in ts), dtype=np.int64, count=n)
+        self.start = np.fromiter((t.start_step for t in ts), dtype=np.int64, count=n)
+        lengths = np.fromiter(map(len, ts), dtype=np.int64, count=n)
+        self.end = self.start + lengths - 1
+        views = [t.points for t in ts]
+        shared = _shared_rows(views)
+        if shared is None:
+            shared = (np.concatenate(views), np.cumsum(lengths) - lengths,
+                      np.ones(n, dtype=np.int64))
+            shared[0].flags.writeable = False
+        self.points, first, self.sign = shared
+        self.offset = first - self.sign * self.start
+        for a in (self.ids, self.start, self.end, self.sign, self.offset):
+            a.flags.writeable = False
+
+    def _take(self, rows: np.ndarray, k) -> np.ndarray:
+        return self.points.take(self.offset[rows] + self.sign[rows] * k, axis=0)
+
+    def rows_at(self, rows: np.ndarray, k) -> np.ndarray:
+        """The points of these rows at step k, one step or one per row, as
+        an (n, 3) float64 array."""
+        return self._take(rows, k).astype(np.float64, copy=False)
+
+    def at(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The points at step k of these rows, as a (3, n) float64 array."""
+        # one widened, transposed copy of the gathered rows: a take along
+        # axis 1 of points.T would copy the whole array
+        return np.ascontiguousarray(self._take(rows, k).T, dtype=np.float64)
+
+    def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows active at step k, in id order, and their points as a
+        (3, n) array."""
+        rows = np.flatnonzero((self.start <= k) & (self.end >= k))
+        return rows, self.at(rows, k)
+
+
+def _shared_rows(views: list[np.ndarray]):
+    """The C-contiguous (P, 3) float32 or float64 array whose whole rows
+    every view reads, each view's first row in it and each view's row
+    direction (1, or -1 when reversed); None when the views share no such
+    array."""
+    base = views[0].base
+    if not (isinstance(base, np.ndarray) and base.dtype in (np.float32, np.float64)
+            and base.ndim == 2 and base.shape[1] == 3 and base.flags.c_contiguous
+            and all(v.base is base for v in views)):
+        return None
+    n, row = len(views), base.strides[0]
+    address = np.fromiter((v.ctypes.data for v in views), dtype=np.int64, count=n)
+    first, off = np.divmod(address - base.ctypes.data, row)
+    if off.any():
+        return None
+    # a Trajectory's strides are (+-row, itemsize): from a row's start it reads whole rows
+    step = np.fromiter((v.strides[0] for v in views), dtype=np.int64, count=n)
+    return base, first, step // row
+
+
 @dataclass(frozen=True)
 class TrajectorySet:
-    """A collection of trajectories plus free-form provenance metadata."""
+    """A collection of trajectories plus free-form provenance metadata.
+
+    The set makes its :class:`_StepIndex` on first use and keeps it, so
+    detection, replay and every per-step query share one index.
+    """
 
     trajectories: tuple[Trajectory, ...]
     metadata: Mapping[str, str] = field(default_factory=dict)
@@ -170,15 +253,15 @@ class TrajectorySet:
     def by_id(self, tid: int) -> Trajectory:
         return self._by_id[tid]
 
+    @cached_property
+    def _index(self) -> _StepIndex:
+        # cached_property writes the instance dict, open without slots
+        return _StepIndex(self.trajectories)
+
     @property
     def step_range(self) -> tuple[int, int]:
         """(min start_step, max end_step) over the whole set."""
-        if not self.trajectories:
-            raise ValueError("empty trajectory set has no step range")
-        return (
-            min(t.start_step for t in self.trajectories),
-            max(t.end_step for t in self.trajectories),
-        )
+        return int(self._index.start.min()), int(self._index.end.max())
 
     def active_ids(self, step: int) -> list[int]:
         return [t.id for t in self.trajectories if t.active_at(step)]

@@ -55,7 +55,7 @@ import numpy as np
 
 from .connectivity import component_roots
 from .errors import ContractError, InvalidTransitionError
-from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _LOW31, _StepIndex
+from .events import Event, EventKind, EventSchedule, detect_all_events, _hits, _LOW31
 from .geometry import Point3, TrajectorySet, _check_epsilon
 
 
@@ -313,7 +313,7 @@ class _Replay:
     """
 
     def __init__(self, s: TrajectorySet):
-        self.index = _StepIndex(s)
+        self.index = s._index
         self.ids = self.index.ids
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
@@ -501,12 +501,11 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     still active at their final step.
     """
     _check_epsilon(epsilon)
-    index = _StepIndex(s)
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")
-    rows, xyz = index.active(k)
-    ids = index.ids[rows]
+    rows, xyz = s._index.active(k)
+    ids = s._index.ids[rows]
     ii, jj, _ = _hits(xyz, epsilon)
     root = component_roots(ids.shape[0], ii, jj)
     # rows are in id order, so the labels (least rows) are in least-id order

@@ -23,7 +23,7 @@ import numpy as np
 
 from trajreeb.connectivity import component_roots
 from trajreeb.errors import ContractError
-from trajreeb.events import Event, EventKind, EventSchedule, _in_id_order, _LOW31
+from trajreeb.events import Event, EventKind, EventSchedule, _LOW31
 from trajreeb.geometry import Point3, TrajectorySet
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
@@ -683,7 +683,8 @@ class _FrozensetReplay:
     def __init__(self, s: TrajectorySet):
         self.s = s
         # each rank's id, first step and last step
-        _, self.ids, self.start, self.end = _in_id_order(s)
+        index = s._index
+        self.ids, self.start, self.end = index.ids, index.start, index.end
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
         self.open: dict[int, tuple[int, frozenset[int], int]] = {}

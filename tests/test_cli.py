@@ -15,6 +15,8 @@ from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 from trajreeb.serialize import graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json
 
+from test_io import tck_bytes
+
 
 PAIR_CSV = (
     "id,point_index,x,y,z\n"
@@ -492,16 +494,17 @@ def test_cli_metrics_load_no_numpy_ma(tmp_path, args):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
-    """`build --orient-align` on a ragged, half-reversed TCK: the peak
-    memory growth past import is the file's bytes plus one float64 copy of
-    the points, and a margin for the Reeb graph.  A payload copy at parse,
-    copies of the reversed streamlines or of the whole set at detect would
-    each add a large fraction of one copy more."""
+    """`build --orient-align` on a ragged, half-reversed Float64 TCK: the
+    peak memory growth past import is one float64 copy of the points, the
+    per-step gathers and a margin for the Reeb graph (about 1.15 copies in
+    all).  The reader holds no file bytes.  A copy of the whole set at
+    detect would add one copy more, and copies of the reversed streamlines
+    half of one."""
     rng = np.random.default_rng(5)
     lists = [t.points[: 3000 - int(rng.integers(0, 300))]
              for t in tr.make_bundle(200, 3000, wobble=0.1, seed=5)]
-    data = tr.to_tck(tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)]))
-    (tmp_path / "in.tck").write_bytes(data)
+    (tmp_path / "in.tck").write_bytes(
+        tck_bytes([p[::-1] if i % 2 else p for i, p in enumerate(lists)], "Float64LE"))
     one_copy = 24 * sum(len(p) for p in lists)
     code = (
         "from trajreeb.cli import run\n"
@@ -518,7 +521,8 @@ def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
     assert proc.returncode == 0, proc.stderr
     exit_code, growth = map(int, proc.stdout.split())
     assert exit_code == 0, proc.stderr
-    assert growth < len(data) + 1.7 * one_copy, (growth, len(data), one_copy)
+    margin = 8 * (tmp_path / "out.json").stat().st_size
+    assert growth < 1.5 * one_copy + margin, (growth, one_copy, margin)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
@@ -626,6 +630,21 @@ def test_cli_coordinate_span_beyond_float64_is_one_line(tmp_path):
                             "--output", str(tmp_path / "out.json")])
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_cli_resample_spacing_too_fine_to_allocate_is_one_line(tmp_path):
+    """A spacing of 1e-13 asks for ~9e13 resampled points a streamline, an
+    allocation past the 2**47-byte address space, which fails at once
+    whatever the overcommit setting: exit 1 with a one-line diagnostic, no
+    traceback."""
+    tck = tmp_path / "bundle.tck"
+    tck.write_bytes(tr.to_tck(tr.make_bundle(5, 10)))
+    proc = _cli_subprocess(["build", "--epsilon", "1.2", "--resample", "1e-13",
+                            "--input", str(tck), "--output", str(tmp_path / "out.json")],
+                           timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("trajreeb: ")
 
 
 ROOT = Path(__file__).resolve().parent.parent

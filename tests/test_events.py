@@ -352,8 +352,9 @@ def test_shared_point_array_equals_separate_arrays(monkeypatch):
         shared, base = shared_layout(rng, trajs)
         separate = tr.TrajectorySet(tuple(
             tr.Trajectory(t.id, np.array(t.points), t.start_step) for t in shared))
-        assert events._StepIndex(shared).points is base
-        assert events._StepIndex(separate).points.base is None
+        assert shared._index.points is base
+        assert separate._index.points.base is None
+        assert not separate._index.points.flags.writeable
         assert any(t.points.strides[0] < 0 for t in shared)
         for epsilons in ([eps], sorted({eps * 0.5, eps * 0.75, eps}),
                          sorted({eps, eps * float(rng.uniform(1.0, 2.0))})):
@@ -528,20 +529,37 @@ def test_intra_step_ordering():
 
 def test_schedule_from_events_equals_detected_columns():
     """A schedule rebuilt from a detected schedule's events keeps their
-    locations and answers every query alike."""
+    locations and answers every query alike.  Each detected location, which
+    the schedule gathers from the set's step index, is the first subject's
+    point at the event step, on three layouts: separate arrays with
+    unsorted ids and staggered starts (concatenated), a Float32 TCK after
+    orient_align (float32 views, half reversed) and a resampled set (one
+    float64 array)."""
     rng = np.random.default_rng(43)
     trajs, eps = random_instance(rng, n_range=(8, 16), m_range=(8, 30))
-    s = tr.TrajectorySet(tuple(tr.Trajectory(t, p, st) for t, p, st in trajs))
-    sched = tr.detect_all_events(s, eps)
-    again = tr.EventSchedule(reversed(list(sched)))
-    assert again == sched and len(again) == len(sched)
-    assert again.steps == sched.steps
-    for k in sched.steps:
-        assert again.at_step(k) == sched.at_step(k)
-    assert again.at_step(max(sched.steps) + 1) == []
-    assert again.to_jsonl() == sched.to_jsonl()
-    for e in sched:
-        assert e.location == s.by_id(e.subjects[0]).location_at(e.step)
+    ids = (rng.permutation(len(trajs)) * 3 + 1).tolist()
+    unsorted = tr.TrajectorySet(tuple(tr.Trajectory(ids[t], p, st) for t, p, st in trajs))
+    lists = [t.points for t in tr.make_bundle(12, 20, seed=4)]
+    tck = tr.parse(tr.to_tck(tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)])),
+                   tr.FileFormat.TCK)
+    oriented = tr.orient_align(tck)
+    assert any(t.points.strides[0] < 0 for t in oriented)
+    assert all(t.points.dtype == np.float32 for t in oriented)
+    resampled = tr.prepare(tck, tr.Config(1.2, resample_delta=0.7))
+    assert [t.id for t in unsorted] != sorted(ids)
+    assert len({t.start_step for t in unsorted}) > 1
+    for s, e in ((unsorted, eps), (oriented, 1.2), (resampled, 1.2)):
+        sched = tr.detect_all_events(s, e)
+        again = tr.EventSchedule(reversed(list(sched)))
+        assert again == sched and len(again) == len(sched)
+        assert again.steps == sched.steps
+        for k in sched.steps:
+            assert again.at_step(k) == sched.at_step(k)
+        assert again.at_step(max(sched.steps) + 1) == []
+        assert again.to_jsonl() == sched.to_jsonl()
+        assert any(ev.kind is EventKind.CONNECT for ev in sched)
+        for ev in sched:
+            assert ev.location == s.by_id(ev.subjects[0]).location_at(ev.step)
 
 
 def test_jsonl_dump(pair_set):

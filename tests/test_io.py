@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import trajreeb as tr
 import trajreeb.io
-from trajreeb import events
 from trajreeb.cli import run
 from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
 
@@ -418,7 +417,7 @@ def test_points_view_one_frozen_array_from_parse_to_detect(fmt):
         assert isinstance(base, np.ndarray) and base.shape[1:] == (3,)
         assert not base.flags.writeable
         assert all(t.points.base is base and np.shares_memory(t.points, base) for t in s)
-        assert events._StepIndex(s).points is base
+        assert s._index.points is base
 
 
 @pytest.mark.parametrize("datatype", sorted(TCK_DTYPES))
@@ -436,7 +435,7 @@ def test_tck_points_keep_the_file_precision(datatype):
     assert base.dtype == want and not base.flags.writeable
     for t in (*s, *oriented):
         assert t.points.dtype == want and t.points.base is base
-    index = events._StepIndex(oriented)
+    index = oriented._index
     assert index.points is base
     rows, xyz = index.active(3)
     assert xyz.dtype == np.float64 and xyz.flags.c_contiguous

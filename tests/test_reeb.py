@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trajreeb as tr
+from trajreeb import geometry
 from trajreeb.events import EventKind
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
@@ -514,6 +515,27 @@ def test_groups_at_step_matches_oracle_and_edges():
                 assert any(grp <= cover for cover in r.covering_groups(k))
 
 
+def test_each_set_makes_its_step_index_once(monkeypatch):
+    """A build detects and replays through one step index, a sweep of six
+    epsilons detects once and replays six times through one, and repeated
+    groups_at_step calls share one: the set makes its index on first use."""
+    made = []
+    init = geometry._StepIndex.__init__
+
+    def counting(self, trajectories):
+        made.append(len(trajectories))
+        init(self, trajectories)
+
+    monkeypatch.setattr(geometry._StepIndex, "__init__", counting)
+    runs = [lambda s: tr.build_reeb(s, 1.2),
+            lambda s: tr.sweep(s, [0.9, 1.0, 1.1, 1.2, 1.3, 1.4]),
+            lambda s: [tr.groups_at_step(s, 1.2, k) for k in (0, 5, 9)]]
+    for run in runs:
+        made.clear()
+        run(tr.make_bundle(12, 10, seed=3))
+        assert made == [12]
+
+
 # ---------------------------------------------------------------------------
 # FSM
 
@@ -612,7 +634,7 @@ def test_build_rejects_bad_inputs(pair_set):
     empty = tr.TrajectorySet(())
     for build in (lambda: tr.build_reeb(empty, 1.0),
                   lambda: tr.build_reeb(empty, 1.0, schedule=tr.detect_all_events(pair_set, 1.0)),
-                  lambda: tr.groups_at_step(empty, 1.0, 0)):
+                  lambda: tr.groups_at_step(empty, 1.0, 0), lambda: empty.step_range):
         with pytest.raises(ValueError, match="^trajectory set is empty$"):
             build()
     with pytest.raises(ValueError, match="epsilon must be positive"):
