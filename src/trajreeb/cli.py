@@ -133,14 +133,14 @@ def _load(args) -> TrajectorySet:
         orient_align=args.orient_align,
     )
     s = prepare(s, config)
-    meta = dict(s.metadata)
-    meta["input"] = args.input
-    meta["input_sha256"] = digest.hexdigest()
+    # the set is this call's own, so its metadata is filled in place
+    s.metadata["input"] = args.input
+    s.metadata["input_sha256"] = digest.hexdigest()
     if args.resample is not None:
-        meta["resample_delta"] = repr(float(args.resample))
+        s.metadata["resample_delta"] = repr(float(args.resample))
     if args.orient_align:
-        meta["orient_align"] = "true"
-    return TrajectorySet(s.trajectories, meta)
+        s.metadata["orient_align"] = "true"
+    return s
 
 
 def _emit(payload: bytes, output: str | None) -> None:

@@ -12,16 +12,15 @@ Every module in the package decides epsilon-connectivity through
 evaluation order) keeps boundary cases bit-identical between the fast paths
 and the brute-force reference paths.
 
-The readers, ``resample`` and ``orient_align`` leave every trajectory of a
-set a view of one read-only (P, 3) array, a reversed trajectory a view with
-a negative row stride.  Each set's step index reads that array in place: a
-trajectory's point at step k is row ``offset + sign * k``.
+A :class:`TrajectorySet` is its columns: one read-only (P, 3) array of
+points and a row range per trajectory.  This module alone knows that
+layout: the set's :class:`Trajectory` views and its step index read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -34,14 +33,6 @@ class Point3(NamedTuple):
     x: float
     y: float
     z: float
-
-
-def as_point(p) -> Point3:
-    """Coerce a length-3 sequence or array into a Point3."""
-    if isinstance(p, Point3):
-        return p
-    x, y, z = p
-    return Point3(float(x), float(y), float(z))
 
 
 def squared_distance(p, q) -> float:
@@ -116,11 +107,6 @@ class Trajectory:
             raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63")
         if self.start_step < 0:
             raise ValueError("start_step must be non-negative")
-        # a row-reversed view, as reversed() makes, is kept as it is: it
-        # shares memory with the array it views and copies nothing
-        row = 3 * pts.itemsize
-        if pts.strides[1] != pts.itemsize or abs(pts.strides[0]) != row:
-            pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -145,41 +131,28 @@ class Trajectory:
         return self.points[step - self.start_step]
 
     def location_at(self, step: int) -> Point3:
-        return as_point(self.point_at(step))
+        return Point3(*map(float, self.point_at(step)))
 
     def reversed(self) -> "Trajectory":
         return Trajectory(self.id, self.points[::-1], self.start_step)
 
 
 class _StepIndex:
-    """Per-step views of the active trajectories of a set.
-
-    The trajectories are held in id order, so row i of every per-trajectory
-    array is the trajectory of the i-th smallest id, and rows sort as ids
-    do.  Row i's point at global step k is row ``offset[i] + sign[i] * k``
-    of one C-contiguous (P, 3) float32 or float64 array, and the rows a step
-    gathers are widened to float64 in the copy that gathers them.  That
-    array is the one every trajectory views, when there is one, or else a
-    copy of their points.  The set keeps its index, so it is read-only.
+    """Per-step views of the active trajectories of a set: its columns
+    gathered into id order, so row i is the trajectory of the i-th smallest
+    id, without the points.  Row i's point at step k is row
+    ``offset[i] + sign[i] * k`` of the set's points, widened to float64 in
+    the copy that gathers it.  The set keeps its index, so it is read-only.
     """
 
-    def __init__(self, trajectories: Sequence[Trajectory]):
-        if not trajectories:
+    def __init__(self, s: TrajectorySet):
+        if not len(s):
             raise ValueError("trajectory set is empty")
-        ts = sorted(trajectories, key=lambda t: t.id)
-        n = len(ts)
-        self.ids = np.fromiter((t.id for t in ts), dtype=np.int64, count=n)
-        self.start = np.fromiter((t.start_step for t in ts), dtype=np.int64, count=n)
-        lengths = np.fromiter(map(len, ts), dtype=np.int64, count=n)
-        self.end = self.start + lengths - 1
-        views = [t.points for t in ts]
-        shared = _shared_rows(views)
-        if shared is None:
-            shared = (np.concatenate(views), np.cumsum(lengths) - lengths,
-                      np.ones(n, dtype=np.int64))
-            shared[0].flags.writeable = False
-        self.points, first, self.sign = shared
-        self.offset = first - self.sign * self.start
+        order = np.argsort(s._ids)
+        self.points = s._points
+        self.ids, self.start, self.sign = s._ids[order], s._start[order], s._sign[order]
+        self.end = self.start + s._length[order] - 1
+        self.offset = s._first[order] - self.sign * self.start
         for a in (self.ids, self.start, self.end, self.sign, self.offset):
             a.flags.writeable = False
 
@@ -204,59 +177,78 @@ class _StepIndex:
         return rows, self.at(rows, k)
 
 
-def _shared_rows(views: list[np.ndarray]):
-    """The C-contiguous (P, 3) float32 or float64 array whose whole rows
-    every view reads, each view's first row in it and each view's row
-    direction (1, or -1 when reversed); None when the views share no such
-    array."""
-    base = views[0].base
-    if not (isinstance(base, np.ndarray) and base.dtype in (np.float32, np.float64)
-            and base.ndim == 2 and base.shape[1] == 3 and base.flags.c_contiguous
-            and all(v.base is base for v in views)):
-        return None
-    n, row = len(views), base.strides[0]
-    address = np.fromiter((v.ctypes.data for v in views), dtype=np.int64, count=n)
-    first, off = np.divmod(address - base.ctypes.data, row)
-    if off.any():
-        return None
-    # a Trajectory's strides are (+-row, itemsize): from a row's start it reads whole rows
-    step = np.fromiter((v.strides[0] for v in views), dtype=np.int64, count=n)
-    return base, first, step // row
-
-
-@dataclass(frozen=True)
 class TrajectorySet:
     """A collection of trajectories plus free-form provenance metadata.
 
-    The set makes its :class:`_StepIndex` on first use and keeps it, so
-    detection, replay and every per-step query share one index.
+    The set is its columns: one read-only (P, 3) array of points and, per
+    trajectory in set order, its id, start step, length, ``first`` (the row
+    of its start-step point) and ``sign`` (-1 when it reads its rows
+    backwards), so its point at step k is row ``first + sign * (k - start)``.
+    This constructor concatenates the given trajectories' points once and
+    keeps the objects; a set made from columns builds :class:`Trajectory`
+    views only when ``trajectories``, iteration or ``by_id`` ask for them.
     """
 
-    trajectories: tuple[Trajectory, ...]
-    metadata: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        by_id = {t.id: t for t in trajs}
-        if len(by_id) != len(trajs):
+    def __init__(self, trajectories: Iterable[Trajectory],
+                 metadata: Mapping[str, str] | None = None):
+        trajs = tuple(trajectories)
+        n = len(trajs)
+        ids = np.fromiter((t.id for t in trajs), dtype=np.int64, count=n)
+        if np.unique(ids).size != n:
             raise ValueError("trajectory ids must be unique")
-        object.__setattr__(self, "trajectories", trajs)
-        object.__setattr__(self, "metadata", dict(self.metadata))
-        object.__setattr__(self, "_by_id", by_id)
+        length = np.fromiter(map(len, trajs), dtype=np.int64, count=n)
+        start = np.fromiter((t.start_step for t in trajs), dtype=np.int64, count=n)
+        points = np.concatenate([t.points for t in trajs]) if n else np.empty((0, 3))
+        made = TrajectorySet._of(points, np.cumsum(length) - length, length, metadata,
+                                 ids=ids, start=start)
+        self.__dict__.update(vars(made), trajectories=trajs)
+
+    @classmethod
+    def _of(cls, points, first, length, metadata, ids=None, start=None, sign=None):
+        """The set of these columns, frozen; ids default to 0..n-1, start
+        steps to 0 and signs to 1."""
+        cols = dict(_points=points, _first=first, _length=length,
+                    _ids=np.arange(length.shape[0]) if ids is None else ids,
+                    _start=np.zeros_like(length) if start is None else start,
+                    _sign=np.ones_like(length) if sign is None else sign)
+        for a in cols.values():
+            a.flags.writeable = False
+        s = cls.__new__(cls)
+        s.__dict__.update(cols, metadata=dict(metadata or {}))
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self._ids.shape[0]
 
     def __iter__(self):
         return iter(self.trajectories)
 
+    def _rows(self, i: int) -> np.ndarray:
+        """Trajectory i's points in step order, a view of the points."""
+        first, m = int(self._first[i]), int(self._length[i])
+        if self._sign[i] > 0:
+            return self._points[first:first + m]
+        return self._points[first - m + 1:first + 1][::-1]
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        # cached_property writes the instance dict, past __setattr__
+        ids, start = self._ids.tolist(), self._start.tolist()
+        return tuple(Trajectory(ids[i], self._rows(i), start[i]) for i in range(len(self)))
+
     def by_id(self, tid: int) -> Trajectory:
-        return self._by_id[tid]
+        at = np.flatnonzero(self._ids == tid)
+        if not at.size:
+            raise KeyError(tid)
+        return self.trajectories[at[0]]
 
     @cached_property
     def _index(self) -> _StepIndex:
-        # cached_property writes the instance dict, open without slots
-        return _StepIndex(self.trajectories)
+        # made on first use, and shared by detection, replay and every query
+        return _StepIndex(self)
 
     @property
     def step_range(self) -> tuple[int, int]:
@@ -264,7 +256,7 @@ class TrajectorySet:
         return int(self._index.start.min()), int(self._index.end.max())
 
     def active_ids(self, step: int) -> list[int]:
-        return [t.id for t in self.trajectories if t.active_at(step)]
+        return self._ids[(self._start <= step) & (step < self._start + self._length)].tolist()
 
 
 def make_set(point_lists: Iterable[Sequence], metadata: Mapping[str, str] | None = None,
@@ -272,6 +264,8 @@ def make_set(point_lists: Iterable[Sequence], metadata: Mapping[str, str] | None
     """Build a TrajectorySet from raw point sequences, ids assigned 0..n-1."""
     lists = list(point_lists)
     starts = list(start_steps) if start_steps is not None else [0] * len(lists)
+    if len(starts) != len(lists):
+        raise ValueError(f"make_set: {len(starts)} start steps for {len(lists)} point lists")
     trajs = tuple(
         Trajectory(i, np.asarray(pts, dtype=np.float64), start)
         for i, (pts, start) in enumerate(zip(lists, starts))

@@ -1,7 +1,9 @@
 """Trajectory file ingestion and preprocessing.
 
 Readers accept a file's bytes or the open file and return a
-:class:`TrajectorySet` with ids reassigned 0..n-1 in file order.
+:class:`TrajectorySet` made from columns, one array of the decoded points
+and each streamline's rows, with ids 0..n-1 in file order; so do
+``resample`` and ``orient_align``, and none builds a ``Trajectory``.
 Streamlines with fewer than two points are dropped and tallied in
 ``metadata["dropped_short"]``; one holding a NaN or an infinity, whatever
 its length, is refused with a ``ParseError``.
@@ -15,8 +17,8 @@ Formats:
   triplet terminates the stream.  ``datatype`` is one of Float32LE,
   Float32BE, Float64LE and Float64BE.  A declared ``count`` must equal the
   number of streamlines in the payload, short ones included.  The points
-  keep the payload's precision, in native byte order: the trajectories of
-  a Float32 file are float32, and each use widens them to float64.
+  keep the payload's precision, in native byte order: a Float32 file's
+  are float32, and each use widens them to float64.
 * CSV -- header row ``id,point_index,x,y,z``, UTF-8, LF newlines, rows
   sorted by (id, point_index).  Unsorted rows are an error, never silently
   reordered.
@@ -45,7 +47,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import FormatError, ParseError, UnsupportedFormatError
-from .geometry import Config, Trajectory, TrajectorySet, _check_resample_delta, distance
+from .geometry import Config, Trajectory, TrajectorySet, _check_resample_delta
 
 
 class FileFormat(enum.Enum):
@@ -94,28 +96,23 @@ def parse(data: bytes | BinaryIO, fmt: FileFormat) -> TrajectorySet:
 
 
 def _finish(rows: np.ndarray, starts, stops, odd: np.ndarray, source: str) -> TrajectorySet:
-    """The set of the streamlines rows[start:stop], each a view of rows,
-    which is frozen; streamlines of one point are dropped and tallied.  One
-    holding any of the `odd` rows (increasing, those with a NaN or an
-    infinity, perhaps also rows between streamlines) is refused instead."""
+    """The set of the streamlines rows[start:stop], whose points are rows,
+    frozen; streamlines of one point are dropped and tallied.  One holding
+    any of the `odd` rows (increasing, those with a NaN or an infinity,
+    perhaps also rows between streamlines) is refused instead."""
+    starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
     # odd row r lies in the first streamline that stops past r, if it starts by r
     at = np.searchsorted(stops, odd, side="right")
     held = np.flatnonzero(np.append(starts, rows.shape[0])[at] <= odd)
     if held.size:
         raise ParseError(f"{source}: non-finite coordinate in streamline {at[held[0]]}")
-    rows.flags.writeable = False
-    kept = []
-    dropped = 0
-    for a, b in zip(starts, stops):
-        if b - a >= 2:
-            kept.append(rows[a:b])
-        elif b - a == 1:
-            dropped += 1
-    trajs = tuple(Trajectory(i, p) for i, p in enumerate(kept))
+    size = stops - starts
     meta = {"source_format": source}
+    dropped = int(np.count_nonzero(size == 1))
     if dropped:
         meta["dropped_short"] = str(dropped)
-    return TrajectorySet(trajs, meta)
+    kept = size >= 2
+    return TrajectorySet._of(rows, starts[kept], size[kept], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def _parse_tck(fh: BinaryIO, size: int) -> TrajectorySet:
                 f"tck header: count {declared} does not match the "
                 f"{len(starts)} streamlines in the payload"
             )
-    return _finish(rows, starts.tolist(), stops.tolist(), odd, "tck")
+    return _finish(rows, starts, stops, odd, "tck")
 
 
 def to_tck(s: TrajectorySet) -> bytes:
@@ -316,9 +313,10 @@ def _parse_csv(data: bytes) -> TrajectorySet:
 
 def to_csv(s: TrajectorySet) -> str:
     out = [CSV_HEADER]
-    for t in s:
+    # each trajectory under its set position, the id every reader assigns
+    for n, t in enumerate(s):
         for i, (x, y, z) in enumerate(t.points):
-            out.append(f"{t.id},{i},{fmt17(x)},{fmt17(y)},{fmt17(z)}")
+            out.append(f"{n},{i},{fmt17(x)},{fmt17(y)},{fmt17(z)}")
     return "\n".join(out) + "\n"
 
 
@@ -371,40 +369,42 @@ def resample(t: Trajectory, delta: float) -> Trajectory:
     inter-point gap equals delta except possibly the last one, which lies in
     (0, delta].  Id and start_step are preserved.
     """
-    return _resample((t,), delta)[0]
+    return _resample(TrajectorySet((t,)), delta).trajectories[0]
 
 
-def _resample(trajs, delta: float) -> list[Trajectory]:
-    """:func:`resample` of each trajectory, all written into one new array
-    that every result views.  The first pass only sizes that array and the
+def _resample(s: TrajectorySet, delta: float) -> TrajectorySet:
+    """:func:`resample` of each trajectory of s, all written forwards into
+    one new array of points.  The first pass only sizes that array and the
     second recomputes each trajectory's arc lengths as it fills it: holding
     every trajectory's arc lengths and targets instead costs ~16 bytes a
     point at the build's peak."""
     _check_resample_delta(delta)
-    sizes = [len(_arc_targets(t, delta)[1]) + 1 for t in trajs]
-    out = np.empty((sum(sizes), 3))
-    stops = np.cumsum(sizes).tolist()
-    for t, hi, size in zip(trajs, stops, sizes):
-        cum, targets = _arc_targets(t, delta)
+    n = len(s)
+    sizes = np.fromiter((len(_arc_targets(s, i, delta)[2]) + 1 for i in range(n)),
+                        dtype=np.int64, count=n)
+    out = np.empty((int(sizes.sum()), 3))
+    stops = np.cumsum(sizes)
+    for i, hi, size in zip(range(n), stops.tolist(), sizes.tolist()):
+        pts, cum, targets = _arc_targets(s, i, delta)
         for c in range(3):
-            out[hi - size:hi - 1, c] = np.interp(targets, cum, t.points[:, c])
-        out[hi - 1] = t.points[-1]
-    out.flags.writeable = False
-    return [Trajectory(t.id, out[hi - size:hi], t.start_step)
-            for t, hi, size in zip(trajs, stops, sizes)]
+            out[hi - size:hi - 1, c] = np.interp(targets, cum, pts[:, c])
+        out[hi - 1] = pts[-1]
+    return TrajectorySet._of(out, stops - sizes, sizes, s.metadata, ids=s._ids, start=s._start)
 
 
-def _arc_targets(t: Trajectory, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The cumulative arc length at each point of t, and the arc-length
-    positions 0, delta, ... short of its end at which to resample it."""
-    seg = np.linalg.norm(np.diff(t.points.astype(np.float64, copy=False), axis=0), axis=1)
+def _arc_targets(s: TrajectorySet, i: int, delta: float):
+    """The points of trajectory i of s, the cumulative arc length at each,
+    and the arc-length positions 0, delta, ... short of its end at which to
+    resample it."""
+    pts = s._rows(i)
+    seg = np.linalg.norm(np.diff(pts.astype(np.float64, copy=False), axis=0), axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
     if total == 0.0:
-        raise ValueError(f"zero-length trajectory (id {t.id})")
+        raise ValueError(f"zero-length trajectory (id {s._ids[i]})")
     n_whole = int(math.floor(total / delta)) + 1
     targets = np.arange(n_whole) * delta
-    return cum, targets[targets < total * (1.0 - 1e-12)]
+    return pts, cum, targets[targets < total * (1.0 - 1e-12)]
 
 
 def orient_align(s: TrajectorySet) -> TrajectorySet:
@@ -413,25 +413,26 @@ def orient_align(s: TrajectorySet) -> TrajectorySet:
     Streamlines carry no intrinsic direction, so trajectory 0 is taken as the
     global reference and every other trajectory is reversed iff reversal
     strictly reduces d(first, first_ref) + d(last, last_ref).  Deterministic
-    and idempotent.
+    and idempotent.  Only each trajectory's first row and sign change: the
+    points are shared.
     """
     if len(s) == 0:
         raise ValueError("cannot orient an empty trajectory set")
-    ref = s.trajectories[0]
-    ref_first, ref_last = ref.points[0], ref.points[-1]
-    out = [ref]
-    for t in s.trajectories[1:]:
-        keep = distance(t.points[0], ref_first) + distance(t.points[-1], ref_last)
-        flip = distance(t.points[-1], ref_first) + distance(t.points[0], ref_last)
-        out.append(t.reversed() if flip < keep else t)
-    return TrajectorySet(tuple(out), s.metadata)
+    head, tail = s._first, s._first + s._sign * (s._length - 1)
+    ends = np.stack([s._points[head], s._points[tail]]).astype(np.float64)
+    # dist[a, b]: from each trajectory's end a (0 first, 1 last) to trajectory
+    # 0's end b, in geometry.distance's arithmetic
+    sq = np.square(ends[:, None] - ends[None, :, :1])
+    dist = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+    flip = dist[1, 0] + dist[0, 1] < dist[0, 0] + dist[1, 1]
+    return TrajectorySet._of(s._points, np.where(flip, tail, head), s._length, s.metadata,
+                             ids=s._ids, start=s._start, sign=np.where(flip, -s._sign, s._sign))
 
 
 def prepare(s: TrajectorySet, config: Config) -> TrajectorySet:
     """Apply the configured preprocessing (resample, then orient-align)."""
     if config.resample_delta is not None:
-        s = TrajectorySet(tuple(_resample(s.trajectories, config.resample_delta)),
-                          s.metadata)
+        s = _resample(s, config.resample_delta)
     if config.orient_align:
         s = orient_align(s)
     return s

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import TrajectorySet, Trajectory
+from .geometry import TrajectorySet
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -58,7 +58,7 @@ def make_bundle(
     freq = rng.uniform(1.0, 2.5, size=(n_trajectories, 2))
     amp = rng.uniform(0.3, 1.0, size=(n_trajectories, 2)) * wobble * spacing
 
-    trajs = []
+    points = np.empty((n_trajectories, n_points, 3))
     for t in range(n_trajectories):
         a = radius[t] * np.cos(theta[t]) + amp[t, 0] * np.sin(
             2.0 * np.pi * freq[t, 0] * u + phase[t, 0]
@@ -66,6 +66,6 @@ def make_bundle(
         b = radius[t] * np.sin(theta[t]) + amp[t, 1] * np.sin(
             2.0 * np.pi * freq[t, 1] * u + phase[t, 1]
         )
-        pts = center + a[:, None] * normal + b[:, None] * binormal
-        trajs.append(Trajectory(t, pts))
-    return TrajectorySet(tuple(trajs), {"source_format": "synthetic"})
+        points[t] = center + a[:, None] * normal + b[:, None] * binormal
+    return TrajectorySet._of(points.reshape(-1, 3), np.arange(n_trajectories) * n_points,
+                             np.full(n_trajectories, n_points), {"source_format": "synthetic"})

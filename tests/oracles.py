@@ -24,8 +24,26 @@ import numpy as np
 from trajreeb.connectivity import component_roots
 from trajreeb.errors import ContractError
 from trajreeb.events import Event, EventKind, EventSchedule, _LOW31
-from trajreeb.geometry import Point3, TrajectorySet
+from trajreeb.geometry import Point3, TrajectorySet, distance
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
+
+
+# ---------------------------------------------------------------------------
+# Orientation
+
+
+def oracle_orient_align(s):
+    """The package's orient_align before the set was held as columns: one
+    scalar distance per endpoint pair, trajectory by trajectory, against
+    trajectory 0's endpoints, reversing a trajectory by a reversed view."""
+    ref = s.trajectories[0]
+    ref_first, ref_last = ref.points[0], ref.points[-1]
+    out = [ref]
+    for t in s.trajectories[1:]:
+        keep = distance(t.points[0], ref_first) + distance(t.points[-1], ref_last)
+        flip = distance(t.points[-1], ref_first) + distance(t.points[0], ref_last)
+        out.append(t.reversed() if flip < keep else t)
+    return TrajectorySet(tuple(out), s.metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 from trajreeb.serialize import graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json
 
-from test_io import tck_bytes
+from test_io import count_trajectories, tck_bytes
 
 
 PAIR_CSV = (
@@ -555,6 +555,24 @@ def test_cli_build_on_float32_tck_holds_the_points_at_float32(tmp_path):
     assert exit_code == 0, proc.stderr
     margin = 8 * (tmp_path / "out.json").stat().st_size
     assert growth < 1.7 * float32_copy + margin, (growth, float32_copy, margin)
+
+
+@pytest.mark.parametrize("n, command", [
+    (10_000, ["build", "--orient-align", "--epsilon", "1.2"]),
+    (10_000, ["build", "--orient-align", "--resample", "0.7", "--epsilon", "1.2"]),
+    (10_000, ["export-schedule", "--orient-align", "--resample", "0.7", "--epsilon", "1.2"]),
+    # the metrics of 10,000 streamlines' graphs would take minutes
+    (500, ["sweep", "--orient-align", "--resample", "0.7", "--epsilon-range", "1.0:1.2:0.2"]),
+])
+def test_cli_constructs_no_trajectory_object(tmp_path, monkeypatch, n, command):
+    """From parse to output, a command on n streamlines reads the set's
+    columns and constructs no Trajectory, whatever its preprocessing: a
+    scale guard that counts objects instead of timing them."""
+    path = tmp_path / "bundle.tck"
+    path.write_bytes(tr.to_tck(tr.make_bundle(n, 10)))
+    made = count_trajectories(monkeypatch)
+    assert run([*command, "--input", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert made == []
 
 
 def _cli_subprocess(args, timeout=None):

@@ -317,52 +317,66 @@ def test_candidate_list_equals_grid_oracle(monkeypatch):
     assert counts["list"] >= 100 and counts["grid"] >= 100, counts
 
 
-def shared_layout(rng, trajs):
-    """The plain-tuple trajectories as views of one read-only (P, 3) array,
-    as the readers and orient_align leave them: stored in shuffled order
-    with a spare row between neighbours, about half of them reversed in
-    storage and read back through a negative-stride view."""
-    order = rng.permutation(len(trajs))
-    flip = rng.random(len(trajs)) < 0.5
+def column_layout(rng, trajs):
+    """The plain-tuple trajectories as a set made from columns, as the
+    readers, resample and orient_align make one, and as the same set built
+    from separate arrays.  The set order is shuffled, and the points are
+    stored in another shuffled order in one read-only (P, 3) array with a
+    spare row between neighbours, about half of them backwards: such a
+    trajectory's first row is its last stored one, and its sign -1.
+    Returns both sets and whether each trajectory, in set order, is
+    stored backwards."""
+    n = len(trajs)
+    order = rng.permutation(n)
+    flip = rng.random(n) < 0.5
     base = np.empty((sum(len(p) + 1 for _, p, _ in trajs), 3))
-    spans, row = {}, 0
-    for i in order.tolist():
+    first, row = np.empty(n, dtype=np.int64), 0
+    for i in rng.permutation(n).tolist():
         pts = trajs[i][1]
         base[row:row + len(pts)] = pts[::-1] if flip[i] else pts
         base[row + len(pts)] = rng.normal(0.0, 1e3, 3)
-        spans[i], row = (row, row + len(pts)), row + len(pts) + 1
-    base.flags.writeable = False
-    views = [base[a:b][::-1] if flip[i] else base[a:b] for i, (a, b) in sorted(spans.items())]
-    s = tr.TrajectorySet(tuple(tr.Trajectory(t, v, st) for (t, _, st), v in zip(trajs, views)))
-    return s, base
+        first[i] = row + len(pts) - 1 if flip[i] else row
+        row += len(pts) + 1
+    ids, length, start = (np.array(c)[order] for c in zip(
+        *((t, len(p), st) for t, p, st in trajs)))
+    columns = tr.TrajectorySet._of(base, first[order], length, {}, ids=ids, start=start,
+                                   sign=np.where(flip, -1, 1)[order])
+    separate = tr.TrajectorySet(tuple(
+        tr.Trajectory(trajs[i][0], np.array(trajs[i][1]), trajs[i][2]) for i in order.tolist()))
+    return columns, separate, flip[order], base
 
 
 def test_shared_point_array_equals_separate_arrays(monkeypatch):
-    """Detection and groups_at_step on trajectories viewing one array,
-    forward and reversed, with staggered starts and ragged ends, against the
-    same set rebuilt from separate arrays, which the step index
-    concatenates: column for column, on grid and list steps, for several
-    lists of epsilons with ties at epsilon."""
+    """Sets made from columns, with shuffled set and storage orders, random
+    first rows and signs, staggered starts and ragged ends, against the same
+    sets built from separate arrays, which the constructor concatenates:
+    detection column for column, on grid and list steps, for several lists
+    of epsilons with ties at epsilon; groups_at_step; and the iterated
+    views, which read the one array, backwards where the sign is -1."""
     seen = spy_on_candidate_list(monkeypatch)
     rng = np.random.default_rng(71)
     instances = [moving_instance(rng, lattice=bool(i % 2)) for i in range(12)]
     instances += [lattice_instance(rng) for _ in range(6)]
     instances += [random_instance(rng, n_range=(5, 30), m_range=(8, 40)) for _ in range(6)]
     for trajs, eps in instances:
-        shared, base = shared_layout(rng, trajs)
-        separate = tr.TrajectorySet(tuple(
-            tr.Trajectory(t.id, np.array(t.points), t.start_step) for t in shared))
-        assert shared._index.points is base
-        assert separate._index.points.base is None
-        assert not separate._index.points.flags.writeable
-        assert any(t.points.strides[0] < 0 for t in shared)
+        columns, separate, flipped, base = column_layout(rng, trajs)
+        assert columns._index.points is base
+        assert separate._index.points is separate._points
+        assert not separate._points.flags.writeable
+        assert flipped.any() and len(columns) == len(separate)
+        for t, u, back in zip(columns, separate, flipped.tolist()):
+            assert (t.id, t.start_step) == (u.id, u.start_step)
+            assert np.array_equal(t.points, u.points) and t.points.base is base
+            assert (t.points.strides[0] < 0) == back
         for epsilons in ([eps], sorted({eps * 0.5, eps * 0.75, eps}),
                          sorted({eps, eps * float(rng.uniform(1.0, 2.0))})):
-            for g, w in zip(_detect(shared, epsilons), _detect(separate, epsilons)):
+            for g, w in zip(_detect(columns, epsilons), _detect(separate, epsilons)):
                 assert_same_columns(g, w)
-        kmin, kmax = shared.step_range
+        kmin, kmax = columns.step_range
+        assert (kmin, kmax) == separate.step_range
         for k in {kmin, kmax, int(rng.integers(kmin, kmax + 1))}:
-            assert tr.groups_at_step(shared, eps, k) == tr.groups_at_step(separate, eps, k)
+            assert tr.groups_at_step(columns, eps, k) == tr.groups_at_step(separate, eps, k)
+            assert columns.active_ids(k) == separate.active_ids(k)
     counts = Counter(seen)
     assert counts["list"] >= 100 and counts["grid"] >= 100, counts
 

@@ -132,6 +132,12 @@ class TestTrajectorySet:
         assert s.active_ids(0) == [1]
         assert s.active_ids(2) == [0, 1]
 
+    def test_make_set_refuses_a_start_step_count_that_differs(self):
+        lists = [[(0, 0, 0), (1, 0, 0)]] * 3
+        for starts in ([0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError, match="start steps for 3 point lists"):
+                tr.make_set(lists, start_steps=starts)
+
     def test_by_id(self):
         ts = (tr.Trajectory(7, np.zeros((2, 3))), tr.Trajectory(3, np.ones((2, 3))))
         s = tr.TrajectorySet(ts)

@@ -12,6 +12,8 @@ import trajreeb.io
 from trajreeb.cli import run
 from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
 
+from oracles import oracle_orient_align
+
 
 # ---------------------------------------------------------------------------
 # CSV
@@ -391,6 +393,52 @@ def test_orient_align_idempotent_random():
             assert np.array_equal(a.points, b.points)
 
 
+def test_orient_align_equals_the_per_trajectory_loop():
+    """orient_align decides every flip in one vectorised pass over the
+    endpoint rows; on random sets in float64 and float32, with unsorted ids,
+    staggered starts, closed loops and exact ties of the two endpoint sums
+    (neither flips), it reverses exactly the trajectories that the scalar
+    loop it replaced reverses, and only the first rows and signs change."""
+    rng = np.random.default_rng(29)
+    for case in range(40):
+        n = int(rng.integers(2, 30))
+        lists = [rng.normal(0, 5, (int(rng.integers(2, 9)), 3)) for _ in range(n)]
+        lists[int(rng.integers(1, n))] = np.array([[0, 0, 0], [1, 2, 3], [0, 0, 0]], float)
+        lists[0] = np.array([[0, 0, 0], [5, 3, 0], [10, 0, 0]], float)
+        lists[int(rng.integers(1, n))] = np.array([[5, 1, 0], [7, 7, 7], [5, -1, 0]], float)
+        if case % 2:
+            lists = [p.astype(np.float32) for p in lists]
+        ids = rng.permutation(n) * 2 + 3
+        s = tr.TrajectorySet(tr.Trajectory(int(ids[i]), p, int(rng.integers(0, 4)))
+                             for i, p in enumerate(lists))
+        if case % 4 < 2:
+            s = tr.parse(tr.to_tck(s), tr.FileFormat.TCK)
+        # the same set with every trajectory, the reference too, read backwards
+        tail = s._first + s._sign * (s._length - 1)
+        backwards = tr.TrajectorySet._of(s._points, tail, s._length, {}, ids=s._ids,
+                                         start=s._start, sign=-s._sign)
+        for s in (s, backwards):
+            got, want = tr.orient_align(s), oracle_orient_align(s)
+            assert got._points is s._points and np.array_equal(got._length, s._length)
+            for t, u in zip(got, want):
+                assert (t.id, t.start_step) == (u.id, u.start_step)
+                assert np.array_equal(t.points, u.points)
+                assert (t.points.strides[0] < 0) == (u.points.strides[0] < 0)
+
+
+def test_csv_round_trip_of_unsorted_ids():
+    """A set whose ids are not in set order writes a CSV that parses back,
+    under ids 0..n-1 in set order, as its TCK and JSON do."""
+    s = tr.TrajectorySet((tr.Trajectory(7, np.arange(6.0).reshape(2, 3)),
+                          tr.Trajectory(3, np.linspace(0.0, 1.0, 9).reshape(3, 3), 4)))
+    for fmt, data in ((tr.FileFormat.CSV, tr.to_csv(s).encode()), (tr.FileFormat.TCK, tr.to_tck(s)),
+                      (tr.FileFormat.JSON, tr.to_json(s).encode())):
+        back = tr.parse(data, fmt)
+        assert [t.id for t in back] == [0, 1]
+        for t, u in zip(s, back):
+            assert np.array_equal(t.points.astype(u.points.dtype), u.points)
+
+
 def test_prepare_applies_config():
     s = tr.make_set([[(0, 0, 0), (10, 0, 0)], [(10, 1, 0), (0, 1, 0)]])
     out = tr.prepare(s, tr.Config(epsilon=1.0, resample_delta=2.0, orient_align=True))
@@ -398,41 +446,64 @@ def test_prepare_applies_config():
     assert out.trajectories[1].points[0, 0] == 0.0
 
 
+def count_trajectories(monkeypatch) -> list[int]:
+    """The ids of the Trajectory objects constructed from now on."""
+    made = []
+    init = tr.Trajectory.__post_init__
+
+    def counting(self):
+        made.append(self.id)
+        init(self)
+
+    monkeypatch.setattr(tr.Trajectory, "__post_init__", counting)
+    return made
+
+
 @pytest.mark.parametrize("fmt", list(tr.FileFormat))
-def test_points_view_one_frozen_array_from_parse_to_detect(fmt):
-    """Readers, resample and orient_align each leave every trajectory a view
-    of one read-only (P, 3) array, and the step index reads that array in
-    place: no stage copies the points per trajectory."""
+def test_points_view_one_frozen_array_from_parse_to_detect(fmt, monkeypatch):
+    """Readers, resample and orient_align each hand over one read-only
+    (P, 3) array of points and per-trajectory rows, and construct no
+    Trajectory: orient_align keeps the array and flips only first rows and
+    signs, resample writes one new array, and the step index reads the
+    array in place.  Iteration then builds views of that array, backwards
+    where the sign is -1."""
     rng = np.random.default_rng(17)
     lists = [t.points[: 12 - int(rng.integers(0, 4))] for t in tr.make_bundle(9, 12, seed=4)]
     s = tr.make_set([p[::-1] if i % 2 else p for i, p in enumerate(lists)])
     data = {tr.FileFormat.TCK: tr.to_tck(s), tr.FileFormat.CSV: tr.to_csv(s).encode(),
             tr.FileFormat.JSON: tr.to_json(s).encode()}[fmt]
+    made = count_trajectories(monkeypatch)
     parsed = tr.parse(data, fmt)
     oriented = tr.prepare(parsed, tr.Config(1.0, orient_align=True))
-    assert any(t.points.strides[0] < 0 for t in oriented)
-    for s in (parsed, oriented, tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5)),
-              tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5, orient_align=True))):
-        base = s.trajectories[0].points.base
-        assert isinstance(base, np.ndarray) and base.shape[1:] == (3,)
-        assert not base.flags.writeable
-        assert all(t.points.base is base and np.shares_memory(t.points, base) for t in s)
-        assert s._index.points is base
+    resampled = tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5))
+    both = tr.prepare(parsed, tr.Config(1.0, resample_delta=0.5, orient_align=True))
+    sets = (parsed, oriented, resampled, both)
+    for s in sets:
+        assert s._index.points is s._points and not s._points.flags.writeable
+        tr.build_reeb(s, 1.0)
+    assert made == []
+    assert oriented._points is parsed._points and (oriented._sign < 0).any()
+    assert (both._sign < 0).any() and (resampled._sign > 0).all()
+    assert resampled._points.dtype == both._points.dtype == np.float64
+    assert not np.shares_memory(resampled._points, parsed._points)
+    for s in sets:
+        for t, sign in zip(s, s._sign.tolist()):
+            assert t.points.base is s._points and (t.points.strides[0] < 0) == (sign < 0)
 
 
 @pytest.mark.parametrize("datatype", sorted(TCK_DTYPES))
 def test_tck_points_keep_the_file_precision(datatype):
-    """A Float32 TCK's trajectories are float32 views of one frozen base,
-    and a Float64 one's float64, in native byte order, through
-    orient_align; the step index reads that base and widens what it
-    gathers to float64."""
+    """A Float32 TCK's points are one frozen float32 array, and a Float64
+    one's float64, in native byte order, through orient_align, which keeps
+    the array, and the trajectories are views of it; the step index reads
+    that array and widens what it gathers to float64."""
     want = np.float32 if datatype.startswith("Float32") else np.float64
     lists = [t.points for t in tr.make_bundle(6, 9, seed=2)]
     s = tr.parse(tck_bytes([p[::-1] if i % 2 else p for i, p in enumerate(lists)], datatype),
                  tr.FileFormat.TCK)
     oriented = tr.orient_align(s)
-    base = s.trajectories[0].points.base
-    assert base.dtype == want and not base.flags.writeable
+    base = s._points
+    assert base.dtype == want and not base.flags.writeable and oriented._points is base
     for t in (*s, *oriented):
         assert t.points.dtype == want and t.points.base is base
     index = oriented._index

@@ -518,13 +518,14 @@ def test_groups_at_step_matches_oracle_and_edges():
 def test_each_set_makes_its_step_index_once(monkeypatch):
     """A build detects and replays through one step index, a sweep of six
     epsilons detects once and replays six times through one, and repeated
-    groups_at_step calls share one: the set makes its index on first use."""
+    groups_at_step calls share one: the set makes its index from its
+    columns on first use, and the index reads the set's points in place."""
     made = []
     init = geometry._StepIndex.__init__
 
-    def counting(self, trajectories):
-        made.append(len(trajectories))
-        init(self, trajectories)
+    def counting(self, s):
+        made.append(len(s))
+        init(self, s)
 
     monkeypatch.setattr(geometry._StepIndex, "__init__", counting)
     runs = [lambda s: tr.build_reeb(s, 1.2),
@@ -532,8 +533,9 @@ def test_each_set_makes_its_step_index_once(monkeypatch):
             lambda s: [tr.groups_at_step(s, 1.2, k) for k in (0, 5, 9)]]
     for run in runs:
         made.clear()
-        run(tr.make_bundle(12, 10, seed=3))
-        assert made == [12]
+        s = tr.make_bundle(12, 10, seed=3)
+        run(s)
+        assert made == [12] and s._index.points is s._points
 
 
 # ---------------------------------------------------------------------------
