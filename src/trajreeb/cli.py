@@ -3,7 +3,9 @@
 Commands: build, metrics, sweep, compare, export-schedule.  Everything is
 configured with explicit flags (no environment variables, no config files)
 and outputs carry an input content hash instead of timestamps, so identical
-invocations produce identical bytes.
+invocations produce identical bytes.  `build` and `export-schedule` write
+their output a chunk at a time as it is formatted, so the whole document is
+never held in memory.
 
 Exit codes: 0 success, 1 input error, 2 internal contract violation.
 """
@@ -15,6 +17,7 @@ import hashlib
 import io
 import math
 import sys
+from contextlib import nullcontext
 
 from .errors import ContractError, TrajreebError
 from .events import detect_all_events
@@ -30,7 +33,7 @@ from .metrics import (
     sweep,
 )
 from .reeb import build_reeb
-from .serialize import serialize_graph
+from .serialize import _graph_chunks
 
 
 class _CliError(Exception):
@@ -143,13 +146,13 @@ def _load(args) -> TrajectorySet:
     return s
 
 
-def _emit(payload: bytes, output: str | None) -> None:
-    if output is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        with open(output, "wb") as fh:
-            fh.write(payload)
+def _emit(chunks, output: str | None) -> None:
+    """Write text chunks, each encoded as it comes, to the output file or
+    to stdout; the file is opened once the result to write exists."""
+    with open(output, "wb") if output is not None else nullcontext(sys.stdout.buffer) as fh:
+        # each chunk and its bytes are dropped once written
+        fh.writelines(map(str.encode, chunks))
+        fh.flush()
 
 
 def _run(args) -> int:
@@ -159,24 +162,24 @@ def _run(args) -> int:
         s = _load(args)
         r = build_reeb(s, args.epsilon)
         fmt = "graphml" if args.graphml else "dot" if args.dot else "json"
-        _emit(serialize_graph(r, fmt), args.output)
+        _emit(_graph_chunks(r, fmt), args.output)
         return 0
 
     if args.command == "metrics":
         s = _load(args)
         report = compute_metrics(build_reeb(s, args.epsilon))
         if args.output and args.output.lower().endswith(".csv"):
-            payload = reports_to_csv([report]).encode("utf-8")
+            text = reports_to_csv([report])
         else:
-            payload = report_to_json(report).encode("utf-8")
-        _emit(payload, args.output)
+            text = report_to_json(report)
+        _emit([text], args.output)
         return 0
 
     if args.command == "sweep":
         epsilons = _parse_range(args.epsilon_range)
         s = _load(args)
         reports = sweep(s, epsilons)
-        _emit(reports_to_csv(reports).encode("utf-8"), args.output)
+        _emit([reports_to_csv(reports)], args.output)
         return 0
 
     if args.command == "compare":
@@ -188,13 +191,13 @@ def _run(args) -> int:
             except OSError as exc:
                 raise TrajreebError(f"cannot read {path}: {exc.strerror}") from None
         comparison = compare_cohorts(cohorts[0], cohorts[1])
-        _emit(comparison_to_json(comparison).encode("utf-8"), args.output)
+        _emit([comparison_to_json(comparison)], args.output)
         return 0
 
     if args.command == "export-schedule":
         s = _load(args)
         schedule = detect_all_events(s, args.epsilon)
-        _emit(schedule.to_jsonl().encode("utf-8"), args.output)
+        _emit(schedule._jsonl_chunks(), args.output)
         return 0
 
     raise ContractError(f"unhandled command {args.command!r}")

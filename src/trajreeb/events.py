@@ -110,15 +110,21 @@ class Event:
         }
 
 
+_KIND_NAMES = [str(kind) for kind in EventKind]
+# events per chunk of JSON lines, about 64 KiB of text
+_JSONL_BLOCK = 512
+
+
 class EventSchedule:
     """Step-ordered event sequence; the input alphabet of the FSM.
 
     Stored as four integer columns sorted by (step, kind, subjects): step,
     kind, first subject ``a`` and second subject ``b`` (-1 for appear and
-    disappear).  :class:`Event` objects are built only when asked for.  A
-    schedule built from events keeps their locations; one built by
-    :func:`detect_all_events` derives each location from its trajectory
-    set, as the first subject's point at the event step.
+    disappear).  :class:`Event` objects are built only when asked for;
+    comparison and :meth:`to_jsonl` read the columns.  A schedule built
+    from events keeps their locations as an (n, 3) float64 array; one
+    built by :func:`detect_all_events` derives each location from its
+    trajectory set, as the first subject's point at the event step.
     """
 
     def __init__(self, events):
@@ -129,7 +135,8 @@ class EventSchedule:
         self._a = np.fromiter((e.subjects[0] for e in evs), dtype=np.int64, count=n)
         self._b = np.fromiter((e.subjects[1] if len(e.subjects) == 2 else -1 for e in evs),
                               dtype=np.int64, count=n)
-        self._locations = [e.location for e in evs]
+        self._locations = np.array([tuple(e.location) for e in evs],
+                                   dtype=np.float64).reshape(n, 3)
         self._set = None
 
     @classmethod
@@ -140,17 +147,22 @@ class EventSchedule:
         out._set = s
         return out
 
-    def _slice(self, lo: int, hi: int):
-        """Events lo..hi-1, built on the fly."""
-        cols = [c[lo:hi].tolist() for c in (self._step, self._kind, self._a, self._b)]
+    def _columns(self, lo: int, hi: int):
+        """Step, kind, a, b and the (n, 3) locations of events lo..hi-1, a
+        detected schedule's locations by one gather over the step index."""
+        cols = [c[lo:hi] for c in (self._step, self._kind, self._a, self._b)]
         if self._locations is None:
             index = self._set._index
-            rows = index.ids.searchsorted(self._a[lo:hi])
-            locs = map(Point3._make, index.rows_at(rows, self._step[lo:hi]).tolist())
+            locations = index.rows_at(index.ids.searchsorted(cols[2]), cols[0])
         else:
-            locs = self._locations[lo:hi]
-        for k, kind, a, b, loc in zip(*cols, locs):
-            yield Event(EventKind(kind), k, (a,) if b < 0 else (a, b), loc)
+            locations = self._locations[lo:hi]
+        return (*cols, locations)
+
+    def _slice(self, lo: int, hi: int):
+        """Events lo..hi-1, built on the fly."""
+        *cols, locations = (c.tolist() for c in self._columns(lo, hi))
+        for k, kind, a, b, loc in zip(*cols, locations):
+            yield Event(EventKind(kind), k, (a,) if b < 0 else (a, b), Point3._make(loc))
 
     def _runs(self):
         """(step, kind, lo, hi) of each run lo..hi-1 of events of one kind
@@ -168,7 +180,10 @@ class EventSchedule:
         return self._slice(0, len(self))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EventSchedule) and self.events == other.events
+        if not isinstance(other, EventSchedule) or len(self) != len(other):
+            return False
+        mine, theirs = self._columns(0, len(self)), other._columns(0, len(other))
+        return all(map(np.array_equal, mine, theirs))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -183,7 +198,26 @@ class EventSchedule:
         return list(self._slice(lo, hi))
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_dict()) for e in self) + "\n"
+        """One JSON object per event and line, as ``json.dumps(e.to_dict())``
+        writes it; no line at all for an empty schedule."""
+        return "".join(self._jsonl_chunks())
+
+    def _jsonl_chunks(self):
+        """The JSON lines of blocks of events, formatted from the columns:
+        each float as str writes it, which for a finite float is the repr
+        json.dumps writes, and each id and step as its int."""
+        for lo in range(0, len(self), _JSONL_BLOCK):
+            step, kind, a, b, locations = self._columns(lo, lo + _JSONL_BLOCK)
+            if np.isfinite(locations).all():
+                locations = locations.tolist()
+            else:  # a stored location may be nan or inf: NaN and Infinity in JSON
+                locations = [list(map(json.dumps, p)) for p in locations.tolist()]
+            subjects = [f"{i}, {j}" if j >= 0 else i for i, j in zip(a.tolist(), b.tolist())]
+            yield "".join([
+                f'{{"kind": "{_KIND_NAMES[kind]}", "step": {k}, "subjects": [{ab}], '
+                f'"location": [{x}, {y}, {z}]}}\n'
+                for k, kind, ab, (x, y, z) in zip(step.tolist(), kind.tolist(), subjects,
+                                                   locations)])
 
     def validate(self) -> None:
         """Check the alternation invariant: per pair, Connect and Disconnect

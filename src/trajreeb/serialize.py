@@ -5,6 +5,11 @@ with 17 significant digits, so serialize -> parse -> serialize is
 byte-identical.  GraphML and DOT are write-only exports for external graph
 viewers.
 
+Each format is one generator of text formatted from the graph's columns, a
+block of rows at a time, and joined into chunks of about 64 KiB.  The CLI
+writes each chunk as it comes, so the whole document is never held; the
+library functions join the chunks into one string or bytes.
+
 The rules of a valid graph live in :class:`~trajreeb.reeb.ReebGraph`, which
 checks them as it stores its columns, so the writers check nothing.  The
 JSON reader takes each id, step and member only as a JSON integer and
@@ -15,7 +20,6 @@ accepts is written back as strict JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -26,45 +30,63 @@ from .io import fmt17
 from .reeb import _KINDS, ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 
+# characters per chunk of a writer's text, and rows of a column read into
+# Python objects at a time: a writer holds one chunk and one block of rows,
+# never the whole document
+_CHUNK_CHARS = 1 << 16
+_ROWS = 256
+
+
+def _chunks(pieces):
+    """The strings of `pieces`, joined into chunks of about 64 KiB."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            chunk, held, size = "".join(held), [], 0
+            yield chunk
+            del chunk  # not held while the next chunk's pieces are made
+    if held:
+        yield "".join(held)
+
+
 def _vertices(r: ReebGraph):
     """(id, step, kind, location, witness) of each vertex, in id order."""
-    kinds = [_KINDS[c].value for c in r._kind.tolist()]
-    return zip(itertools.count(), r._step.tolist(), kinds, r._location.tolist(),
-               r._witness.tolist())
+    n = r._step.shape[0]
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        kinds = [_KINDS[c].value for c in r._kind[lo:hi].tolist()]
+        yield from zip(range(lo, hi), r._step[lo:hi].tolist(), kinds,
+                       r._location[lo:hi].tolist(), r._witness[lo:hi].tolist())
 
 
 def _edges(r: ReebGraph):
     """(id, u, v, members, k1, k2) of each edge, in id order; members are
     the edge's run of the arena, written in the order it is stored."""
-    first = r._first.tolist()
     # each member id's text is made once, and a run's text joins its ranks'
     texts = np.array([str(t) for t in r._ids.tolist()], dtype=object)
-    members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
-    return zip(itertools.count(), r._u.tolist(), r._v.tolist(), members, r._k1.tolist(),
-               r._k2.tolist())
+    n = r._u.shape[0]
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        first = r._first[lo:hi + 1].tolist()
+        members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
+        yield from zip(range(lo, hi), r._u[lo:hi].tolist(), r._v[lo:hi].tolist(), members,
+                       r._k1[lo:hi].tolist(), r._k2[lo:hi].tolist())
 
 
-def graph_to_json(r: ReebGraph) -> str:
-    parts = ['{"epsilon":', fmt17(r.epsilon), ',"metadata":{']
-    parts.append(
-        ",".join(
-            f"{json.dumps(str(k))}:{json.dumps(str(r.metadata[k]))}"
-            for k in sorted(r.metadata)
-        )
-    )
-    parts.append('},"vertices":[')
-    parts.append(",".join(
-        f'{{"id":{i},"step":{k},"kind":"{kind}",'
-        f'"location":[{fmt17(x)},{fmt17(y)},{fmt17(z)}],"witness":{w}}}'
-        for i, k, kind, (x, y, z), w in _vertices(r)
-    ))
-    parts.append('],"edges":[')
-    parts.append(",".join(
-        f'{{"u":{u},"v":{v},"members":[{members}],"interval":[{k1},{k2}]}}'
-        for _, u, v, members, k1, k2 in _edges(r)
-    ))
-    parts.append("]}")
-    return "".join(parts)
+def _json(r: ReebGraph):
+    metadata = ",".join(f"{json.dumps(str(k))}:{json.dumps(str(r.metadata[k]))}"
+                        for k in sorted(r.metadata))
+    yield f'{{"epsilon":{fmt17(r.epsilon)},"metadata":{{{metadata}}},"vertices":['
+    for i, k, kind, (x, y, z), w in _vertices(r):
+        yield (f'{"," if i else ""}{{"id":{i},"step":{k},"kind":"{kind}",'
+               f'"location":[{fmt17(x)},{fmt17(y)},{fmt17(z)}],"witness":{w}}}')
+    yield '],"edges":['
+    for i, u, v, members, k1, k2 in _edges(r):
+        yield (f'{"," if i else ""}{{"u":{u},"v":{v},"members":[{members}],'
+               f'"interval":[{k1},{k2}]}}')
+    yield "]}"
 
 
 def _integer(x) -> int:
@@ -116,52 +138,64 @@ _GRAPHML_KEYS = (
 )
 
 
-def graph_to_graphml(r: ReebGraph) -> str:
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">')
+def _graphml(r: ReebGraph):
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
     for kid, domain, name, typ in _GRAPHML_KEYS:
-        out.append(f'  <key id="{kid}" for="{domain}" attr.name="{name}" attr.type="{typ}"/>')
-    out.append('  <graph id="reeb" edgedefault="undirected">')
-    out.append(f'    <data key="d8">{fmt17(r.epsilon)}</data>')
+        yield f'  <key id="{kid}" for="{domain}" attr.name="{name}" attr.type="{typ}"/>\n'
+    yield '  <graph id="reeb" edgedefault="undirected">\n'
+    yield f'    <data key="d8">{fmt17(r.epsilon)}</data>\n'
     for i, k, kind, (x, y, z), w in _vertices(r):
-        out.append(f'    <node id="n{i}">')
-        out.append(f'      <data key="d0">{k}</data>')
-        out.append(f'      <data key="d1">{kind}</data>')
-        out.append(f'      <data key="d2">{fmt17(x)}</data>')
-        out.append(f'      <data key="d3">{fmt17(y)}</data>')
-        out.append(f'      <data key="d4">{fmt17(z)}</data>')
-        out.append(f'      <data key="d5">{w}</data>')
-        out.append("    </node>")
+        yield (f'    <node id="n{i}">\n'
+               f'      <data key="d0">{k}</data>\n'
+               f'      <data key="d1">{kind}</data>\n'
+               f'      <data key="d2">{fmt17(x)}</data>\n'
+               f'      <data key="d3">{fmt17(y)}</data>\n'
+               f'      <data key="d4">{fmt17(z)}</data>\n'
+               f'      <data key="d5">{w}</data>\n'
+               "    </node>\n")
     for i, u, v, members, k1, k2 in _edges(r):
-        out.append(f'    <edge id="e{i}" source="n{u}" target="n{v}">')
-        out.append(f'      <data key="d6">{members}</data>')
-        out.append(f'      <data key="d7">{k1},{k2}</data>')
-        out.append("    </edge>")
-    out.append("  </graph>")
-    out.append("</graphml>")
-    return "\n".join(out) + "\n"
+        yield (f'    <edge id="e{i}" source="n{u}" target="n{v}">\n'
+               f'      <data key="d6">{members}</data>\n'
+               f'      <data key="d7">{k1},{k2}</data>\n'
+               "    </edge>\n")
+    yield "  </graph>\n</graphml>\n"
+
+
+def _dot(r: ReebGraph):
+    yield "graph reeb {\n"
+    for i, k, kind, (x, y, z), w in _vertices(r):
+        yield (f'  n{i} [step={k}, kind="{kind}", '
+               f'x="{fmt17(x)}", y="{fmt17(y)}", '
+               f'z="{fmt17(z)}", witness={w}];\n')
+    for _, u, v, members, k1, k2 in _edges(r):
+        yield f'  n{u} -- n{v} [members="{members}", interval="{k1},{k2}"];\n'
+    yield "}\n"
+
+
+_WRITERS = {"json": _json, "graphml": _graphml, "dot": _dot}
+
+
+def _graph_chunks(r: ReebGraph, fmt: str):
+    """The text of a Reeb graph in one of the supported formats, formatted
+    from its columns in chunks of about 64 KiB."""
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    return _chunks(_WRITERS[fmt](r))
+
+
+def graph_to_json(r: ReebGraph) -> str:
+    return "".join(_graph_chunks(r, "json"))
+
+
+def graph_to_graphml(r: ReebGraph) -> str:
+    return "".join(_graph_chunks(r, "graphml"))
 
 
 def graph_to_dot(r: ReebGraph) -> str:
-    out = ["graph reeb {"]
-    for i, k, kind, (x, y, z), w in _vertices(r):
-        out.append(
-            f'  n{i} [step={k}, kind="{kind}", '
-            f'x="{fmt17(x)}", y="{fmt17(y)}", '
-            f'z="{fmt17(z)}", witness={w}];'
-        )
-    for _, u, v, members, k1, k2 in _edges(r):
-        out.append(f'  n{u} -- n{v} [members="{members}", interval="{k1},{k2}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "".join(_graph_chunks(r, "dot"))
 
 
 def serialize_graph(r: ReebGraph, fmt: str = "json") -> bytes:
     """Render a Reeb graph in one of the supported formats, as bytes."""
-    if fmt == "json":
-        return graph_to_json(r).encode("utf-8")
-    if fmt == "graphml":
-        return graph_to_graphml(r).encode("utf-8")
-    if fmt == "dot":
-        return graph_to_dot(r).encode("utf-8")
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return "".join(_graph_chunks(r, fmt)).encode("utf-8")

@@ -10,10 +10,12 @@ Deliberately slow and obvious.  Two fast pieces are earlier package code
 kept whole as references: the detector's searchsorted grid, for the
 detector's columns, and the replay that held each edge's members as a
 frozenset, for the replay's column store; the latter labels components with
-the package's own component_roots.
+the package's own component_roots.  The writers that joined each document
+whole, and dumped one Event per JSON line, check the streamed writers.
 """
 
 import itertools
+import json
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -1005,6 +1007,117 @@ def oracle_canonical(trajs, epsilon):
 def as_plain(s):
     """TrajectorySet -> the plain-tuple form the oracle operates on."""
     return [(t.id, np.asarray(t.points), t.start_step) for t in s]
+
+
+# ---------------------------------------------------------------------------
+# Writers: each document joined whole, one Event and json.dumps per line
+
+
+def oracle_jsonl(schedule):
+    """A schedule's JSON lines as the package wrote them before it formatted
+    them from the columns: one Event, one dict and one json.dumps per
+    event.  An empty schedule has no line."""
+    return "".join(json.dumps(e.to_dict()) + "\n" for e in schedule)
+
+
+def _fmt17(x):
+    return format(float(x), ".17g")
+
+
+def _oracle_vertices(r):
+    kinds = [tuple(VertexKind)[c].value for c in r._kind.tolist()]
+    return zip(itertools.count(), r._step.tolist(), kinds, r._location.tolist(),
+               r._witness.tolist())
+
+
+def _oracle_edges(r):
+    first = r._first.tolist()
+    texts = np.array([str(t) for t in r._ids.tolist()], dtype=object)
+    members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
+    return zip(itertools.count(), r._u.tolist(), r._v.tolist(), members, r._k1.tolist(),
+               r._k2.tolist())
+
+
+def oracle_graph_to_json(r):
+    """The Reeb JSON as the package wrote it before it streamed its
+    writers: every record's string made, then all joined."""
+    parts = ['{"epsilon":', _fmt17(r.epsilon), ',"metadata":{']
+    parts.append(
+        ",".join(
+            f"{json.dumps(str(k))}:{json.dumps(str(r.metadata[k]))}"
+            for k in sorted(r.metadata)
+        )
+    )
+    parts.append('},"vertices":[')
+    parts.append(",".join(
+        f'{{"id":{i},"step":{k},"kind":"{kind}",'
+        f'"location":[{_fmt17(x)},{_fmt17(y)},{_fmt17(z)}],"witness":{w}}}'
+        for i, k, kind, (x, y, z), w in _oracle_vertices(r)
+    ))
+    parts.append('],"edges":[')
+    parts.append(",".join(
+        f'{{"u":{u},"v":{v},"members":[{members}],"interval":[{k1},{k2}]}}'
+        for _, u, v, members, k1, k2 in _oracle_edges(r)
+    ))
+    parts.append("]}")
+    return "".join(parts)
+
+
+_ORACLE_GRAPHML_KEYS = (
+    ("d0", "node", "step", "long"),
+    ("d1", "node", "kind", "string"),
+    ("d2", "node", "x", "double"),
+    ("d3", "node", "y", "double"),
+    ("d4", "node", "z", "double"),
+    ("d5", "node", "witness", "long"),
+    ("d6", "edge", "members", "string"),
+    ("d7", "edge", "interval", "string"),
+    ("d8", "graph", "epsilon", "double"),
+)
+
+
+def oracle_graph_to_graphml(r):
+    """The GraphML as the package wrote it before it streamed its writers:
+    every line made, then all joined."""
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out.append('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">')
+    for kid, domain, name, typ in _ORACLE_GRAPHML_KEYS:
+        out.append(f'  <key id="{kid}" for="{domain}" attr.name="{name}" attr.type="{typ}"/>')
+    out.append('  <graph id="reeb" edgedefault="undirected">')
+    out.append(f'    <data key="d8">{_fmt17(r.epsilon)}</data>')
+    for i, k, kind, (x, y, z), w in _oracle_vertices(r):
+        out.append(f'    <node id="n{i}">')
+        out.append(f'      <data key="d0">{k}</data>')
+        out.append(f'      <data key="d1">{kind}</data>')
+        out.append(f'      <data key="d2">{_fmt17(x)}</data>')
+        out.append(f'      <data key="d3">{_fmt17(y)}</data>')
+        out.append(f'      <data key="d4">{_fmt17(z)}</data>')
+        out.append(f'      <data key="d5">{w}</data>')
+        out.append("    </node>")
+    for i, u, v, members, k1, k2 in _oracle_edges(r):
+        out.append(f'    <edge id="e{i}" source="n{u}" target="n{v}">')
+        out.append(f'      <data key="d6">{members}</data>')
+        out.append(f'      <data key="d7">{k1},{k2}</data>')
+        out.append("    </edge>")
+    out.append("  </graph>")
+    out.append("</graphml>")
+    return "\n".join(out) + "\n"
+
+
+def oracle_graph_to_dot(r):
+    """The DOT as the package wrote it before it streamed its writers:
+    every line made, then all joined."""
+    out = ["graph reeb {"]
+    for i, k, kind, (x, y, z), w in _oracle_vertices(r):
+        out.append(
+            f'  n{i} [step={k}, kind="{kind}", '
+            f'x="{_fmt17(x)}", y="{_fmt17(y)}", '
+            f'z="{_fmt17(z)}", witness={w}];'
+        )
+    for _, u, v, members, k1, k2 in _oracle_edges(r):
+        out.append(f'  n{u} -- n{v} [members="{members}", interval="{k1},{k2}"];')
+    out.append("}")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,10 +12,17 @@ import numpy as np
 import pytest
 
 import trajreeb as tr
+from trajreeb import cli
 from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
-from trajreeb.serialize import graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json
+from trajreeb.serialize import (
+    _graph_chunks, graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json,
+)
 
+from oracles import (
+    oracle_graph_to_dot, oracle_graph_to_graphml, oracle_graph_to_json, oracle_jsonl,
+    random_instance,
+)
 from test_io import count_trajectories, tck_bytes
 
 
@@ -179,6 +187,52 @@ def test_single_trajectory_roundtrip():
     obj = json.loads(graph_to_json(r))
     assert len(obj["vertices"]) == 2 and len(obj["edges"]) == 1
     assert graph_from_json(graph_to_json(r)).canonical_form() == r.canonical_form()
+
+
+def _odd_set(rng, float32: bool) -> tuple[tr.TrajectorySet, float]:
+    """A random set with ids up to 2**31 - 1, coordinates below zero and one
+    at -0.0, its points at float64 or read back from a Float32 TCK."""
+    trajs, eps = random_instance(rng, n_range=(4, 20), m_range=(4, 30))
+    stride = int(rng.integers(1, 1 << 20))
+    ids = (2**31 - 1 - stride * rng.permutation(len(trajs))).tolist()
+    points = [p - 40.0 for _, p, _ in trajs]
+    points[0][0, 1] = -0.0
+    if float32:
+        points = [t.points for t in tr.parse(tr.to_tck(tr.make_set(points)), tr.FileFormat.TCK)]
+    return tr.TrajectorySet(tuple(tr.Trajectory(i, p, start) for i, p, (_, _, start)
+                                  in zip(ids, points, trajs))), eps
+
+
+def test_streamed_writers_match_the_joined_oracles():
+    """Each writer's chunks join into the bytes of the writer that joined
+    the whole document, and a schedule's JSON lines into one json.dumps of
+    an Event per line: on detected schedules and on schedules built from
+    their events (stored locations), at float64 and from Float32 TCKs,
+    with negative and -0.0 coordinates and ids up to 2**31 - 1, and on a
+    bundle whose documents span many chunks."""
+    rng = np.random.default_rng(26)
+    cases = [_odd_set(rng, float32=trial % 2 == 1) for trial in range(12)]
+    bundle = tr.make_bundle(400, 30, seed=26)
+    cases.append((tr.TrajectorySet(tuple(tr.Trajectory(2**31 - 1 - t.id, t.points - 50.0)
+                                         for t in bundle)), 1.2))
+    writers = {"json": (graph_to_json, oracle_graph_to_json),
+               "graphml": (graph_to_graphml, oracle_graph_to_graphml),
+               "dot": (graph_to_dot, oracle_graph_to_dot)}
+    assert any(s._points.dtype == np.float32 for s, _ in cases)
+    lines = []
+    for s, eps in cases:
+        detected = tr.detect_all_events(s, eps)
+        for schedule in (detected, tr.EventSchedule(list(detected))):
+            lines.append(oracle_jsonl(schedule))
+            assert schedule.to_jsonl() == lines[-1]
+        r = tr.build_reeb(s, eps)
+        for fmt, (writer, oracle) in writers.items():
+            text = oracle(r)
+            assert writer(r) == text, fmt
+            assert tr.serialize_graph(r, fmt) == text.encode(), fmt
+    assert all(", -0.0, " in text for text in lines[:-2])
+    assert len(list(_graph_chunks(r, "json"))) > 2
+    assert len(list(detected._jsonl_chunks())) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +550,11 @@ def test_cli_metrics_load_no_numpy_ma(tmp_path, args):
 def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
     """`build --orient-align` on a ragged, half-reversed Float64 TCK: the
     peak memory growth past import is one float64 copy of the points, the
-    per-step gathers and a margin for the Reeb graph (about 1.15 copies in
-    all).  The reader holds no file bytes.  A copy of the whole set at
-    detect would add one copy more, and copies of the reversed streamlines
-    half of one."""
+    per-step gathers and a margin for the Reeb graph's columns and the
+    replay (about 1.15 copies in all); the writer holds one chunk of the
+    JSON at a time.  The reader holds no file bytes.  A copy of the whole
+    set at detect would add one copy more, and copies of the reversed
+    streamlines half of one."""
     rng = np.random.default_rng(5)
     lists = [t.points[: 3000 - int(rng.integers(0, 300))]
              for t in tr.make_bundle(200, 3000, wobble=0.1, seed=5)]
@@ -529,9 +584,9 @@ def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
 def test_cli_build_on_float32_tck_holds_the_points_at_float32(tmp_path):
     """`build --orient-align` on a ragged, half-reversed Float32 TCK: the
     peak memory growth past import is one float32 copy of the points, the
-    per-step gathers and a margin for the Reeb graph, whose columns, record
-    strings, joined text and bytes each hold about the JSON's size.  A
-    float64 copy of the points alone is two float32 copies."""
+    per-step gathers and a margin for the Reeb graph, whose columns hold
+    about the JSON's size; the writer holds one chunk of the JSON at a
+    time.  A float64 copy of the points alone is two float32 copies."""
     rng = np.random.default_rng(6)
     lists = [t.points[: 3000 - int(rng.integers(0, 300))]
              for t in tr.make_bundle(400, 3000, wobble=0.1, seed=6)]
@@ -573,6 +628,51 @@ def test_cli_constructs_no_trajectory_object(tmp_path, monkeypatch, n, command):
     made = count_trajectories(monkeypatch)
     assert run([*command, "--input", str(path), "--output", str(tmp_path / "out")]) == 0
     assert made == []
+
+
+def test_cli_export_schedule_constructs_no_event(tmp_path, monkeypatch):
+    """export-schedule formats its JSON lines from the schedule's columns:
+    on 10,000 streamlines it constructs no Event, a scale guard that
+    counts objects instead of timing them."""
+    path = tmp_path / "bundle.tck"
+    path.write_bytes(tr.to_tck(tr.make_bundle(10_000, 10)))
+    made = []
+    init = tr.Event.__post_init__
+
+    def counting(self):
+        made.append(self.step)
+        init(self)
+
+    monkeypatch.setattr(tr.Event, "__post_init__", counting)
+    out = tmp_path / "out.jsonl"
+    assert run(["export-schedule", "--epsilon", "1.2", "--input", str(path),
+                "--output", str(out)]) == 0
+    assert made == [] and out.stat().st_size > 0
+
+
+def test_cli_build_writes_the_json_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """Once the graph is built, `build` holds one chunk of its JSON and one
+    block of rows at a time: the tracemalloc peak of the writing stays
+    below a quarter of the output's size.  Record strings, the joined text
+    and its bytes would each hold the whole size."""
+    path = tmp_path / "bundle.tck"
+    path.write_bytes(tr.to_tck(tr.make_bundle(3000, 132)))
+    build = cli.build_reeb
+
+    def build_then_trace(*args):
+        r = build(*args)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        return r
+
+    monkeypatch.setattr(cli, "build_reeb", build_then_trace)
+    out = tmp_path / "out.json"
+    try:
+        assert run(["build", "--epsilon", "1.2", "--input", str(path), "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4, (peak, out.stat().st_size)
 
 
 def _cli_subprocess(args, timeout=None):

@@ -10,8 +10,8 @@ from trajreeb import events
 from trajreeb.events import EventKind, _detect
 
 from oracles import (
-    oracle_canonical, oracle_grid_detect, oracle_pairwise_events, oracle_schedule, random_instance,
-    step_partition,
+    oracle_canonical, oracle_grid_detect, oracle_jsonl, oracle_pairwise_events, oracle_schedule,
+    random_instance, step_partition,
 )
 
 
@@ -582,6 +582,50 @@ def test_jsonl_dump(pair_set):
     assert len(lines) == 6
     first = json.loads(lines[0])
     assert first == {"kind": "appear", "step": 0, "subjects": [0], "location": [0.0, 0.0, 0.0]}
+
+
+def test_empty_schedule_writes_no_line():
+    """A blank line is not a JSON Lines record: an empty schedule writes
+    nothing."""
+    assert tr.EventSchedule([]).to_jsonl() == ""
+    assert list(tr.EventSchedule([])._jsonl_chunks()) == []
+
+
+@pytest.mark.parametrize("n, chunks", [(0, 0), (events._JSONL_BLOCK, 1),
+                                       (events._JSONL_BLOCK + 1, 2)])
+def test_jsonl_chunks_of_stored_locations_match_json_dumps(n, chunks):
+    """A schedule of exactly one chunk of events, one event more, or none
+    writes, chunk by chunk, the lines json.dumps writes of its events:
+    stored locations include -0.0, extremes of magnitude, nan and
+    infinities (NaN and Infinity tokens), and subjects reach 2**31 - 1."""
+    rng = np.random.default_rng(n)
+    odd = [-0.0, 0.0, -1e-300, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+    evs = []
+    for i in range(n):
+        x, y, z = (rng.choice(odd) if rng.random() < 0.3 else rng.normal(0, 100) for _ in "xyz")
+        a = 2**31 - 1 - 2 * i
+        if i % 3:
+            evs.append(tr.Event(EventKind(1 + i % 2), i // 7, (a - 1, a), tr.Point3(x, y, z)))
+        else:
+            evs.append(tr.Event(EventKind.APPEAR, i // 7, (a,), tr.Point3(x, y, z)))
+    schedule = tr.EventSchedule(evs)
+    got = list(schedule._jsonl_chunks())
+    assert len(got) == chunks
+    assert "".join(got) == schedule.to_jsonl() == oracle_jsonl(schedule)
+    if n:
+        assert "NaN" in got[0] and "Infinity" in got[0]
+
+
+def test_schedule_equality_reads_every_column_and_location(pair_set):
+    """Equal schedules agree in every column and location; one moved
+    location, one event more or another type makes them differ."""
+    sched = tr.detect_all_events(pair_set, 1.5)
+    evs = list(sched)
+    assert tr.EventSchedule(evs) == sched and sched == tr.EventSchedule(evs)
+    moved = tr.Event(evs[0].kind, evs[0].step, evs[0].subjects, tr.Point3(0.0, 0.0, 1e-300))
+    assert tr.EventSchedule([moved, *evs[1:]]) != sched
+    assert tr.EventSchedule(evs[1:]) != sched
+    assert sched != evs and tr.EventSchedule([]) == tr.EventSchedule([])
 
 
 def test_alternation_validation_catches_corruption(pair_set):
