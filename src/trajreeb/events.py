@@ -44,9 +44,10 @@ index holds the trajectories in id order, and pairs are coded by its rows,
 so codes order as the id pairs do: a pair ended by a disappearance drops
 out through a lookup of its members' last steps, and each step's connects
 and disconnects are the codes that the current or the previous sorted code
-array lacks, found by one binary search.  The schedule it returns is four
-integer columns (step, kind, subjects); :class:`Event` objects are built
-only when a caller iterates it.
+array lacks, found by one binary search.  The schedule it returns keeps
+those rows: its subjects are rows of the index's id column, which serves
+as the schedule's id table, so detection gathers no id.  Ids, and
+:class:`Event` objects, are made only where a caller looks at events.
 
 Detection reads the points through the set's step index
 (:class:`trajreeb.geometry._StepIndex`), which the set makes once and
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Point3, Trajectory, TrajectorySet, _StepIndex, _check_epsilon
+from .geometry import Point3, Trajectory, TrajectorySet, _StepIndex, _check_epsilon, _in_id_range
 
 
 class EventKind(enum.IntEnum):
@@ -96,6 +97,8 @@ class Event:
         else:
             if len(self.subjects) != 2 or self.subjects[0] >= self.subjects[1]:
                 raise ContractError(f"{self.kind} takes an ordered distinct pair")
+        if not all(map(_in_id_range, self.subjects)):
+            raise ContractError(f"{self.kind} subject ids must be non-negative and below 2**63")
 
     @property
     def sort_key(self):
@@ -118,51 +121,59 @@ _JSONL_BLOCK = 512
 class EventSchedule:
     """Step-ordered event sequence; the input alphabet of the FSM.
 
-    Stored as four integer columns sorted by (step, kind, subjects): step,
-    kind, first subject ``a`` and second subject ``b`` (-1 for appear and
-    disappear).  :class:`Event` objects are built only when asked for;
-    comparison and :meth:`to_jsonl` read the columns.  A schedule built
-    from events keeps their locations as an (n, 3) float64 array; one
-    built by :func:`detect_all_events` derives each location from its
-    trajectory set, as the first subject's point at the event step.
+    Stored as columns sorted by (step, kind, subjects): one sorted int64 id
+    table ``_ids`` and, per event, its step (int64), its kind (int8) and
+    its subjects ``a`` and ``b`` as int32 rows of that table, with
+    ``b == a`` for appear and disappear.  Rows order as the ids do.  A
+    schedule made by :func:`detect_all_events` takes its set's step index
+    as its table, ids and rows alike, and derives each location from it,
+    as row ``a``'s point at the event step.  A schedule built from events
+    makes its table of the subjects it holds and keeps their locations as
+    an (n, 3) float64 array.  Ids are gathered from the table only where
+    events are shown: the :class:`Event` objects, built only when asked
+    for, :meth:`to_jsonl` and comparison.
     """
 
     def __init__(self, events):
         evs = sorted(events, key=lambda e: e.sort_key)
         n = len(evs)
+        a = np.fromiter((e.subjects[0] for e in evs), dtype=np.int64, count=n)
+        b = np.fromiter((e.subjects[-1] for e in evs), dtype=np.int64, count=n)
+        # the distinct subjects, sorted; np.unique would import numpy.ma
+        ids = np.sort(np.concatenate((a, b)))
+        self._ids = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
         self._step = np.fromiter((e.step for e in evs), dtype=np.int64, count=n)
-        self._kind = np.fromiter((e.kind for e in evs), dtype=np.int64, count=n)
-        self._a = np.fromiter((e.subjects[0] for e in evs), dtype=np.int64, count=n)
-        self._b = np.fromiter((e.subjects[1] if len(e.subjects) == 2 else -1 for e in evs),
-                              dtype=np.int64, count=n)
+        self._kind = np.fromiter((e.kind for e in evs), dtype=np.int8, count=n)
+        self._a = self._ids.searchsorted(a).astype(np.int32)
+        self._b = self._ids.searchsorted(b).astype(np.int32)
         self._locations = np.array([tuple(e.location) for e in evs],
                                    dtype=np.float64).reshape(n, 3)
-        self._set = None
+        self._index = None
 
     @classmethod
-    def _from_columns(cls, s: TrajectorySet, step, kind, a, b) -> "EventSchedule":
+    def _from_columns(cls, index: _StepIndex, step, kind, a, b) -> "EventSchedule":
+        """A detected schedule, whose subjects are rows of the step index."""
         out = cls.__new__(cls)
-        out._step, out._kind, out._a, out._b = step, kind, a, b
-        out._locations = None
-        out._set = s
+        out._ids, out._step, out._kind, out._a, out._b = index.ids, step, kind, a, b
+        out._locations, out._index = None, index
         return out
 
     def _columns(self, lo: int, hi: int):
-        """Step, kind, a, b and the (n, 3) locations of events lo..hi-1, a
-        detected schedule's locations by one gather over the step index."""
-        cols = [c[lo:hi] for c in (self._step, self._kind, self._a, self._b)]
+        """Step, kind, the subjects' ids a and b (equal for appear and
+        disappear) and the (n, 3) locations of events lo..hi-1, a detected
+        schedule's locations by one gather over the step index."""
+        step, kind, a, b = (c[lo:hi] for c in (self._step, self._kind, self._a, self._b))
         if self._locations is None:
-            index = self._set._index
-            locations = index.rows_at(index.ids.searchsorted(cols[2]), cols[0])
+            locations = self._index.rows_at(a, step)
         else:
             locations = self._locations[lo:hi]
-        return (*cols, locations)
+        return step, kind, self._ids[a], self._ids[b], locations
 
     def _slice(self, lo: int, hi: int):
         """Events lo..hi-1, built on the fly."""
         *cols, locations = (c.tolist() for c in self._columns(lo, hi))
         for k, kind, a, b, loc in zip(*cols, locations):
-            yield Event(EventKind(kind), k, (a,) if b < 0 else (a, b), Point3._make(loc))
+            yield Event(EventKind(kind), k, (a,) if a == b else (a, b), Point3._make(loc))
 
     def _runs(self):
         """(step, kind, lo, hi) of each run lo..hi-1 of events of one kind
@@ -212,7 +223,7 @@ class EventSchedule:
                 locations = locations.tolist()
             else:  # a stored location may be nan or inf: NaN and Infinity in JSON
                 locations = [list(map(json.dumps, p)) for p in locations.tolist()]
-            subjects = [f"{i}, {j}" if j >= 0 else i for i, j in zip(a.tolist(), b.tolist())]
+            subjects = [i if i == j else f"{i}, {j}" for i, j in zip(a.tolist(), b.tolist())]
             yield "".join([
                 f'{{"kind": "{_KIND_NAMES[kind]}", "step": {k}, "subjects": [{ab}], '
                 f'"location": [{x}, {y}, {z}]}}\n'
@@ -486,8 +497,8 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     own radius and diffs them against its previous step.  The list holds
     every pair of a smaller epsilon, and thresholding the same d2 decides
     ties exactly as a separate pass would.  Pairs are coded by the step
-    index's rows, which are in id order, and mapped back to ids once the
-    steps are done.
+    index's rows, which are in id order, and each schedule keeps those
+    rows as its subjects.
     """
     for e in epsilons:
         _check_epsilon(e)
@@ -525,14 +536,13 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
             parts[j] += (new, gone)
             prev[j] = cur
 
-    # appear and disappear of every trajectory, in id order; a stable sort
-    # by (step, kind) then yields the (step, kind, subjects) order, because
+    # appear and disappear of every trajectory, by row; a stable sort by
+    # (step, kind) then yields the (step, kind, subjects) order, because
     # pair codes come in step order and sorted within each step
-    ids = index.ids
     life_step = np.concatenate([index.start, index.end])
-    life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
-    life_a = np.tile(ids, 2)
-    pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
+    life_kind = np.repeat(np.int8([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
+    life_a = np.tile(np.arange(n, dtype=np.int32), 2)
+    pair_kind = np.tile(np.int8([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
     pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
     out = []
     for chunks in parts:
@@ -541,9 +551,9 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
         step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
         kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
         order = np.argsort(step * 4 + kind, kind="stable")
-        a = np.concatenate([life_a, ids[code >> 31]])[order]
-        b = np.concatenate([np.full(2 * n, -1), ids[code & _LOW31]])[order]
-        out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
+        a = np.concatenate([life_a, code >> 31], dtype=np.int32)[order]
+        b = np.concatenate([life_a, code & _LOW31], dtype=np.int32)[order]
+        out.append(EventSchedule._from_columns(index, step[order], kind[order], a, b))
     return out
 
 

@@ -68,6 +68,12 @@ def _check_resample_delta(delta: float) -> None:
         raise ValueError(f"resample_delta must be finite, got {delta!r}")
 
 
+def _in_id_range(tid) -> bool:
+    """The one rule for a trajectory id: in [0, 2**63), as the int64 id
+    columns hold it."""
+    return 0 <= tid < 1 << 63
+
+
 def eps_connected(p, q, epsilon: float) -> bool:
     """True iff d(p, q) <= epsilon.  The boundary d == epsilon is connected.
 
@@ -102,8 +108,7 @@ class Trajectory:
             raise ValueError(f"trajectory {self.id}: needs at least 2 points")
         if not np.isfinite(pts).all():
             raise ValueError(f"trajectory {self.id}: coordinates must be finite")
-        # ids are held in int64 columns
-        if not (0 <= self.id < 1 << 63):
+        if not _in_id_range(self.id):
             raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63")
         if self.start_step < 0:
             raise ValueError("start_step must be non-negative")

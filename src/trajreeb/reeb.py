@@ -465,11 +465,15 @@ def build_reeb(
         schedule = detect_all_events(s, epsilon)
     rp = _Replay(s)
     ids, start, end = rp.ids, rp.index.start, rp.index.end
-    ends = np.stack((schedule._a, np.where(schedule._b < 0, schedule._a, schedule._b)))
-    ra, rb = at = ids.searchsorted(ends)
-    unknown = ends[ids[np.minimum(at, len(s) - 1)] != ends]
+    # the schedule's subjects are rows of its own sorted id table (for a
+    # detected schedule, the step index's ids): the table's ids are found
+    # among the set's once, and each event's subjects map by one gather
+    table = schedule._ids
+    rows = ids.searchsorted(table)
+    unknown = table[ids[np.minimum(rows, len(s) - 1)] != table]
     if unknown.shape[0]:
         raise ContractError(f"schedule names trajectory {unknown[0]}, which is not in the set")
+    ra, rb = at = rows[np.stack((schedule._a, schedule._b))]
     outside = (schedule._step < start[at]) | (schedule._step > end[at])
     if outside.any():
         e, side = np.argwhere(outside.T)[0]

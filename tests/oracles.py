@@ -219,7 +219,9 @@ def oracle_grid_detect(s, epsilons):
     """One EventSchedule per epsilon of an increasing list, by the
     searchsorted grid: every step's pairs are id-packed codes found at the
     largest epsilon, diffed against the previous step with setdiff1d, and a
-    pair whose member ended at k - 1 is dropped by np.isin on ids."""
+    pair whose member ended at k - 1 is dropped by np.isin on ids.  The
+    schedule's subjects are the ids' rows in the set's step index, found by
+    binary search in the sorted ids."""
     n = len(s)
     ids = np.fromiter((t.id for t in s), dtype=np.int64, count=n)
     start = np.fromiter((t.start_step for t in s), dtype=np.int64, count=n)
@@ -253,9 +255,10 @@ def oracle_grid_detect(s, epsilons):
             parts[j] += (np.setdiff1d(cur, prev[j], assume_unique=True), gone)
             prev[j] = cur
 
+    sorted_ids = ids[by_id]
     life_step = np.concatenate([start[by_id], end[by_id]])
     life_kind = np.repeat(np.int64([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
-    life_a = np.tile(ids[by_id], 2)
+    life_a = np.tile(np.arange(n), 2)
     pair_kind = np.tile(np.int64([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
     pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
     out = []
@@ -265,9 +268,10 @@ def oracle_grid_detect(s, epsilons):
         step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
         kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
         order = np.argsort(step * 4 + kind, kind="stable")
-        a = np.concatenate([life_a, code >> 31])[order]
-        b = np.concatenate([np.full(2 * n, -1), code & _LOW31])[order]
-        out.append(EventSchedule._from_columns(s, step[order], kind[order], a, b))
+        a = np.concatenate([life_a, sorted_ids.searchsorted(code >> 31)])[order]
+        b = np.concatenate([life_a, sorted_ids.searchsorted(code & _LOW31)])[order]
+        out.append(EventSchedule._from_columns(s._index, step[order], kind[order].astype(np.int8),
+                                               a.astype(np.int32), b.astype(np.int32)))
     return out
 
 
@@ -847,8 +851,8 @@ def frozenset_replay(s, epsilon, schedule):
     """The Reeb graph of `schedule` replayed with one frozenset per edge, as
     the arguments of its ReebGraph: (vertices, edges, epsilon, metadata)."""
     rp = _FrozensetReplay(s)
-    ends = np.stack((schedule._a, np.where(schedule._b < 0, schedule._a, schedule._b)))
-    ra, rb = rp.ids.searchsorted(ends)
+    _, _, a, b, _ = schedule._columns(0, len(schedule))
+    ra, rb = rp.ids.searchsorted(np.stack((a, b)))
     code = (ra << 31) + rb
     for k, kind, lo, hi in schedule._runs():
         if kind == EventKind.APPEAR:

@@ -104,6 +104,38 @@ def test_ids_past_31_bits_match_the_oracles():
         tr.Trajectory(1 << 63, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("kind, subjects", [
+    (EventKind.CONNECT, (-2, -1)), (EventKind.APPEAR, (-1,)),
+    (EventKind.APPEAR, (1 << 63,)), (EventKind.DISCONNECT, (0, 1 << 63))])
+def test_event_refuses_a_subject_id_outside_the_id_range(kind, subjects):
+    """An event's subjects are trajectory ids, in Trajectory's range
+    [0, 2**63): a negative id is refused, not read as the missing second
+    subject, and 2**63 is refused, not left to overflow an int64 column."""
+    with pytest.raises(tr.ContractError, match="below 2\\*\\*63"):
+        tr.Event(kind, 0, subjects, tr.Point3(0, 0, 0))
+    top = tr.Event(EventKind.CONNECT, 0, (0, (1 << 63) - 1), tr.Point3(0, 0, 0))
+    line = json.loads(tr.EventSchedule([top]).to_jsonl())
+    assert line["subjects"] == [0, (1 << 63) - 1]
+
+
+def test_detected_schedule_holds_rows_of_the_index_not_ids():
+    """A detected schedule's subjects are int32 rows of its set's step
+    index, whose ids are its table, and its kinds are int8: it holds at
+    most 20 bytes an event (17 measured, the step index made beforehand),
+    where four int64 columns of ids held 32."""
+    s = tr.make_bundle(20_000, 10)
+    s.step_range  # the step index, which the set holds anyway
+    tracemalloc.start()
+    try:
+        sched = tr.detect_all_events(s, 1.2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sched) > 250_000
+    assert held <= 20 * len(sched), f"{held / len(sched):.1f} bytes an event"
+    assert sched._ids is s._index.ids
+
+
 def test_detect_single_trajectory():
     s = tr.make_set([[(0, 0, 0), (1, 0, 0), (2, 0, 0)]])
     sched = tr.detect_all_events(s, 1.0)
@@ -170,8 +202,8 @@ def test_grid_equals_brute():
 
 
 def assert_same_columns(got, want):
-    for g, w in zip((got._step, got._kind, got._a, got._b),
-                    (want._step, want._kind, want._a, want._b)):
+    for g, w in zip((got._ids, got._step, got._kind, got._a, got._b),
+                    (want._ids, want._step, want._kind, want._a, want._b)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import trajreeb as tr
 from trajreeb import geometry
-from trajreeb.events import EventKind
+from trajreeb.events import EventKind, _detect
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
 
 from oracles import (
@@ -380,6 +380,55 @@ def test_column_store_matches_frozenset_replay(name):
     assert any(dead for dead, _ in pieces) and cascades
     if name == "past_31_bits":
         assert min(v.witness for v in vertices) >= 1 << 31
+
+
+def test_detected_and_event_built_schedules_replay_alike():
+    """A schedule's subjects are rows of its own id table: a detected
+    schedule's table is its set's step-index ids, and one built from
+    events makes its table of their subjects.  Replay maps either table
+    onto the set's ids, so each schedule of a multi-epsilon detect, replayed
+    against a second set made from the same columns (whose index ids are
+    another array), and its copy built from events give the JSON bytes of
+    build_reeb(s, eps) and of the frozenset replay, which reads the ids.
+    Ids are spread up to 2**62, starts are ragged."""
+    rng = np.random.default_rng(709)
+    for trial in range(20):
+        trajs, eps = random_instance(rng, n_range=(5, 25), m_range=(6, 30))
+        ids = rng.integers(0, 1 << 62, len(trajs), endpoint=True)
+        if trial % 2:
+            ids[0] = 1 << 62
+        assert len(set(ids.tolist())) == len(trajs)
+        s = build_set([(int(i), p[:len(p) - int(rng.integers(0, 4))], st + int(rng.integers(0, 5)))
+                       for i, (_, p, st) in zip(ids, trajs)])
+        twin = tr.TrajectorySet._of(s._points, s._first, s._length, s.metadata,
+                                    ids=s._ids, start=s._start, sign=s._sign)
+        assert twin._index.ids is not s._index.ids
+        epsilons = sorted({eps * f for f in rng.uniform(0.5, 2.0, 3)} | {eps})
+        for e, schedule in zip(epsilons, _detect(s, epsilons)):
+            want = tr.graph_to_json(tr.build_reeb(s, e))
+            rebuilt = tr.EventSchedule(list(schedule))
+            assert schedule._ids is s._index.ids and rebuilt == schedule
+            assert tr.graph_to_json(tr.build_reeb(twin, e, schedule=schedule)) == want
+            assert tr.graph_to_json(tr.build_reeb(s, e, schedule=rebuilt)) == want
+            assert tr.graph_to_json(ReebGraph(*frozenset_replay(s, e, schedule))) == want, \
+                f"trial {trial}, epsilon {e}"
+
+
+def test_detect_and_replay_peak_below_32_mb_at_20k_trajectories():
+    """Detect and replay of make_bundle(20_000, 10) (266,054 events) peak
+    below 32 MB of traced memory (~28 measured), the step index made
+    beforehand: the schedule holds int32 rows and int8 kinds, and replay
+    maps its id table, not each event's ids, onto the set's rows.  The
+    schedule of int64 ids and its per-event id lookup peaked at ~36."""
+    s = tr.make_bundle(20_000, 10)
+    s.step_range  # the step index, which the set holds anyway
+    tracemalloc.start()
+    try:
+        tr.build_reeb(s, 1.2, schedule=tr.detect_all_events(s, 1.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"detect and replay peaked at {peak / 1e6:.1f} MB"
 
 
 def test_graph_holds_its_members_in_one_arena(monkeypatch):
