@@ -99,6 +99,9 @@ class Event:
                 raise ContractError(f"{self.kind} takes an ordered distinct pair")
         if not all(map(_in_id_range, self.subjects)):
             raise ContractError(f"{self.kind} subject ids must be non-negative and below 2**63")
+        # a step has an id's range: an int64 step column, and no step below 0
+        if not _in_id_range(self.step):
+            raise ContractError(f"{self.kind} step must be non-negative and below 2**63")
 
     @property
     def sort_key(self):

@@ -34,9 +34,13 @@ int32 ranks into the sorted member ids, which order as the ids do: edge e's
 members, in id order, are ``ids[members[first[e]:first[e + 1]]]``.  The
 replay keeps each open group as a sorted run of ranks: a merge concatenates
 the groups' runs and sorts them, a split partitions a run by its component
-labels, and a closed group's run is the edge's run of the arena.  No set is
-built per edge.  The :class:`ReebVertex` and :class:`ReebEdge` objects are
-made only when asked for; the writers and the metrics read the columns.
+labels, and a closed group's run goes into the arena as its edge closes.
+The replay writes the graph's columns as it goes, into growing arrays that
+the graph then views, and gathers each run's rows and pair codes only as
+it replays that run, so it holds nothing per event beyond the schedule.
+No set is built per edge.  The :class:`ReebVertex` and :class:`ReebEdge`
+objects are made only when asked for; the writers and the metrics read the
+columns.
 
 Every graph, replayed, built from objects or read from JSON, is stored by
 ``ReebGraph._store``, the one place that checks the rules of a graph:
@@ -48,6 +52,7 @@ check nothing.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -290,6 +295,10 @@ class ReebGraph:
         return tuple(verts), tuple(edges)
 
 
+# events per block of the outside-steps check
+_CHECK_BLOCK = 1 << 16
+
+
 def _pieces(run: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
     """The entries of `run` split by their `labels`, by label in increasing
     order; each piece keeps the entries in run's order."""
@@ -309,7 +318,10 @@ class _Replay:
     components of the graph after each phase, and each is labelled by its
     least member: ``group`` maps each active rank to its group's label, and
     ``open`` each label to the group's open edge as (start vertex, sorted
-    member ranks, start step).
+    member ranks, start step).  The graph's columns grow as vertices are
+    made and edges close: each vertex's step, kind and witness rank, each
+    edge's u, v, k1 and k2, and the arena ``members`` of int32 ranks, with
+    edge e's run at ``first[e]:first[e + 1]``.  :meth:`graph` views them.
     """
 
     def __init__(self, s: TrajectorySet):
@@ -319,27 +331,37 @@ class _Replay:
         self.group = np.arange(len(s))
         self.open: dict[int, tuple[int, np.ndarray, int]] = {}
         self.cur = np.empty(0, dtype=np.int64)
-        self.vertices: list[tuple[int, int, int]] = []  # (step, kind, witness rank)
-        self.edges: list[tuple[int, int, int, int]] = []  # (u, v, k1, k2)
-        self.runs: list[np.ndarray] = []  # each edge's sorted member ranks, int32
+        self.step, self.kind, self.witness = array("q"), array("b"), array("q")
+        self.u, self.v, self.k1, self.k2 = (array("q") for _ in range(4))
+        self.members = array("i")
+        self.first = array("q", [0])
 
     def new_vertex(self, kind: int, step: int, witness: int) -> int:
         """A vertex whose witness is the trajectory of rank `witness`."""
-        self.vertices.append((step, kind, witness))
-        return len(self.vertices) - 1
+        self.step.append(step)
+        self.kind.append(kind)
+        self.witness.append(witness)
+        return len(self.step) - 1
 
     def add_edge(self, u: int, members: np.ndarray, k1: int, v: int, k2: int) -> None:
-        self.edges.append((u, v, k1, k2))
-        self.runs.append(members)
+        """An edge closed at v, whose run `members` (int32) goes into the arena."""
+        self.u.append(u)
+        self.v.append(v)
+        self.k1.append(k1)
+        self.k2.append(k2)
+        self.members.frombytes(members.tobytes())
+        self.first.append(len(self.members))
 
     def graph(self, epsilon: float, metadata: dict) -> ReebGraph:
-        """The graph of the vertices and edges made so far."""
-        step, kind, witness = np.array(self.vertices, dtype=np.int64).reshape(-1, 3).T
-        u, v, k1, k2 = np.array(self.edges, dtype=np.int64).reshape(-1, 4).T
-        first = np.cumsum([0, *(run.shape[0] for run in self.runs)])
+        """The graph of the vertices and edges made so far, whose columns
+        are views of the replay's."""
+        step, kind, witness, u, v, k1, k2, first, members = (
+            np.frombuffer(c, dtype=c.typecode) for c in (
+                self.step, self.kind, self.witness, self.u, self.v, self.k1, self.k2,
+                self.first, self.members))
         return ReebGraph._from_columns(
-            step, kind, self.ids[witness], self.index.rows_at(witness, step),
-            u, v, k1, k2, first, np.concatenate(self.runs), self.ids, epsilon, metadata)
+            step, kind, self.ids[witness], self.index.rows_at(witness, step), u, v, k1, k2,
+            first, members, self.ids, epsilon, metadata)
 
     def close_groups(self, k: int, labels, root: np.ndarray | None,
                      alive: dict[int, set[int]], dead: dict[int, set[int]]) -> None:
@@ -467,29 +489,37 @@ def build_reeb(
     ids, start, end = rp.ids, rp.index.start, rp.index.end
     # the schedule's subjects are rows of its own sorted id table (for a
     # detected schedule, the step index's ids): the table's ids are found
-    # among the set's once, and each event's subjects map by one gather
+    # among the set's once, and each run's subjects map by one gather
     table = schedule._ids
     rows = ids.searchsorted(table)
     unknown = table[ids[np.minimum(rows, len(s) - 1)] != table]
     if unknown.shape[0]:
         raise ContractError(f"schedule names trajectory {unknown[0]}, which is not in the set")
-    ra, rb = at = rows[np.stack((schedule._a, schedule._b))]
-    outside = (schedule._step < start[at]) | (schedule._step > end[at])
-    if outside.any():
-        e, side = np.argwhere(outside.T)[0]
-        x = at[side, e]
-        raise ContractError(f"schedule has an event at step {schedule._step[e]} for trajectory "
-                            f"{ids[x]}, outside its steps [{start[x]}, {end[x]}]")
-    code = (ra << 31) + rb
+    # the outside-steps check runs over blocks of events, before replay, so
+    # that it names the first bad event in schedule order, its a before its b
+    for lo in range(0, len(schedule), _CHECK_BLOCK):
+        hi = lo + _CHECK_BLOCK
+        step = schedule._step[lo:hi]
+        at = rows[np.stack((schedule._a[lo:hi], schedule._b[lo:hi]))]
+        outside = (step < start[at]) | (step > end[at])
+        if outside.any():
+            e, side = np.argwhere(outside.T)[0]
+            x = at[side, e]
+            raise ContractError(f"schedule has an event at step {step[e]} for trajectory "
+                                f"{ids[x]}, outside its steps [{start[x]}, {end[x]}]")
     for k, kind, lo, hi in schedule._runs():
+        ra = rows[schedule._a[lo:hi]]
         if kind == EventKind.APPEAR:
-            rp.appear(k, ra[lo:hi])
-        elif kind == EventKind.CONNECT:
-            rp.connect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
-        elif kind == EventKind.DISCONNECT:
-            rp.disconnect(k, ra[lo:hi], rb[lo:hi], code[lo:hi])
+            rp.appear(k, ra)
+        elif kind == EventKind.DISAPPEAR:
+            rp.disappear(k, ra)
         else:
-            rp.disappear(k, ra[lo:hi])
+            rb = rows[schedule._b[lo:hi]]
+            code = (ra << 31) + rb
+            if kind == EventKind.CONNECT:
+                rp.connect(k, ra, rb, code)
+            else:
+                rp.disconnect(k, ra, rb, code)
     if rp.open:
         left = ids[np.concatenate([run for _, run, _ in rp.open.values()])]
         raise ContractError(f"groups left open after replay: {sorted(left.tolist())}")

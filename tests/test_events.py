@@ -118,6 +118,17 @@ def test_event_refuses_a_subject_id_outside_the_id_range(kind, subjects):
     assert line["subjects"] == [0, (1 << 63) - 1]
 
 
+@pytest.mark.parametrize("step", [-3, 1 << 63])
+def test_event_refuses_a_step_outside_the_id_range(step):
+    """An event's step is in [0, 2**63), the range of a trajectory id: a
+    negative step is refused, not written to the JSON lines, and 2**63 is
+    refused, not left to overflow the schedule's int64 step column."""
+    with pytest.raises(tr.ContractError, match="step must be non-negative and below 2\\*\\*63"):
+        tr.EventSchedule([tr.Event(EventKind.APPEAR, step, (0,), tr.Point3(0, 0, 0))])
+    top = tr.Event(EventKind.APPEAR, (1 << 63) - 1, (0,), tr.Point3(0, 0, 0))
+    assert json.loads(tr.EventSchedule([top]).to_jsonl())["step"] == (1 << 63) - 1
+
+
 def test_detected_schedule_holds_rows_of_the_index_not_ids():
     """A detected schedule's subjects are int32 rows of its set's step
     index, whose ids are its table, and its kinds are int8: it holds at

@@ -390,7 +390,11 @@ def test_detected_and_event_built_schedules_replay_alike():
     against a second set made from the same columns (whose index ids are
     another array), and its copy built from events give the JSON bytes of
     build_reeb(s, eps) and of the frozenset replay, which reads the ids.
-    Ids are spread up to 2**62, starts are ragged."""
+    The copy built from events is also replayed against a wider set, which
+    holds more trajectories whose ids fall between the schedule's: its
+    table's rows map to rows of the set that are neither contiguous nor the
+    same numbers, and it must give the frozenset replay's JSON bytes.  Ids
+    are spread up to 2**62, starts are ragged."""
     rng = np.random.default_rng(709)
     for trial in range(20):
         trajs, eps = random_instance(rng, n_range=(5, 25), m_range=(6, 30))
@@ -398,11 +402,16 @@ def test_detected_and_event_built_schedules_replay_alike():
         if trial % 2:
             ids[0] = 1 << 62
         assert len(set(ids.tolist())) == len(trajs)
-        s = build_set([(int(i), p[:len(p) - int(rng.integers(0, 4))], st + int(rng.integers(0, 5)))
-                       for i, (_, p, st) in zip(ids, trajs)])
+        plain = [(int(i), p[:len(p) - int(rng.integers(0, 4))], st + int(rng.integers(0, 5)))
+                 for i, (_, p, st) in zip(ids, trajs)]
+        s = build_set(plain)
         twin = tr.TrajectorySet._of(s._points, s._first, s._length, s.metadata,
                                     ids=s._ids, start=s._start, sign=s._sign)
         assert twin._index.ids is not s._index.ids
+        # the extra trajectories lie far from the others and are in no event
+        extra = np.random.default_rng(trial).integers(0, 1 << 62, len(trajs), endpoint=True)
+        assert len(set(ids.tolist()) | set(extra.tolist())) == 2 * len(trajs)
+        wide = build_set(plain + [(int(i), p + 1e3, st) for i, (_, p, st) in zip(extra, plain)])
         epsilons = sorted({eps * f for f in rng.uniform(0.5, 2.0, 3)} | {eps})
         for e, schedule in zip(epsilons, _detect(s, epsilons)):
             want = tr.graph_to_json(tr.build_reeb(s, e))
@@ -412,6 +421,9 @@ def test_detected_and_event_built_schedules_replay_alike():
             assert tr.graph_to_json(tr.build_reeb(s, e, schedule=rebuilt)) == want
             assert tr.graph_to_json(ReebGraph(*frozenset_replay(s, e, schedule))) == want, \
                 f"trial {trial}, epsilon {e}"
+            assert tr.graph_to_json(tr.build_reeb(wide, e, schedule=rebuilt)) == \
+                tr.graph_to_json(ReebGraph(*frozenset_replay(wide, e, rebuilt))), \
+                f"trial {trial}, epsilon {e}, the wider set"
 
 
 def test_detect_and_replay_peak_below_32_mb_at_20k_trajectories():
@@ -429,6 +441,24 @@ def test_detect_and_replay_peak_below_32_mb_at_20k_trajectories():
     finally:
         tracemalloc.stop()
     assert peak < 32e6, f"detect and replay peaked at {peak / 1e6:.1f} MB"
+
+
+def test_replay_peak_below_20_mb_at_20k_trajectories():
+    """Replay of make_bundle(20_000, 10) (266,054 events) peaks below 20 MB
+    of traced memory (~16.3 measured), the schedule and the step index made
+    beforehand: it writes the graph's columns and member arena as edges
+    close, and gathers rows and pair codes one run at a time.  A tuple per
+    vertex and edge, an array per edge joined at the end and rows and codes
+    gathered for the whole schedule at once peaked at ~23.4."""
+    s = tr.make_bundle(20_000, 10)
+    schedule = tr.detect_all_events(s, 1.2)
+    tracemalloc.start()
+    try:
+        tr.build_reeb(s, 1.2, schedule=schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"replay peaked at {peak / 1e6:.1f} MB"
 
 
 def test_graph_holds_its_members_in_one_arena(monkeypatch):
@@ -479,14 +509,22 @@ MALFORMED = {
     # the pair's points span steps 0..5
     "step_outside_life": (_LIVES[:3] + ((_X, 6, (1,)),),
                           r"step 6 for trajectory 1, outside its steps \[0, 5\]"),
+    # two bad events in one block of the check, the later one bad at its
+    # first subject and the earlier at its second: the earlier is named
+    "first_outside_event_named": (_LIVES + ((_C, 3, (0, 2)), (_C, 4, (2, 4))),
+                                  r"step 3 for trajectory 2, outside its steps \[0, 2\]"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_schedule_is_contract_error(pair_set, case):
+    """Beside the pair, whose points span steps 0..5, the set holds
+    trajectory 2 over steps 0..2 and trajectory 4 over steps 0..5."""
     events, message = MALFORMED[case]
+    s = tr.TrajectorySet((*pair_set, tr.Trajectory(2, np.zeros((3, 3))),
+                          tr.Trajectory(4, np.zeros((6, 3)))))
     with pytest.raises(tr.ContractError, match=message):
-        tr.build_reeb(pair_set, 1.5, schedule=_schedule(*events))
+        tr.build_reeb(s, 1.5, schedule=_schedule(*events))
 
 
 def test_replay_of_100k_trajectories_within_time_and_memory():
