@@ -98,10 +98,12 @@ class Event:
             if len(self.subjects) != 2 or self.subjects[0] >= self.subjects[1]:
                 raise ContractError(f"{self.kind} takes an ordered distinct pair")
         if not all(map(_in_id_range, self.subjects)):
-            raise ContractError(f"{self.kind} subject ids must be non-negative and below 2**63")
+            raise ContractError(f"{self.kind} subject ids must be non-negative and below 2**63 "
+                                "(integers)")
         # a step has an id's range: an int64 step column, and no step below 0
         if not _in_id_range(self.step):
-            raise ContractError(f"{self.kind} step must be non-negative and below 2**63")
+            raise ContractError(f"{self.kind} step must be non-negative and below 2**63 "
+                                "(an integer)")
 
     @property
     def sort_key(self):

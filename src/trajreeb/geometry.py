@@ -69,9 +69,10 @@ def _check_resample_delta(delta: float) -> None:
 
 
 def _in_id_range(tid) -> bool:
-    """The one rule for a trajectory id: in [0, 2**63), as the int64 id
-    columns hold it."""
-    return 0 <= tid < 1 << 63
+    """The one rule for a trajectory id: an integer in [0, 2**63), as the
+    int64 id columns hold it.  A float or a bool is refused, not truncated."""
+    return (isinstance(tid, (int, np.integer)) and not isinstance(tid, bool)
+            and 0 <= tid < 1 << 63)
 
 
 def eps_connected(p, q, epsilon: float) -> bool:
@@ -109,9 +110,11 @@ class Trajectory:
         if not np.isfinite(pts).all():
             raise ValueError(f"trajectory {self.id}: coordinates must be finite")
         if not _in_id_range(self.id):
-            raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63")
-        if self.start_step < 0:
-            raise ValueError("start_step must be non-negative")
+            raise ValueError(f"trajectory {self.id}: id must be non-negative and below 2**63 "
+                             "(an integer)")
+        if not _in_id_range(self.start_step):
+            raise ValueError(f"trajectory {self.id}: start_step must be non-negative and "
+                             "below 2**63 (an integer)")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

@@ -16,8 +16,10 @@ where groups are born, merge, split, or die:
   edge per piece;
 * a group whose members all disappear closes at a single Disappear vertex;
   if only part of a group disappears, the group closes at a Split vertex
-  whose outgoing edges are the surviving pieces plus one zero-length edge
-  per dying piece, each closed immediately at its own Disappear vertex.
+  whose outgoing edges are the staying pieces plus one zero-length edge
+  per leaving piece, each closed immediately at its own Disappear vertex.
+  The pieces are labelled without the pairs between leaving and staying
+  members, so each leaves or stays whole, as its least member does.
 
 Same-step cascades therefore produce chains of distinct vertices joined by
 zero-length-interval edges, which keeps every trajectory's edge sequence a
@@ -318,10 +320,11 @@ class _Replay:
     components of the graph after each phase, and each is labelled by its
     least member: ``group`` maps each active rank to its group's label, and
     ``open`` each label to the group's open edge as (start vertex, sorted
-    member ranks, start step).  The graph's columns grow as vertices are
-    made and edges close: each vertex's step, kind and witness rank, each
-    edge's u, v, k1 and k2, and the arena ``members`` of int32 ranks, with
-    edge e's run at ``first[e]:first[e + 1]``.  :meth:`graph` views them.
+    member ranks); ``active`` flags the ranks present.  The graph's columns
+    grow as vertices are made and edges close: each vertex's step, kind and
+    witness rank, each edge's u and v, and the arena ``members`` of int32
+    ranks, with edge e's run at ``first[e]:first[e + 1]``.  :meth:`graph`
+    views them; an edge spans the steps of its u and v.
     """
 
     def __init__(self, s: TrajectorySet):
@@ -329,10 +332,10 @@ class _Replay:
         self.ids = self.index.ids
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
-        self.open: dict[int, tuple[int, np.ndarray, int]] = {}
+        self.open: dict[int, tuple[int, np.ndarray]] = {}
         self.cur = np.empty(0, dtype=np.int64)
         self.step, self.kind, self.witness = array("q"), array("b"), array("q")
-        self.u, self.v, self.k1, self.k2 = (array("q") for _ in range(4))
+        self.u, self.v = array("q"), array("q")
         self.members = array("i")
         self.first = array("q", [0])
 
@@ -343,46 +346,43 @@ class _Replay:
         self.witness.append(witness)
         return len(self.step) - 1
 
-    def add_edge(self, u: int, members: np.ndarray, k1: int, v: int, k2: int) -> None:
-        """An edge closed at v, whose run `members` (int32) goes into the arena."""
+    def add_edge(self, u: int, members: np.ndarray, v: int) -> None:
+        """An edge from u to v, whose run `members` (int32) goes into the arena."""
         self.u.append(u)
         self.v.append(v)
-        self.k1.append(k1)
-        self.k2.append(k2)
         self.members.frombytes(members.tobytes())
         self.first.append(len(self.members))
 
     def graph(self, epsilon: float, metadata: dict) -> ReebGraph:
         """The graph of the vertices and edges made so far, whose columns
-        are views of the replay's."""
-        step, kind, witness, u, v, k1, k2, first, members = (
+        are views of the replay's, bar the edges' steps."""
+        step, kind, witness, u, v, first, members = (
             np.frombuffer(c, dtype=c.typecode) for c in (
-                self.step, self.kind, self.witness, self.u, self.v, self.k1, self.k2,
-                self.first, self.members))
+                self.step, self.kind, self.witness, self.u, self.v, self.first, self.members))
         return ReebGraph._from_columns(
-            step, kind, self.ids[witness], self.index.rows_at(witness, step), u, v, k1, k2,
-            first, members, self.ids, epsilon, metadata)
+            step, kind, self.ids[witness], self.index.rows_at(witness, step), u, v,
+            step[u], step[v], first, members, self.ids, epsilon, metadata)
 
-    def close_groups(self, k: int, labels, root: np.ndarray | None,
-                     alive: dict[int, set[int]], dead: dict[int, set[int]]) -> None:
+    def close_groups(self, k: int, labels, root: np.ndarray | None) -> None:
         """Close the open groups `labels`, in order of label.
 
-        A group in `alive` splits into the components of `root` among its
-        members: those labelled ``alive[label]`` survive and open edges,
-        and those labelled ``dead[label]`` die, each closed at a Disappear
-        vertex of its own.  Any other group dies whole.
+        A group none of whose members is active dies whole, at a Disappear
+        vertex.  Any other group closes at a Split vertex into the
+        components of `root` among its members, in order of label: a piece
+        whose least member is active opens an edge, and any other dies, at
+        a Disappear vertex of its own.
         """
         for g in sorted(labels):
-            u, run, k1 = self.open.pop(g)
-            vid = self.new_vertex(_SPLIT if g in alive else _DISAPPEAR, k, g)
-            self.add_edge(u, run, k1, vid, k)
-            if g not in alive:
-                continue
-            pieces = _pieces(run, root[run])
-            for x in sorted(dead.get(g, ())):
-                self.add_edge(vid, pieces[x], k, self.new_vertex(_DISAPPEAR, k, x), k)
-            for x in alive[g]:
-                self.open[x] = (vid, pieces[x], k)
+            u, run = self.open.pop(g)
+            live = self.active[run].any()
+            vid = self.new_vertex(_SPLIT if live else _DISAPPEAR, k, g)
+            self.add_edge(u, run, vid)
+            if live:
+                for x, piece in _pieces(run, root[run]).items():
+                    if self.active[x]:
+                        self.open[x] = (vid, piece)
+                    else:
+                        self.add_edge(vid, piece, self.new_vertex(_DISAPPEAR, k, x))
         if root is not None:
             self.group = root
 
@@ -396,7 +396,7 @@ class _Replay:
         # the arena's runs are int32
         runs = ranks.astype(np.int32)
         for i, x in enumerate(ranks.tolist()):
-            self.open[x] = (self.new_vertex(_APPEAR, k, x), runs[i:i + 1], k)
+            self.open[x] = (self.new_vertex(_APPEAR, k, x), runs[i:i + 1])
 
     def connect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
         if np.count_nonzero(~(self.active[ra] & self.active[rb])):
@@ -415,15 +415,14 @@ class _Replay:
             return
         ga, gb = ga[apart], gb[apart]
         root = component_roots(self.group.shape[0], ga, gb)
-        merged: dict[int, list[int]] = {}
-        for x in sorted(set(ga.tolist()).union(gb.tolist())):
-            merged.setdefault(int(root[x]), []).append(x)
-        for g, labels in sorted(merged.items()):
-            preds = [self.open.pop(x) for x in labels]
+        labels = np.sort(np.concatenate((ga, gb)))
+        labels = labels[np.diff(labels, prepend=-1) != 0]
+        for g, merged in _pieces(labels, root[labels]).items():
+            preds = [self.open.pop(x) for x in merged.tolist()]
             vid = self.new_vertex(_MERGE, k, g)
             for p in preds:
-                self.add_edge(*p, vid, k)
-            self.open[g] = (vid, np.sort(np.concatenate([p[1] for p in preds])), k)
+                self.add_edge(*p, vid)
+            self.open[g] = (vid, np.sort(np.concatenate([run for _, run in preds])))
         self.group = root[self.group]
 
     def disconnect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
@@ -436,17 +435,11 @@ class _Replay:
         drop = np.zeros(cur.shape[0], dtype=bool)
         drop[at] = True
         self.cur = cur = cur[~drop]
-        # a group splits only where a deleted pair's ends fall apart, and
-        # each piece holds an end of such a pair
+        # a group splits only where a deleted pair's ends fall apart
         root = component_roots(self.group.shape[0], cur >> 31, cur & _LOW31)
         cut = (root[ra] != root[rb]).nonzero()[0]
-        if not cut.shape[0]:
-            return
-        alive: dict[int, set[int]] = {}
-        for g, x, y in zip(self.group[ra[cut]].tolist(), root[ra[cut]].tolist(),
-                           root[rb[cut]].tolist()):
-            alive.setdefault(g, set()).update((x, y))
-        self.close_groups(k, alive, root, alive, {})
+        if cut.shape[0]:
+            self.close_groups(k, set(self.group[ra[cut]].tolist()), root)
 
     def disappear(self, k: int, ranks: np.ndarray) -> None:
         if np.count_nonzero(~self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
@@ -456,23 +449,12 @@ class _Replay:
         a, b = cur >> 31, cur & _LOW31
         da, db = ~self.active[a], ~self.active[b]
         self.cur = cur[~(da | db)]
-        dying_of: dict[int, list[int]] = {}
-        for g, x in zip(self.group[ranks].tolist(), ranks.tolist()):
-            dying_of.setdefault(g, []).append(x)
-        partial = [g for g, xs in dying_of.items() if len(xs) < self.open[g][1].shape[0]]
-        alive: dict[int, set[int]] = {}
-        root = None
-        if partial:
-            # without the pairs between dying members and survivors, each
-            # component is all dying or all surviving, and each surviving
-            # piece holds a survivor's end of such a pair
-            cut = da != db
-            root = component_roots(self.group.shape[0], a[~cut], b[~cut])
-            ends = np.where(da[cut], b[cut], a[cut])
-            for g, x in zip(self.group[ends].tolist(), root[ends].tolist()):
-                alive.setdefault(g, set()).add(x)
-        dead = {g: set(root[dying_of[g]].tolist()) for g in partial}
-        self.close_groups(k, dying_of, root, alive, dead)
+        # without the pairs between leaving and staying members, each
+        # component is all leaving or all staying; such a pair exists only
+        # where a group is left in part
+        cut = da != db
+        root = component_roots(self.group.shape[0], a[~cut], b[~cut]) if cut.any() else None
+        self.close_groups(k, set(self.group[ranks].tolist()), root)
 
 
 def build_reeb(
@@ -521,7 +503,7 @@ def build_reeb(
             else:
                 rp.disconnect(k, ra, rb, code)
     if rp.open:
-        left = ids[np.concatenate([run for _, run, _ in rp.open.values()])]
+        left = ids[np.concatenate([run for _, run in rp.open.values()])]
         raise ContractError(f"groups left open after replay: {sorted(left.tolist())}")
     metadata = dict(s.metadata)
     metadata["n_trajectories"] = str(len(s))

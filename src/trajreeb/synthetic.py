@@ -58,14 +58,14 @@ def make_bundle(
     freq = rng.uniform(1.0, 2.5, size=(n_trajectories, 2))
     amp = rng.uniform(0.3, 1.0, size=(n_trajectories, 2)) * wobble * spacing
 
-    points = np.empty((n_trajectories, n_points, 3))
-    for t in range(n_trajectories):
-        a = radius[t] * np.cos(theta[t]) + amp[t, 0] * np.sin(
-            2.0 * np.pi * freq[t, 0] * u + phase[t, 0]
-        )
-        b = radius[t] * np.sin(theta[t]) + amp[t, 1] * np.sin(
-            2.0 * np.pi * freq[t, 1] * u + phase[t, 1]
-        )
-        points[t] = center + a[:, None] * normal + b[:, None] * binormal
+    # each fiber's offsets along normal and binormal, one row per fiber
+    a = (radius * np.cos(theta))[:, None] + amp[:, :1] * np.sin(
+        2.0 * np.pi * freq[:, :1] * u + phase[:, :1]
+    )
+    b = (radius * np.sin(theta))[:, None] + amp[:, 1:] * np.sin(
+        2.0 * np.pi * freq[:, 1:] * u + phase[:, 1:]
+    )
+    points = center + a[:, :, None] * normal
+    points += b[:, :, None] * binormal
     return TrajectorySet._of(points.reshape(-1, 3), np.arange(n_trajectories) * n_points,
                              np.full(n_trajectories, n_points), {"source_format": "synthetic"})

@@ -10,8 +10,10 @@ Deliberately slow and obvious.  Two fast pieces are earlier package code
 kept whole as references: the detector's searchsorted grid, for the
 detector's columns, and the replay that held each edge's members as a
 frozenset, for the replay's column store; the latter labels components with
-the package's own component_roots.  The writers that joined each document
-whole, and dumped one Event per JSON line, check the streamed writers.
+the package's own component_roots, and so does the replay before it read a
+group's fate from its active flags.  The writers that joined each document
+whole, and dumped one Event per JSON line, check the streamed writers, and
+make_bundle's per-fiber loop checks its broadcast form.
 """
 
 import itertools
@@ -46,6 +48,43 @@ def oracle_orient_align(s):
         flip = distance(t.points[-1], ref_first) + distance(t.points[0], ref_last)
         out.append(t.reversed() if flip < keep else t)
     return TrajectorySet(tuple(out), s.metadata)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic bundles
+
+
+def oracle_bundle_points(n_trajectories, n_points, *, spacing=1.0, wobble=0.35, seed=0):
+    """The (n, m, 3) points of make_bundle as it made them before it
+    broadcast: the same draws, and one fiber at a time."""
+    rng = np.random.default_rng(seed)
+    u = np.linspace(0.0, 1.0, n_points)
+    arc = n_points * 0.8 * spacing
+    center = np.stack(
+        [arc * u, 0.25 * arc * np.sin(np.pi * u), 0.10 * arc * np.sin(2.0 * np.pi * u + 0.7)],
+        axis=1,
+    )
+    tangent = np.gradient(center, axis=0)
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    normal = np.cross(tangent, np.array([0.0, 0.0, 1.0]))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    binormal = np.cross(tangent, normal)
+    i = np.arange(n_trajectories)
+    radius = spacing * np.sqrt((i + 0.5) / np.pi)
+    theta = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_trajectories, 2))
+    freq = rng.uniform(1.0, 2.5, size=(n_trajectories, 2))
+    amp = rng.uniform(0.3, 1.0, size=(n_trajectories, 2)) * wobble * spacing
+    points = np.empty((n_trajectories, n_points, 3))
+    for t in range(n_trajectories):
+        a = radius[t] * np.cos(theta[t]) + amp[t, 0] * np.sin(
+            2.0 * np.pi * freq[t, 0] * u + phase[t, 0]
+        )
+        b = radius[t] * np.sin(theta[t]) + amp[t, 1] * np.sin(
+            2.0 * np.pi * freq[t, 1] * u + phase[t, 1]
+        )
+        points[t] = center + a[:, None] * normal + b[:, None] * binormal
+    return points
 
 
 # ---------------------------------------------------------------------------

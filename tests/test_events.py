@@ -129,6 +129,21 @@ def test_event_refuses_a_step_outside_the_id_range(step):
     assert json.loads(tr.EventSchedule([top]).to_jsonl())["step"] == (1 << 63) - 1
 
 
+@pytest.mark.parametrize("step, subjects", [
+    (2.5, (0,)), (2.0, (0,)), (True, (0,)), (0, (1.5,)), (0, (np.float64(1.0),)),
+    (0, (False, 1)), (0, (0, 1.5))])
+def test_event_refuses_a_step_or_subject_that_is_not_an_integer(step, subjects):
+    """A step and a subject are integers: a step of 2.5 was written to the
+    JSON lines as 2 and a subject of 1.5 as 1.  Numpy integers are
+    integers."""
+    kind = EventKind.APPEAR if len(subjects) == 1 else EventKind.CONNECT
+    with pytest.raises(tr.ContractError, match="below 2\\*\\*63 \\(an integer|integers\\)"):
+        tr.Event(kind, step, subjects, tr.Point3(0, 0, 0))
+    ok = tr.Event(EventKind.CONNECT, np.int64(2), (np.int32(1), np.uint64(3)), tr.Point3(0, 0, 0))
+    line = json.loads(tr.EventSchedule([ok]).to_jsonl())
+    assert (line["step"], line["subjects"]) == (2, [1, 3])
+
+
 def test_detected_schedule_holds_rows_of_the_index_not_ids():
     """A detected schedule's subjects are int32 rows of its set's step
     index, whose ids are its table, and its kinds are int8: it holds at

@@ -158,3 +158,24 @@ class TestConfig:
     def test_valid(self):
         c = tr.Config(epsilon=2.0, resample_delta=0.5, orient_align=True)
         assert c.epsilon == 2.0
+
+
+@pytest.mark.parametrize("tid", [1.5, 1.0, np.float64(2.0), True])
+def test_trajectory_refuses_an_id_that_is_not_an_integer(tid):
+    """An id is an integer: a set of Trajectory(1.5, ...) held id 1, so
+    that its by_id(1.5) raised KeyError.  Numpy integers are integers."""
+    with pytest.raises(ValueError, match="id must be non-negative and below 2\\*\\*63 \\(an integer\\)"):
+        tr.Trajectory(tid, np.zeros((3, 3)))
+    s = tr.TrajectorySet([tr.Trajectory(np.int64(1), np.zeros((3, 3)))])
+    assert s.by_id(1).id == 1
+
+
+@pytest.mark.parametrize("start", [0.5, 2.0, True, -1, 1 << 63])
+def test_trajectory_refuses_a_start_step_outside_the_integers_below_2_63(start):
+    """A start step is an integer in [0, 2**63): 0.5 gave a set start of 0
+    but an end_step of 2.5, and 2**63 passed Trajectory only to raise a
+    bare OverflowError in TrajectorySet."""
+    with pytest.raises(ValueError, match="start_step must be non-negative and below 2\\*\\*63"):
+        tr.Trajectory(0, np.zeros((3, 3)), start_step=start)
+    t = tr.Trajectory(0, np.zeros((3, 3)), start_step=np.int32(5))
+    assert tr.TrajectorySet([t]).step_range == (5, 7)

@@ -12,7 +12,7 @@ import trajreeb.io
 from trajreeb.cli import run
 from trajreeb.errors import FormatError, ParseError, TrajreebError, UnsupportedFormatError
 
-from oracles import oracle_orient_align
+from oracles import oracle_bundle_points, oracle_orient_align
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +424,24 @@ def test_orient_align_equals_the_per_trajectory_loop():
                 assert (t.id, t.start_step) == (u.id, u.start_step)
                 assert np.array_equal(t.points, u.points)
                 assert (t.points.strides[0] < 0) == (u.points.strides[0] < 0)
+
+
+def test_make_bundle_equals_the_per_fiber_loop():
+    """make_bundle computes every fiber's offsets as one (n, m) array; the
+    loop it replaced made them one fiber at a time.  Their points must be
+    the same bytes, over fiber counts (1 included), point counts (2
+    included), spacings, wobbles and seeds."""
+    rng = np.random.default_rng(1033)
+    for trial in range(40):
+        n = int(rng.choice([1, 2, rng.integers(1, 400)]))
+        m = int(rng.choice([2, 3, rng.integers(2, 150)]))
+        spacing = float(rng.choice([1.0, rng.uniform(0.05, 8.0)]))
+        wobble = float(rng.choice([0.35, 0.0, rng.uniform(0.0, 3.0)]))
+        seed = int(rng.integers(1 << 32))
+        s = tr.make_bundle(n, m, spacing=spacing, wobble=wobble, seed=seed)
+        want = oracle_bundle_points(n, m, spacing=spacing, wobble=wobble, seed=seed)
+        assert s._points.tobytes() == want.tobytes(), (n, m, spacing, wobble, seed)
+        assert s._first.tolist() == list(range(0, n * m, m)) and s._length.tolist() == [m] * n
 
 
 def test_csv_round_trip_of_unsorted_ids():

@@ -1,7 +1,9 @@
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import trajreeb as tr
 from trajreeb import geometry
 from trajreeb.events import EventKind, _detect
-from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
+from trajreeb.reeb import _MERGE, ReebEdge, ReebGraph, ReebVertex, VertexKind, _pieces, _Replay
 
 from oracles import (
     as_plain, frozenset_replay, object_canonical, object_path, oracle_canonical, oracle_replay,
@@ -309,15 +311,11 @@ def _dead_and_alive_pieces(r):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(REPLAY_SETS))
-def test_replay_matches_even_shiloach_oracle(name):
-    """build_reeb labels each phase graph from scratch; the oracle replays
-    the same schedule event by event on a fully dynamic connectivity
-    engine.  Their Reeb JSON must agree byte for byte, which pins vertex
-    order, edge order and every vertex's witness."""
+def even_shiloach_trials(name):
+    """The (set, epsilon, schedule) of each trial of the Even-Shiloach
+    differential test on REPLAY_SETS[name]."""
     rng = np.random.default_rng(sorted(REPLAY_SETS).index(name) + 401)
-    pieces = []
-    for trial in range(30):
+    for _ in range(30):
         if name == "offset_starts":
             plain = offset_starts(rng)
             eps = random_instance(rng, n_range=(5, 15), m_range=(6, 25))[1]
@@ -325,7 +323,17 @@ def test_replay_matches_even_shiloach_oracle(name):
             plain = REPLAY_SETS[name](rng)
             eps = {"chains": 1.0, "bundle": 1.2}.get(name) or float(rng.choice([1.0, np.sqrt(2.0)]))
         s = build_set(plain)
-        schedule = tr.detect_all_events(s, eps)
+        yield s, eps, tr.detect_all_events(s, eps)
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_SETS))
+def test_replay_matches_even_shiloach_oracle(name):
+    """build_reeb labels each phase graph from scratch; the oracle replays
+    the same schedule event by event on a fully dynamic connectivity
+    engine.  Their Reeb JSON must agree byte for byte, which pins vertex
+    order, edge order and every vertex's witness."""
+    pieces = []
+    for trial, (s, eps, schedule) in enumerate(even_shiloach_trials(name)):
         got = tr.build_reeb(s, eps, schedule=schedule)
         assert tr.graph_to_json(got) == tr.graph_to_json(oracle_replay(s, eps, schedule)), \
             f"{name} trial {trial}"
@@ -346,16 +354,11 @@ def past_31_bits(rng):
 ARENA_SETS = dict(REPLAY_SETS, past_31_bits=past_31_bits)
 
 
-@pytest.mark.parametrize("name", sorted(ARENA_SETS))
-def test_column_store_matches_frozenset_replay(name):
-    """build_reeb keeps each edge's members as a run of one arena; the
-    oracle is the replay that made a frozenset per edge and a ReebVertex
-    per vertex.  The two graphs must agree in their JSON bytes, canonical
-    form, objects and every trajectory's path, and so must the graph read
-    back from the JSON."""
+def frozenset_trials(name):
+    """The (set, epsilon, schedule) of each trial of the frozenset
+    differential test on ARENA_SETS[name]."""
     rng = np.random.default_rng(sorted(ARENA_SETS).index(name) + 601)
-    pieces, cascades = [], 0
-    for trial in range(20):
+    for _ in range(20):
         plain = ARENA_SETS[name](rng)
         if name == "offset_starts":
             eps = random_instance(rng, n_range=(5, 15), m_range=(6, 25))[1]
@@ -363,7 +366,18 @@ def test_column_store_matches_frozenset_replay(name):
             eps = ({"chains": 1.0, "past_31_bits": 1.0, "bundle": 1.2}.get(name)
                    or float(rng.choice([1.0, np.sqrt(2.0)])))
         s = build_set(plain)
-        schedule = tr.detect_all_events(s, eps)
+        yield s, eps, tr.detect_all_events(s, eps)
+
+
+@pytest.mark.parametrize("name", sorted(ARENA_SETS))
+def test_column_store_matches_frozenset_replay(name):
+    """build_reeb keeps each edge's members as a run of one arena; the
+    oracle is the replay that made a frozenset per edge and a ReebVertex
+    per vertex.  The two graphs must agree in their JSON bytes, canonical
+    form, objects and every trajectory's path, and so must the graph read
+    back from the JSON."""
+    pieces, cascades = [], 0
+    for trial, (s, eps, schedule) in enumerate(frozenset_trials(name)):
         want = frozenset_replay(s, eps, schedule)
         vertices, edges = want[:2]
         text = tr.graph_to_json(ReebGraph(*want))
@@ -380,6 +394,42 @@ def test_column_store_matches_frozenset_replay(name):
     assert any(dead for dead, _ in pieces) and cascades
     if name == "past_31_bits":
         assert min(v.witness for v in vertices) >= 1 << 31
+
+
+def test_differential_inputs_reach_every_closing_branch(monkeypatch):
+    """Over the inputs of the two differential tests above, replay closes
+    groups by every branch it has: a whole death, a partial death with at
+    least two leaving pieces, a partial death whose staying members split,
+    a disconnect into at least three pieces, and a merge of at least three
+    groups in one connect run.  Each closing is classed from the replay's
+    state as close_groups is called; each merge from the graph."""
+    counts = Counter()
+    close = _Replay.close_groups
+
+    def counted(rp, k, labels, root):
+        for g in labels:
+            run = rp.open[g][1]
+            if not rp.active[run].any():
+                counts["whole death"] += 1
+                continue
+            stay = [bool(rp.active[x]) for x in _pieces(run, root[run])]
+            leaving = stay.count(False)
+            counts["partial death, >= 2 leaving pieces"] += leaving >= 2
+            counts["partial death, staying members split"] += leaving > 0 and sum(stay) >= 2
+            counts["disconnect into >= 3 pieces"] += not leaving and len(stay) >= 3
+        close(rp, k, labels, root)
+
+    monkeypatch.setattr(_Replay, "close_groups", counted)
+    trials = [even_shiloach_trials(name) for name in sorted(REPLAY_SETS)]
+    trials += [frozenset_trials(name) for name in sorted(ARENA_SETS)]
+    for s, eps, schedule in itertools.chain.from_iterable(trials):
+        r = tr.build_reeb(s, eps, schedule=schedule)
+        merges = r._v[r._kind[r._v] == _MERGE]
+        counts["merge of >= 3 groups"] += int(np.count_nonzero(np.bincount(merges) >= 3))
+    kinds = ["whole death", "partial death, >= 2 leaving pieces",
+             "partial death, staying members split", "disconnect into >= 3 pieces",
+             "merge of >= 3 groups"]
+    assert all(counts[kind] > 0 for kind in kinds), counts
 
 
 def test_detected_and_event_built_schedules_replay_alike():
