@@ -115,6 +115,10 @@ class Trajectory:
         if not _in_id_range(self.start_step):
             raise ValueError(f"trajectory {self.id}: start_step must be non-negative and "
                              "below 2**63 (an integer)")
+        # detection counts a trajectory's end at the step after its last
+        if not _in_id_range(int(self.start_step) + pts.shape[0]):
+            raise ValueError(f"trajectory {self.id}: its last step, start_step + "
+                             f"{pts.shape[0] - 1}, must be below 2**63 - 1")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

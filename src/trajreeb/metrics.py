@@ -11,10 +11,11 @@ degree in Q; clustering and the path features ignore it.
 
 Mean betweenness and global efficiency both follow from c_d, the number
 of ordered vertex pairs at distance d, which a breadth-first search from
-every vertex counts (level by level, over blocks of sources at once, on
-numpy CSR arrays built from the pair array).  Every shortest s-t path has
-d(s, t) - 1 interior vertices, so the dependencies of source s (Brandes
-2001) sum to sum_t (d(s, t) - 1) and the mean normalized betweenness is
+every vertex counts: bit-parallel, one bit per source of a block, level
+by level over numpy CSR arrays built from the pair array (Then et al.,
+PVLDB 8(4), 2014).  Every shortest s-t path has d(s, t) - 1 interior
+vertices, so the dependencies of source s (Brandes 2001) sum to
+sum_t (d(s, t) - 1) and the mean normalized betweenness is
 sum_d c_d (d - 1) / (n(n-1)(n-2)); global efficiency is
 sum_d c_d / d / (n(n-1)).  Both are exact integer ratios, the second over
 lcm(d), each rounded once to the nearest float.
@@ -22,9 +23,11 @@ lcm(d), each rounded once to the nearest float.
 Modularity is the Q of a Clauset-Newman-Moore greedy agglomeration
 (Phys. Rev. E 70, 066111, 2004): one heap of adjacent community pairs
 keyed by exact integer gains, with deterministic lowest-id tie-breaking,
-so repeated runs give identical reports.  The routine sums Q from its own
-per-community degree and inner-edge counts.  Clustering is networkx's,
-on an nx.Graph built from the pair array.
+so repeated runs give identical reports.  The leaves next to a community
+share one heap entry, so each leaf of a hub costs one push, not one per
+leaf left.  The routine sums Q from its own per-community degree and
+inner-edge counts.  Clustering is networkx's, on an nx.Graph built from
+the pair array.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ from .reeb import ReebGraph, build_reeb
 
 CENTRALITY_KIND = "betweenness_normalized"
 
-# sources per block of the shortest-path pass are chosen so that the
-# block's per-(source, node) arrays and its per-(source, edge end) work stay
-# near this many entries: ~4 MB at peak.  2**20 would be no faster on the
-# 6k-vertex graph of a 1000 x 132 bundle and peaks at ~14 MB on a
-# 600-vertex one.
-_BLOCK_ENTRIES = 1 << 18
+# uint64 words in the (edge end, word) array that one level of the
+# shortest-path pass gathers: 256 KiB.  A block's sources fill whole words,
+# 64 sources to a word, unless one word per edge end is already more.
+_BLOCK_ENTRIES = 1 << 15
+# the masks of a SWAR popcount of uint64 words
+_M1, _M2, _M4, _H01 = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 0x0F, 1))
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -100,48 +103,68 @@ def greedy_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], fl
     modularity gain merges first; ties go to the lexicographically smallest
     (min id, min id) community pair.  Stops when no merge improves Q.
 
-    One heap holds every adjacent pair, keyed by the exact integer
+    One heap holds the adjacent pairs, keyed by the exact integer
     e_ab*2m - d_a*d_b, which is the gain times (2m)^2/2: distinct gains
     differ by at least 2/(2m)^2, so ties are exact.  Community i is the one
     whose least member is vertex i, and a merge keeps the lower index, so
     (index, index) orders pairs as (min id, min id) does.  An entry is stale
     once either community has merged since it was pushed.  A self-loop adds
     2 to its vertex's degree and 1 to its community's inner edges.
+
+    A leaf, a degree-1 vertex whose neighbour has degree >= 2, stays a
+    singleton until it joins its neighbour's community a, and every such
+    pair has the key d_a - 2m.  So the leaves of a wait in a's bucket, a
+    heap of leaf ids, not among a's links, and the heap holds one entry for
+    the whole bucket: its least leaf, whose pair comes first among the
+    bucket's equal keys.  A merge moves the smaller bucket into the larger.
     """
     m = len(ends)
     members: list = [{v} for v in range(n)]
     if m == 0:
         return members, 0.0
-    pairs = ends.tolist()
     degree = np.bincount(ends.ravel(), minlength=n).tolist()
     inner = [0] * n  # edges with both ends in the community
-    links: list = [{} for _ in range(n)]  # community -> {neighbour: edges between}
-    for u, v in pairs:
+    links: list = [{} for _ in range(n)]  # community -> {neighbour: edges between}, no leaf
+    leaves: dict = {}  # community -> heap of the leaves next to it
+    two_m = 2 * m
+    heap = []
+    for u, v in ends.tolist():
         if u == v:
             inner[u] = 1
+        elif degree[u] == 1 < degree[v]:
+            leaves.setdefault(v, []).append(u)  # in increasing order: a heap
+        elif degree[v] == 1 < degree[u]:
+            leaves.setdefault(u, []).append(v)
         else:
             links[u][v] = links[v][u] = 1
+            heap.append((degree[u] * degree[v] - two_m, u, v, 0, 0))
+    heap += [(degree[a] - two_m, *sorted((a, bucket[0])), 0, 0) for a, bucket in leaves.items()]
+    heapq.heapify(heap)
 
-    two_m = 2 * m
     scale = 2.0 * m  # the stop rule keeps the float form of the rescan it replaced
     version = [0] * n
-    heap = [(degree[a] * degree[b] - two_m, a, b, 0, 0) for a, b in pairs if a != b]
-    heapq.heapify(heap)
     while heap:
         _, a, b, version_a, version_b = heapq.heappop(heap)
         if version[a] != version_a or version[b] != version_b:
             continue
-        gain = 2.0 * (links[a][b] / scale - (float(degree[a]) * degree[b]) / (scale * scale))
+        leaf = b not in links[a]  # one of a, b is a leaf atop the other's bucket
+        e_ab = 1 if leaf else links[a][b]
+        gain = 2.0 * (e_ab / scale - (float(degree[a]) * degree[b]) / (scale * scale))
         if not gain > 1e-12 + 1e-15:
             break
         members[a] |= members[b]
         degree[a] += degree[b]
-        inner[a] += inner[b] + links[a][b]
+        inner[a] += inner[b] + e_ab
         for c, w in links[b].items():
             if c != a:
                 del links[c][b]
                 links[c][a] = links[a][c] = links[a].get(c, 0) + w
-        del links[a][b]
+        links[a].pop(b, None)
+        small, bucket = sorted((leaves.pop(a, []), leaves.pop(b, [])), key=len)
+        if leaf:  # a leaf has no bucket: the larger one is its neighbour's
+            heapq.heappop(bucket)
+        for x in small:
+            heapq.heappush(bucket, x)
         members[b] = links[b] = None
         version[b] = -1
         version[a] += 1
@@ -149,6 +172,10 @@ def greedy_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], fl
             lo, hi = min(a, c), max(a, c)
             heapq.heappush(heap, (degree[a] * degree[c] - e_ac * two_m,
                                   lo, hi, version[lo], version[hi]))
+        if bucket:
+            leaves[a] = bucket
+            lo, hi = min(a, bucket[0]), max(a, bucket[0])
+            heapq.heappush(heap, (degree[a] - two_m, lo, hi, version[lo], version[hi]))
     partition, q = [], 0.0  # Newman's Q, over the communities in index order
     for a, c in enumerate(members):
         if c is not None:
@@ -157,52 +184,61 @@ def greedy_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], fl
     return partition, q
 
 
+def _popcount(x: np.ndarray) -> int:
+    """The number of set bits in the uint64 array x (SWAR: numpy's
+    bitwise_count needs numpy 2)."""
+    x = x - ((x >> 1) & _M1)
+    x = (x & _M2) + ((x >> 2) & _M2)
+    x = (x + (x >> 4)) & _M4
+    return int(((x * _H01) >> 56).sum())
+
+
 def _shortest_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
     """(mean normalized betweenness, global efficiency) of the graph on
     vertices 0..n-1 with edges `ends`, each correctly rounded from its exact
     rational value.  Self-loops lie on no shortest path and are dropped.
 
-    A breadth-first search from every source, level-synchronous over a block
-    of sources at once: entry i*n + v of the block's arrays belongs to (its
-    i-th source, node v), and every level touches only its frontier's edges.
-    The searches count the ordered pairs c_d at each distance d, which is all
-    that either value needs (see the module docstring).
+    A breadth-first search from every source, bit-parallel over a block of
+    sources at once (Then et al., PVLDB 8(4), 2014): the vertices with an
+    edge are rows 0..k-1, source i of the block is bit i of a row's uint64
+    words, and one level ORs each row's neighbours' frontier words into the
+    next frontier and keeps the bits not yet seen.  The searches count the
+    ordered pairs c_d at each distance d, which is all that either value
+    needs (see the module docstring).
     """
     if n < 2:
         return 0.0, 0.0
     ends = ends[ends[:, 0] != ends[:, 1]]
-    # CSR adjacency: the neighbours of v are nbr[first[v] : first[v] + deg[v]]
     heads = np.concatenate([ends[:, 0], ends[:, 1]])
-    nbr = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(heads, kind="stable")]
-    deg = np.bincount(heads, minlength=n).astype(np.int32)
-    first = (np.cumsum(deg) - deg).astype(np.int32)
-    block = max(1, min(n, _BLOCK_ENTRIES // max(nbr.size, n)))
+    order = np.argsort(heads, kind="stable")
+    heads = heads[order]
+    # an isolated vertex reaches nothing, but n still sets the denominators
+    row = np.cumsum(np.bincount(heads, minlength=n) > 0) - 1
+    # CSR adjacency over rows: the neighbours of row r are nbr[starts[r]:starts[r + 1]]
+    nbr = row[np.concatenate([ends[:, 1], ends[:, 0]])[order]]
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    k = starts.size
+    # a level gathers (2m, words) words: whole words of 64 sources, or
+    # fewer sources when one word per edge end is already over the budget
+    block = (_BLOCK_ENTRIES << 6) // max(nbr.size, 1)
+    block = max(1, min(k, block & ~63 or block))
     pairs: dict[int, int] = {}  # distance d -> ordered pairs at distance d
-    for s0 in range(0, n, block):
-        b = min(block, n - s0)
-        frontier = np.arange(b, dtype=np.int32) * n + np.arange(s0, s0 + b, dtype=np.int32)
-        seen = np.zeros(b * n, dtype=bool)
-        slot = np.empty(b * n, dtype=np.int32)
-        seen[frontier] = True
+    for s0 in range(0, k, block):
+        bit = np.arange(min(block, k - s0), dtype=np.uint64)
+        frontier = np.zeros((k, (bit.size + 63) >> 6), dtype=np.uint64)
+        frontier[s0 + bit, bit >> 6] = np.uint64(1) << (bit & 63)
+        unseen = ~frontier
         d = 0
         while True:
-            v = frontier % n
-            counts = deg[v]
-            stop = np.cumsum(counts, dtype=np.int32)
-            if stop[-1] == 0:
+            new = np.bitwise_or.reduceat(frontier.take(nbr, axis=0), starts, axis=0)
+            new &= unseen
+            count = _popcount(new)
+            if not count:
                 break
-            pos = np.arange(stop[-1], dtype=np.int32) + np.repeat(first[v] - stop + counts, counts)
-            child = nbr[pos] + np.repeat(frontier - v, counts)
-            child = child[~seen[child]]
-            if child.size == 0:
-                break
-            seen[child] = True
-            # next frontier: each newly reached entry once
-            k = np.arange(child.size, dtype=np.int32)
-            slot[child] = k
-            frontier = child[slot[child] == k]
             d += 1
-            pairs[d] = pairs.get(d, 0) + frontier.size
+            pairs[d] = pairs.get(d, 0) + count
+            unseen ^= new
+            frontier = new
     # int / int is correctly rounded.  The lcm puts every c_d/d over one
     # integer denominator; importing fractions would load decimal in every
     # command, metrics or not.

@@ -13,9 +13,13 @@ frozenset, for the replay's column store; the latter labels components with
 the package's own component_roots, and so does the replay before it read a
 group's fate from its active flags.  The writers that joined each document
 whole, and dumped one Event per JSON line, check the streamed writers, and
-make_bundle's per-fiber loop checks its broadcast form.
+make_bundle's per-fiber loop checks its broadcast form.  The path pass
+that searched one (source, node) entry at a time, and the modularity heap
+that held every leaf's pair, check the bit-parallel pass and the leaf
+buckets with ==.
 """
 
+import heapq
 import itertools
 import json
 import math
@@ -1366,6 +1370,134 @@ def greedy_modularity_scan(g):
             links[a][c] = links[a].get(c, 0.0) + w
         links[a].pop(b, None)
     return sorted(members.values(), key=min)
+
+
+# ---------------------------------------------------------------------------
+# The package's metric passes before they were bit-parallel and bucketed:
+# a breadth-first search per (source, node) entry, and a heap entry and a
+# links entry for every leaf
+
+
+def links_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], float]:
+    """(partition, Q) of Clauset-Newman-Moore greedy modularity with
+    lowest-id tie-breaking, on vertices 0..n-1 and the distinct sorted
+    (u <= v) pairs `ends`.
+
+    Communities start as singletons and the adjacent pair with the largest
+    modularity gain merges first; ties go to the lexicographically smallest
+    (min id, min id) community pair.  Stops when no merge improves Q.
+
+    One heap holds every adjacent pair, keyed by the exact integer
+    e_ab*2m - d_a*d_b, which is the gain times (2m)^2/2: distinct gains
+    differ by at least 2/(2m)^2, so ties are exact.  Community i is the one
+    whose least member is vertex i, and a merge keeps the lower index, so
+    (index, index) orders pairs as (min id, min id) does.  An entry is stale
+    once either community has merged since it was pushed.  A self-loop adds
+    2 to its vertex's degree and 1 to its community's inner edges.
+    """
+    m = len(ends)
+    members: list = [{v} for v in range(n)]
+    if m == 0:
+        return members, 0.0
+    pairs = ends.tolist()
+    degree = np.bincount(ends.ravel(), minlength=n).tolist()
+    inner = [0] * n  # edges with both ends in the community
+    links: list = [{} for _ in range(n)]  # community -> {neighbour: edges between}
+    for u, v in pairs:
+        if u == v:
+            inner[u] = 1
+        else:
+            links[u][v] = links[v][u] = 1
+
+    two_m = 2 * m
+    scale = 2.0 * m  # the stop rule keeps the float form of the rescan it replaced
+    version = [0] * n
+    heap = [(degree[a] * degree[b] - two_m, a, b, 0, 0) for a, b in pairs if a != b]
+    heapq.heapify(heap)
+    while heap:
+        _, a, b, version_a, version_b = heapq.heappop(heap)
+        if version[a] != version_a or version[b] != version_b:
+            continue
+        gain = 2.0 * (links[a][b] / scale - (float(degree[a]) * degree[b]) / (scale * scale))
+        if not gain > 1e-12 + 1e-15:
+            break
+        members[a] |= members[b]
+        degree[a] += degree[b]
+        inner[a] += inner[b] + links[a][b]
+        for c, w in links[b].items():
+            if c != a:
+                del links[c][b]
+                links[c][a] = links[a][c] = links[a].get(c, 0) + w
+        del links[a][b]
+        members[b] = links[b] = None
+        version[b] = -1
+        version[a] += 1
+        for c, e_ac in links[a].items():
+            lo, hi = min(a, c), max(a, c)
+            heapq.heappush(heap, (degree[a] * degree[c] - e_ac * two_m,
+                                  lo, hi, version[lo], version[hi]))
+    partition, q = [], 0.0  # Newman's Q, over the communities in index order
+    for a, c in enumerate(members):
+        if c is not None:
+            partition.append(c)
+            q += inner[a] / m - (degree[a] / (2.0 * m)) ** 2
+    return partition, q
+
+
+def per_source_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
+    """(mean normalized betweenness, global efficiency) of the graph on
+    vertices 0..n-1 with edges `ends`, each correctly rounded from its exact
+    rational value.  Self-loops lie on no shortest path and are dropped.
+
+    A breadth-first search from every source, level-synchronous over a block
+    of sources at once: entry i*n + v of the block's arrays belongs to (its
+    i-th source, node v), and every level touches only its frontier's edges.
+    The searches count the ordered pairs c_d at each distance d, which is all
+    that either value needs (see the module docstring).
+    """
+    if n < 2:
+        return 0.0, 0.0
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    # CSR adjacency: the neighbours of v are nbr[first[v] : first[v] + deg[v]]
+    heads = np.concatenate([ends[:, 0], ends[:, 1]])
+    nbr = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(heads, kind="stable")]
+    deg = np.bincount(heads, minlength=n).astype(np.int32)
+    first = (np.cumsum(deg) - deg).astype(np.int32)
+    block = max(1, min(n, (1 << 18) // max(nbr.size, n)))  # the former _BLOCK_ENTRIES
+    pairs: dict[int, int] = {}  # distance d -> ordered pairs at distance d
+    for s0 in range(0, n, block):
+        b = min(block, n - s0)
+        frontier = np.arange(b, dtype=np.int32) * n + np.arange(s0, s0 + b, dtype=np.int32)
+        seen = np.zeros(b * n, dtype=bool)
+        slot = np.empty(b * n, dtype=np.int32)
+        seen[frontier] = True
+        d = 0
+        while True:
+            v = frontier % n
+            counts = deg[v]
+            stop = np.cumsum(counts, dtype=np.int32)
+            if stop[-1] == 0:
+                break
+            pos = np.arange(stop[-1], dtype=np.int32) + np.repeat(first[v] - stop + counts, counts)
+            child = nbr[pos] + np.repeat(frontier - v, counts)
+            child = child[~seen[child]]
+            if child.size == 0:
+                break
+            seen[child] = True
+            # next frontier: each newly reached entry once
+            k = np.arange(child.size, dtype=np.int32)
+            slot[child] = k
+            frontier = child[slot[child] == k]
+            d += 1
+            pairs[d] = pairs.get(d, 0) + frontier.size
+    # int / int is correctly rounded.  The lcm puts every c_d/d over one
+    # integer denominator; importing fractions would load decimal in every
+    # command, metrics or not.
+    through = sum(c * (d - 1) for d, c in pairs.items())
+    betweenness = through / (n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    lcm = math.lcm(*pairs)
+    efficiency = sum(c * (lcm // d) for d, c in pairs.items()) / (lcm * n * (n - 1))
+    return betweenness, efficiency
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,21 @@ def test_trajectory_refuses_a_start_step_outside_the_integers_below_2_63(start):
         tr.Trajectory(0, np.zeros((3, 3)), start_step=start)
     t = tr.Trajectory(0, np.zeros((3, 3)), start_step=np.int32(5))
     assert tr.TrajectorySet([t]).step_range == (5, 7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda start: tr.Trajectory(0, np.zeros((3, 3)), start_step=start),
+    lambda start: tr.make_set([np.zeros((3, 3))], start_steps=[start]),
+], ids=["Trajectory", "make_set"])
+def test_a_last_step_past_2_63_minus_2_is_refused(make):
+    """A start step of 2**63 - 1 passed alone; the set's step_range then
+    wrapped to (2**63 - 1, -2**63 + 1) and build_reeb raised a bare
+    OverflowError.  Detection counts an end at the step after it, so the
+    last step must stay below 2**63 - 1."""
+    for start in (2**63 - 1, 2**63 - 3):
+        with pytest.raises(ValueError, match="its last step, start_step \\+ 2, must be below 2\\*\\*63 - 1"):
+            make(start)
+    s = tr.make_set([np.zeros((3, 3)), np.ones((3, 3))], start_steps=[2**63 - 4] * 2)
+    assert s.step_range == (2**63 - 4, 2**63 - 2)
+    r = tr.build_reeb(s, 2.0)
+    assert [v.step for v in r.vertices] == [2**63 - 4] * 3 + [2**63 - 2]

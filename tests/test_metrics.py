@@ -1,3 +1,6 @@
+import heapq
+import tracemalloc
+import types
 import warnings
 
 import networkx as nx
@@ -15,9 +18,11 @@ from oracles import (
     edge_array,
     exact_path_features,
     greedy_modularity_scan,
+    links_modularity_partition,
     mann_whitney_p,
     modularity_value,
     oracle_canonical,
+    per_source_path_pass,
     random_instance,
     simple_graph,
     welch_p,
@@ -290,14 +295,144 @@ def test_metrics_edge_cases_match_oracles(edges, nodes):
 
 
 def test_shortest_path_pass_independent_of_block_size(monkeypatch):
-    # entry budgets below n (one source per block) up to blocks of 2-14
-    # sources, most of which do not divide n, so a last short block is common
+    # word budgets under one word per edge end (blocks of one source or a
+    # few) up to several words, with blocks that mostly do not divide the
+    # vertex count, so a last short block is common
     rng = np.random.default_rng(66)
     graphs = [_relabel(_random_graph(rng, kind), rng) for kind in GRAPH_KINDS * 3]
     for entries in (1, 60, 7 * 61):
         monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
         for g in graphs:
             _check_against_references(g)
+
+
+def _simple_ends(n, pairs):
+    """The sorted distinct (u <= v) int32 pairs of `pairs` on n vertices,
+    the edge array that compute_metrics makes."""
+    codes = sorted({min(u, v) * n + max(u, v) for u, v in pairs})
+    return np.array([divmod(c, n) for c in codes], dtype=np.int32).reshape(-1, 2)
+
+
+def _leafy_graph(rng, kind):
+    """(n, pairs) of a random graph, on shuffled ids, of one of the shapes
+    that the leaf buckets of the modularity heap must get right."""
+    if kind == "small":  # n = 1 or 2, m = 0 to 3
+        n = int(rng.integers(1, 3))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 4)), 2)).tolist()
+    elif kind == "gnm":  # uniform pairs, self-loops and repeats included
+        n = int(rng.integers(1, 40))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2)).tolist()
+    elif kind == "tree":
+        n = int(rng.integers(1, 80))
+        pairs = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    elif kind == "twins":
+        # two hubs of 8-20 leaves, both joined to both ends of an edge, and a
+        # clique that makes m large enough for the edge to join one hub and
+        # then the other while both still have leaves
+        pairs, n = [(0, 1), (2, 0), (2, 1), (3, 0), (3, 1)], 4
+        for hub in (2, 3):
+            leaves = int(rng.integers(8, 21))
+            pairs += [(hub, n + i) for i in range(leaves)]
+            n += leaves
+        size = int(rng.integers(10, 25))
+        pairs += [(n + i, n + j) for i in range(size) for j in range(i + 1, size)]
+        n += size
+    else:
+        # hubs of 10-1000 leaves (mostly under 50) joined in a path, a
+        # vertex with a self-loop and one edge to a hub (not a leaf), K2s,
+        # isolated vertices and self-loops on any vertex
+        top = 1000 if rng.random() < 0.05 else 50
+        pairs, hubs = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            hub = 1 + len(pairs) + len(hubs)
+            leaves = int(np.exp(rng.uniform(np.log(10), np.log(top))))
+            pairs += [(hub, hub + 1 + i) for i in range(leaves)]
+            hubs.append(hub)
+        n = 1 + len(pairs) + len(hubs)
+        pairs += list(zip(hubs, hubs[1:]))
+        pairs += [(0, 0), (0, int(rng.choice(hubs)))]
+        for _ in range(int(rng.integers(0, 4))):
+            pairs.append((n, n + 1))
+            n += 2
+        n += int(rng.integers(0, 3))
+        pairs += [(v, v) for v in rng.integers(0, n, int(rng.integers(0, 3))).tolist()]
+    ids = rng.permutation(n).tolist()
+    return n, [(ids[u], ids[v]) for u, v in pairs]
+
+
+def test_leaf_buckets_and_bit_parallel_pass_equal_the_former_code(monkeypatch):
+    """The modularity heap with its leaf buckets, and the bit-parallel path
+    pass at several block sizes, give exactly what the former code gave."""
+    rng = np.random.default_rng(31)
+    kinds = ("small", "gnm", "tree", "hubs", "twins")
+    seen = dict.fromkeys(("leaf below hub", "leaf above hub", "K2", "loop and edge",
+                          "isolated", "m = 0", "leaf moved between buckets"), 0)
+
+    def heappush(heap, item):
+        seen["leaf moved between buckets"] += isinstance(item, int)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(metrics, "heapq", types.SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+    for i in range(1000):
+        n, pairs = _leafy_graph(rng, kinds[i % len(kinds)])
+        ends = _simple_ends(n, pairs)
+        degree = np.bincount(ends.ravel(), minlength=n)
+        for u, v in ends.tolist():
+            if u != v and degree[u] == degree[v] == 1:
+                seen["K2"] += 1
+            elif u != v and 1 in (degree[u], degree[v]):
+                leaf, hub = (u, v) if degree[u] == 1 else (v, u)
+                seen["leaf below hub" if leaf < hub else "leaf above hub"] += 1
+            elif u == v and degree[u] == 3:
+                seen["loop and edge"] += 1
+        seen["isolated"] += int((degree == 0).sum())
+        seen["m = 0"] += not len(ends)
+        assert greedy_modularity_partition(n, ends) == links_modularity_partition(n, ends)
+        want = per_source_path_pass(n, ends)
+        for entries in (1, 60, 7 * 61, metrics._BLOCK_ENTRIES):
+            with monkeypatch.context() as m:
+                m.setattr(metrics, "_BLOCK_ENTRIES", entries)
+                assert metrics._shortest_path_pass(n, ends) == want
+    assert min(seen.values()) >= 50, seen
+
+
+def _reeb_ends(r):
+    """(n, the sorted distinct (u <= v) vertex pairs) of a Reeb graph."""
+    ends = np.unique(np.sort(np.stack((r._u, r._v), axis=1), axis=1), axis=0)
+    return r._step.shape[0], ends.astype(np.int32)
+
+
+def test_path_pass_memory_is_flat_on_the_dense_bundle_graph():
+    """The former pass held (source, node) arrays: 6.0 MB traced on this
+    2161-vertex graph."""
+    n, ends = _reeb_ends(tr.build_reeb(tr.make_bundle(2000, 132), 1.2))
+    tracemalloc.start()
+    try:
+        metrics._shortest_path_pass(n, ends)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def test_modularity_heap_pushes_are_linear_with_a_hub_of_10_5_leaves(monkeypatch):
+    """A heap entry per leaf pair made every merge into the hub push one
+    entry per leaf left: 49.8 M pushes at 10**4 trajectories."""
+    n, ends = _reeb_ends(tr.build_reeb(tr.make_bundle(100_000, 10), 1.2))
+    bound = 2 * (n + len(ends))
+    pushes = 0
+
+    def heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        assert pushes <= bound, "more heap pushes than 2 (V + E)"
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(metrics, "heapq", types.SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+    greedy_modularity_partition(n, ends)
+    assert pushes > n  # a push per leaf that joins the hub
 
 
 def test_metrics_report_of_reeb_graph_matches_networkx():
