@@ -75,6 +75,19 @@ def _in_id_range(tid) -> bool:
             and 0 <= tid < 1 << 63)
 
 
+def _check_last_steps(ids, start, length) -> None:
+    """The rule for each trajectory's last step, start + length - 1: below
+    2**63 - 1, since detection counts a trajectory's end at the step after
+    its last.  Each start must already be in [0, 2**63)."""
+    start, length = np.asarray(start, dtype=np.int64), np.asarray(length, dtype=np.int64)
+    # start + length could wrap; the int64 bound less the length cannot
+    over = np.flatnonzero(start > np.iinfo(np.int64).max - length)
+    if over.size:
+        i = int(over[0])
+        raise ValueError(f"trajectory {ids[i]}: its last step, start_step + "
+                         f"{length[i] - 1}, must be below 2**63 - 1")
+
+
 def eps_connected(p, q, epsilon: float) -> bool:
     """True iff d(p, q) <= epsilon.  The boundary d == epsilon is connected.
 
@@ -115,10 +128,7 @@ class Trajectory:
         if not _in_id_range(self.start_step):
             raise ValueError(f"trajectory {self.id}: start_step must be non-negative and "
                              "below 2**63 (an integer)")
-        # detection counts a trajectory's end at the step after its last
-        if not _in_id_range(int(self.start_step) + pts.shape[0]):
-            raise ValueError(f"trajectory {self.id}: its last step, start_step + "
-                             f"{pts.shape[0] - 1}, must be below 2**63 - 1")
+        _check_last_steps([self.id], [self.start_step], [pts.shape[0]])
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -223,6 +233,7 @@ class TrajectorySet:
                     _ids=np.arange(length.shape[0]) if ids is None else ids,
                     _start=np.zeros_like(length) if start is None else start,
                     _sign=np.ones_like(length) if sign is None else sign)
+        _check_last_steps(cols["_ids"], cols["_start"], length)
         for a in cols.values():
             a.flags.writeable = False
         s = cls.__new__(cls)

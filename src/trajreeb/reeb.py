@@ -31,7 +31,7 @@ step.
 
 A :class:`ReebGraph` is stored as columns.  Each vertex has a step, a kind,
 a witness and a row of one (V, 3) location array; each edge has its ends u
-and v and its interval k1..k2.  The members of all edges share one arena of
+and v, whose steps are its interval.  All edges' members share one arena of
 int32 ranks into the sorted member ids, which order as the ids do: edge e's
 members, in id order, are ``ids[members[first[e]:first[e + 1]]]``.  The
 replay keeps each open group as a sorted run of ranks: a merge concatenates
@@ -47,8 +47,9 @@ columns.
 Every graph, replayed, built from objects or read from JSON, is stored by
 ``ReebGraph._store``, the one place that checks the rules of a graph:
 epsilon positive and finite, every vertex location finite, and every edge
-between two of its vertices with a member.  The writers and the metrics
-check nothing.
+between two of its vertices with a member.  A graph built from objects, as
+the JSON reader builds one, also has each edge's interval be its vertices'
+steps.  The writers and the metrics check nothing.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class ReebVertex:
 class ReebEdge:
     """A maximal epsilon-connected group over a step interval.
 
-    ``u`` opens the edge, ``v`` closes it; the interval may be zero-length
-    only for same-step event cascades.
+    ``u`` opens the edge, ``v`` closes it, and ``interval`` is their steps;
+    it may be zero-length only for same-step event cascades.
     """
 
     id: int
@@ -111,8 +112,8 @@ class ReebEdge:
 # the columns of a ReebGraph and their types, in the order _from_columns
 # takes them
 _COLUMNS = {"_step": np.int64, "_kind": np.int8, "_witness": np.int64, "_location": np.float64,
-            "_u": np.int64, "_v": np.int64, "_k1": np.int64, "_k2": np.int64,
-            "_first": np.int64, "_members": np.int32, "_ids": np.int64}
+            "_u": np.int64, "_v": np.int64, "_first": np.int64, "_members": np.int32,
+            "_ids": np.int64}
 
 
 class ReebGraph:
@@ -120,8 +121,9 @@ class ReebGraph:
 
     ``ReebGraph(vertices, edges, epsilon, metadata)`` stores
     :class:`ReebVertex` and :class:`ReebEdge` objects, each of whose ids
-    must be its position.  ``vertices`` and ``edges`` give such objects
-    back, made on first access; the other lookups read the columns.
+    must be its position, and each edge's interval its vertices' steps.
+    ``vertices`` and ``edges`` give such objects back, made on first
+    access; the other lookups read the columns.
     """
 
     def __init__(self, vertices, edges, epsilon: float, metadata: dict | None = None):
@@ -135,8 +137,14 @@ class ReebGraph:
             [v.step for v in vs], [_KINDS.index(v.kind) for v in vs], [v.witness for v in vs],
             np.array([tuple(v.location) for v in vs], dtype=np.float64).reshape(-1, 3),
             [e.u for e in es], [e.v for e in es],
-            [e.interval[0] for e in es], [e.interval[1] for e in es],
             first, ids.searchsorted(members), ids, epsilon, metadata)
+        given = np.array([e.interval[:2] for e in es], dtype=np.int64).reshape(-1, 2)
+        steps = np.stack((self._step[self._u], self._step[self._v]), axis=1)
+        bad = np.flatnonzero((given != steps).any(axis=1))
+        if bad.size:
+            e = int(bad[0])
+            raise ValueError(f"edge {e} has interval {tuple(given[e].tolist())}, but its "
+                             f"vertices' steps are {tuple(steps[e].tolist())}")
 
     @classmethod
     def _from_columns(cls, *columns) -> "ReebGraph":
@@ -198,7 +206,7 @@ class ReebGraph:
         i = range(len(self._u))[eid]
         return ReebEdge(i, int(self._u[i]), int(self._v[i]),
                         frozenset(self._ids[self._run(i)].tolist()),
-                        (int(self._k1[i]), int(self._k2[i])))
+                        (int(self._step[self._u[i]]), int(self._step[self._v[i]])))
 
     def _run(self, eid: int) -> np.ndarray:
         """The sorted member ranks of edge eid."""
@@ -273,7 +281,8 @@ class ReebGraph:
         At a boundary step both the closing and the opened edges qualify;
         interior steps see exactly one edge per trajectory.
         """
-        return [self.edge(e) for e in np.flatnonzero((self._k1 <= k) & (k <= self._k2)).tolist()]
+        covers = (self._step[self._u] <= k) & (k <= self._step[self._v])
+        return [self.edge(e) for e in np.flatnonzero(covers).tolist()]
 
     def covering_groups(self, k: int) -> list[frozenset[int]]:
         """Maximal member sets among the edges covering step k.
@@ -293,7 +302,7 @@ class ReebGraph:
             (step, str(_KINDS[kind]),
              tuple(sorted(runs[e] for end in (1, 0) for e in self._incident(end, vid))))
             for vid, (step, kind) in enumerate(zip(self._step.tolist(), self._kind.tolist())))
-        edges = sorted(zip(zip(self._k1.tolist(), self._k2.tolist()), runs))
+        edges = sorted(zip(zip(self._step[self._u].tolist(), self._step[self._v].tolist()), runs))
         return tuple(verts), tuple(edges)
 
 
@@ -354,14 +363,14 @@ class _Replay:
         self.first.append(len(self.members))
 
     def graph(self, epsilon: float, metadata: dict) -> ReebGraph:
-        """The graph of the vertices and edges made so far, whose columns
-        are views of the replay's, bar the edges' steps."""
+        """The graph of the vertices and edges made so far, which views the
+        replay's columns."""
         step, kind, witness, u, v, first, members = (
             np.frombuffer(c, dtype=c.typecode) for c in (
                 self.step, self.kind, self.witness, self.u, self.v, self.first, self.members))
         return ReebGraph._from_columns(
             step, kind, self.ids[witness], self.index.rows_at(witness, step), u, v,
-            step[u], step[v], first, members, self.ids, epsilon, metadata)
+            first, members, self.ids, epsilon, metadata)
 
     def close_groups(self, k: int, labels, root: np.ndarray | None) -> None:
         """Close the open groups `labels`, in order of label.
@@ -608,7 +617,8 @@ def fsm_next(
             raise InvalidTransitionError("disappear event does not involve this group")
         while v.kind is not VertexKind.DISAPPEAR:
             nxt = r._next(v.id, subject)
-            if len(nxt) != 1 or not r._k1[nxt[0]] == r._k2[nxt[0]] == event.step:
+            # the next edge opens at v, at the event's step
+            if len(nxt) != 1 or r._step[r._v[nxt[0]]] != event.step:
                 raise InvalidTransitionError(
                     f"trajectory {subject} does not disappear at step {event.step}"
                 )

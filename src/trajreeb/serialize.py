@@ -11,11 +11,13 @@ writes each chunk as it comes, so the whole document is never held; the
 library functions join the chunks into one string or bytes.
 
 The rules of a valid graph live in :class:`~trajreeb.reeb.ReebGraph`, which
-checks them as it stores its columns, so the writers check nothing.  The
-JSON reader takes each id, step and member only as a JSON integer and
-epsilon and each coordinate only as a JSON number, hands the document to
-its constructor and reports a refusal as a ``FormatError``; what it
-accepts is written back as strict JSON.
+checks them as it stores its columns, so the writers check nothing.  An
+edge's interval is written from its vertices' steps, the one copy the graph
+holds.  The JSON reader takes each id, step and member only as a JSON
+integer and epsilon and each coordinate only as a JSON number, hands the
+document to its constructor, which also refuses an interval that is not
+the edge's vertices' steps, and reports a refusal as a ``FormatError``;
+what it accepts is written back as strict JSON.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def _vertices(r: ReebGraph):
 
 
 def _edges(r: ReebGraph):
-    """(id, u, v, members, k1, k2) of each edge, in id order; members are
-    the edge's run of the arena, written in the order it is stored."""
+    """(id, u, v, members, k1, k2) of each edge, in id order: members is its
+    run of the arena, in the order stored, and k1, k2 the steps of u and v."""
     # each member id's text is made once, and a run's text joins its ranks'
     texts = np.array([str(t) for t in r._ids.tolist()], dtype=object)
     n = r._u.shape[0]
@@ -71,8 +73,9 @@ def _edges(r: ReebGraph):
         hi = min(lo + _ROWS, n)
         first = r._first[lo:hi + 1].tolist()
         members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
-        yield from zip(range(lo, hi), r._u[lo:hi].tolist(), r._v[lo:hi].tolist(), members,
-                       r._k1[lo:hi].tolist(), r._k2[lo:hi].tolist())
+        u, v = r._u[lo:hi], r._v[lo:hi]
+        yield from zip(range(lo, hi), u.tolist(), v.tolist(), members,
+                       r._step[u].tolist(), r._step[v].tolist())
 
 
 def _json(r: ReebGraph):
@@ -186,14 +189,6 @@ def _graph_chunks(r: ReebGraph, fmt: str):
 
 def graph_to_json(r: ReebGraph) -> str:
     return "".join(_graph_chunks(r, "json"))
-
-
-def graph_to_graphml(r: ReebGraph) -> str:
-    return "".join(_graph_chunks(r, "graphml"))
-
-
-def graph_to_dot(r: ReebGraph) -> str:
-    return "".join(_graph_chunks(r, "dot"))
 
 
 def serialize_graph(r: ReebGraph, fmt: str = "json") -> bytes:

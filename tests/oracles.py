@@ -1081,8 +1081,9 @@ def _oracle_edges(r):
     first = r._first.tolist()
     texts = np.array([str(t) for t in r._ids.tolist()], dtype=object)
     members = (",".join(texts.take(r._members[i:j]).tolist()) for i, j in zip(first, first[1:]))
-    return zip(itertools.count(), r._u.tolist(), r._v.tolist(), members, r._k1.tolist(),
-               r._k2.tolist())
+    steps = r._step.tolist()
+    us, vs = r._u.tolist(), r._v.tolist()
+    return zip(itertools.count(), us, vs, members, (steps[u] for u in us), (steps[v] for v in vs))
 
 
 def oracle_graph_to_json(r):

@@ -15,9 +15,7 @@ import trajreeb as tr
 from trajreeb import cli
 from trajreeb.cli import _MAX_EPSILONS, _parse_range, run
 from trajreeb.reeb import ReebEdge, ReebGraph, ReebVertex, VertexKind
-from trajreeb.serialize import (
-    _graph_chunks, graph_from_json, graph_to_dot, graph_to_graphml, graph_to_json,
-)
+from trajreeb.serialize import _graph_chunks, graph_from_json, graph_to_json, serialize_graph
 
 from oracles import (
     oracle_graph_to_dot, oracle_graph_to_graphml, oracle_graph_to_json, oracle_jsonl,
@@ -71,7 +69,7 @@ def test_json_schema_fields(pair_set):
 
 def test_dot_statement_counts(pair_set):
     r = tr.build_reeb(pair_set, 1.5)
-    dot = graph_to_dot(r)
+    dot = serialize_graph(r, "dot").decode()
     lines = dot.strip().splitlines()
     nodes = [ln for ln in lines if ln.strip().startswith("n") and "--" not in ln]
     edges = [ln for ln in lines if "--" in ln]
@@ -81,7 +79,7 @@ def test_dot_statement_counts(pair_set):
 
 def test_graphml_wellformed_and_counts(pair_set):
     r = tr.build_reeb(pair_set, 1.5)
-    root = ET.fromstring(graph_to_graphml(r))
+    root = ET.fromstring(serialize_graph(r, "graphml").decode())
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     graph = root.find(f"{ns}graph")
     assert len(graph.findall(f"{ns}node")) == 6
@@ -181,6 +179,22 @@ def test_reeb_json_number_of_the_wrong_kind_is_format_error(pair_set, where, val
         graph_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("steps, interval", [((0, 0), [7, 3]), ((0, 1), [0, 2])],
+                         ids=["backwards", "k2-off-by-one"])
+def test_reeb_json_interval_other_than_its_vertices_steps_is_format_error(steps, interval):
+    """A document whose edge interval is not its vertices' steps is refused
+    in one line; an interval of [7, 3] between two step-0 vertices was read
+    into a graph whose trajectory_path ran backwards."""
+    obj = json.loads(graph_to_json(tr.build_reeb(tr.make_set([[(0, 0, 0), (1, 0, 0)]]), 1.0)))
+    for vertex, k in zip(obj["vertices"], steps):
+        vertex["step"] = k
+    obj["edges"][0]["interval"] = interval
+    with pytest.raises(tr.FormatError) as info:
+        graph_from_json(json.dumps(obj))
+    assert str(info.value) == (f"reeb json: malformed document (edge 0 has interval "
+                               f"{tuple(interval)}, but its vertices' steps are {steps})")
+
+
 def test_single_trajectory_roundtrip():
     s = tr.make_set([[(0, 0, 0), (1, 0, 0)]])
     r = tr.build_reeb(s, 1.0)
@@ -215,9 +229,8 @@ def test_streamed_writers_match_the_joined_oracles():
     bundle = tr.make_bundle(400, 30, seed=26)
     cases.append((tr.TrajectorySet(tuple(tr.Trajectory(2**31 - 1 - t.id, t.points - 50.0)
                                          for t in bundle)), 1.2))
-    writers = {"json": (graph_to_json, oracle_graph_to_json),
-               "graphml": (graph_to_graphml, oracle_graph_to_graphml),
-               "dot": (graph_to_dot, oracle_graph_to_dot)}
+    oracles = {"json": oracle_graph_to_json, "graphml": oracle_graph_to_graphml,
+               "dot": oracle_graph_to_dot}
     assert any(s._points.dtype == np.float32 for s, _ in cases)
     lines = []
     for s, eps in cases:
@@ -226,10 +239,10 @@ def test_streamed_writers_match_the_joined_oracles():
             lines.append(oracle_jsonl(schedule))
             assert schedule.to_jsonl() == lines[-1]
         r = tr.build_reeb(s, eps)
-        for fmt, (writer, oracle) in writers.items():
+        for fmt, oracle in oracles.items():
             text = oracle(r)
-            assert writer(r) == text, fmt
-            assert tr.serialize_graph(r, fmt) == text.encode(), fmt
+            assert serialize_graph(r, fmt).decode() == text, fmt
+        assert graph_to_json(r) == oracle_graph_to_json(r)
     assert all(", -0.0, " in text for text in lines[:-2])
     assert len(list(_graph_chunks(r, "json"))) > 2
     assert len(list(detected._jsonl_chunks())) > 2

@@ -197,3 +197,14 @@ def test_a_last_step_past_2_63_minus_2_is_refused(make):
     assert s.step_range == (2**63 - 4, 2**63 - 2)
     r = tr.build_reeb(s, 2.0)
     assert [v.step for v in r.vertices] == [2**63 - 4] * 3 + [2**63 - 2]
+
+
+def test_resampling_past_the_last_step_is_refused():
+    """Resampling builds its set from columns, not from Trajectory objects:
+    two 10-mm fibers at step 2**63 - 4 resampled at 0.5 have 21 points
+    each, and their set's step_range wrapped to (2**63 - 4, -2**63 + 16)
+    before build_reeb raised a bare OverflowError."""
+    s = tr.make_set([[(0, y, 0), (10, y, 0)] for y in (0, 1)], start_steps=[2**63 - 4] * 2)
+    with pytest.raises(ValueError, match="^trajectory 0: its last step, start_step \\+ 20, "
+                                         "must be below 2\\*\\*63 - 1$"):
+        tr.prepare(s, tr.Config(epsilon=1.0, resample_delta=0.5))

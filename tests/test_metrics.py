@@ -36,7 +36,7 @@ def fake_graph(n_vertices, edge_pairs, epsilon=1.0):
         for i in range(n_vertices)
     )
     edges = tuple(
-        ReebEdge(i, u, v, frozenset({0}), (0, 1)) for i, (u, v) in enumerate(edge_pairs)
+        ReebEdge(i, u, v, frozenset({0}), (0, 0)) for i, (u, v) in enumerate(edge_pairs)
     )
     return ReebGraph(vertices, edges, epsilon, {})
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -767,6 +768,21 @@ def test_empty_members_edge_refused():
     w = ReebVertex(1, 1, VertexKind.DISAPPEAR, tr.Point3(0, 0, 0), 0)
     with pytest.raises(ValueError, match="^edge 0 has empty members$"):
         ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset(), (0, 1)),), 1.0, {})
+
+
+@pytest.mark.parametrize("steps, interval", [((0, 0), (7, 3)), ((0, 1), (0, 2))],
+                         ids=["backwards", "k2-off-by-one"])
+def test_edge_interval_other_than_its_vertices_steps_refused(steps, interval):
+    """An edge's interval is its vertices' steps.  An interval of (7, 3)
+    between two step-0 vertices was stored, and trajectory_path then ran
+    backwards."""
+    v = ReebVertex(0, steps[0], VertexKind.APPEAR, tr.Point3(0, 0, 0), 0)
+    w = ReebVertex(1, steps[1], VertexKind.DISAPPEAR, tr.Point3(0, 0, 0), 0)
+    want = f"edge 0 has interval {interval}, but its vertices' steps are {steps}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset({0}), interval),), 1.0, {})
+    edge = ReebEdge(0, 0, 1, frozenset({0}), steps)
+    assert ReebGraph((v, w), (edge,), 1.0, {}).edges == (edge,)
 
 
 def test_build_rejects_bad_inputs(pair_set):
