@@ -52,8 +52,6 @@ CENTRALITY_KIND = "betweenness_normalized"
 # shortest-path pass gathers: 256 KiB.  A block's sources fill whole words,
 # 64 sources to a word, unless one word per edge end is already more.
 _BLOCK_ENTRIES = 1 << 15
-# the masks of a SWAR popcount of uint64 words
-_M1, _M2, _M4, _H01 = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 0x0F, 1))
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -184,15 +182,6 @@ def greedy_modularity_partition(n: int, ends: np.ndarray) -> tuple[list[set], fl
     return partition, q
 
 
-def _popcount(x: np.ndarray) -> int:
-    """The number of set bits in the uint64 array x (SWAR: numpy's
-    bitwise_count needs numpy 2)."""
-    x = x - ((x >> 1) & _M1)
-    x = (x & _M2) + ((x >> 2) & _M2)
-    x = (x + (x >> 4)) & _M4
-    return int(((x * _H01) >> 56).sum())
-
-
 def _shortest_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
     """(mean normalized betweenness, global efficiency) of the graph on
     vertices 0..n-1 with edges `ends`, each correctly rounded from its exact
@@ -232,7 +221,7 @@ def _shortest_path_pass(n: int, ends: np.ndarray) -> tuple[float, float]:
         while True:
             new = np.bitwise_or.reduceat(frontier.take(nbr, axis=0), starts, axis=0)
             new &= unseen
-            count = _popcount(new)
+            count = int(np.bitwise_count(new).sum())
             if not count:
                 break
             d += 1

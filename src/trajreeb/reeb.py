@@ -34,9 +34,10 @@ a witness and a row of one (V, 3) location array; each edge has its ends u
 and v, whose steps are its interval.  All edges' members share one arena of
 int32 ranks into the sorted member ids, which order as the ids do: edge e's
 members, in id order, are ``ids[members[first[e]:first[e + 1]]]``.  The
-replay keeps each open group as a sorted run of ranks: a merge concatenates
-the groups' runs and sorts them, a split partitions a run by its component
-labels, and a closed group's run goes into the arena as its edge closes.
+replay holds an open group's members once, as the rank of its least member
+on each of them: as groups close, one pass over those labels finds each
+closing group's sorted run of ranks, which goes into the arena, and a
+split partitions the run by its component labels.
 The replay writes the graph's columns as it goes, into growing arrays that
 the graph then views, and gathers each run's rows and pair codes only as
 it replays that run, so it holds nothing per event beyond the schedule.
@@ -46,8 +47,9 @@ columns.
 
 Every graph, replayed, built from objects or read from JSON, is stored by
 ``ReebGraph._store``, the one place that checks the rules of a graph:
-epsilon positive and finite, every vertex location finite, and every edge
-between two of its vertices with a member.  A graph built from objects, as
+epsilon positive and finite, every vertex location finite, every step and
+witness non-negative, and every edge between two of its vertices with a
+member and no negative member id.  A graph built from objects, as
 the JSON reader builds one, also has each edge's interval be its vertices'
 steps.  The writers and the metrics check nothing.
 """
@@ -130,15 +132,18 @@ class ReebGraph:
         vs, es = tuple(vertices), tuple(edges)
         if any(x.id != i for xs in (vs, es) for i, x in enumerate(xs)):
             raise ValueError("each vertex and edge id must be its position")
-        first = np.cumsum([0, *(len(e.members) for e in es)])
-        members = np.fromiter((t for e in es for t in sorted(e.members)), np.int64, int(first[-1]))
-        ids = np.unique(members)
-        self._store(
-            [v.step for v in vs], [_KINDS.index(v.kind) for v in vs], [v.witness for v in vs],
-            np.array([tuple(v.location) for v in vs], dtype=np.float64).reshape(-1, 3),
-            [e.u for e in es], [e.v for e in es],
-            first, ids.searchsorted(members), ids, epsilon, metadata)
-        given = np.array([e.interval[:2] for e in es], dtype=np.int64).reshape(-1, 2)
+        try:
+            first = np.cumsum([0, *(len(e.members) for e in es)])
+            members = np.fromiter((t for e in es for t in sorted(e.members)), np.int64, first[-1])
+            ids = np.unique(members)
+            self._store(
+                [v.step for v in vs], [_KINDS.index(v.kind) for v in vs], [v.witness for v in vs],
+                np.array([tuple(v.location) for v in vs], dtype=np.float64).reshape(-1, 3),
+                [e.u for e in es], [e.v for e in es],
+                first, ids.searchsorted(members), ids, epsilon, metadata)
+            given = np.array([e.interval[:2] for e in es], dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("a step or an id is outside the int64 range") from None
         steps = np.stack((self._step[self._u], self._step[self._v]), axis=1)
         bad = np.flatnonzero((given != steps).any(axis=1))
         if bad.size:
@@ -168,6 +173,10 @@ class ReebGraph:
         odd = np.flatnonzero(~np.isfinite(self._location).all(axis=1))
         if odd.size:
             raise ValueError(f"vertex {odd[0]} has a non-finite location")
+        for name in ("step", "witness"):
+            bad = np.flatnonzero(getattr(self, "_" + name) < 0)
+            if bad.size:
+                raise ValueError(f"vertex {bad[0]} has a negative {name}")
         n = self._step.shape[0]
         empty = self._first[1:] == self._first[:-1]
         unknown = (self._u < 0) | (self._u >= n) | (self._v < 0) | (self._v >= n)
@@ -176,6 +185,12 @@ class ReebGraph:
             e = int(bad[0])
             raise ValueError(f"edge {e} has empty members" if empty[e]
                              else f"edge {e} references unknown vertex")
+        # the ids are sorted, so the negative ones have the least ranks
+        negative = int(self._ids.searchsorted(0))
+        if negative:
+            at = np.flatnonzero(self._members < negative)[0]
+            raise ValueError(f"edge {self._first.searchsorted(at, side='right') - 1} "
+                             "has a negative member")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReebGraph):
@@ -328,8 +343,10 @@ class _Replay:
     pairs as sorted codes (rank << 31) + rank.  The open groups are the
     components of the graph after each phase, and each is labelled by its
     least member: ``group`` maps each active rank to its group's label, and
-    ``open`` each label to the group's open edge as (start vertex, sorted
-    member ranks); ``active`` flags the ranks present.  The graph's columns
+    any other rank to itself, which no open group has as its label, so a
+    group's members are the ranks with its label.  ``opened`` maps each
+    open group's label to the vertex at which its edge opened, and
+    ``active`` flags the ranks present.  The graph's columns
     grow as vertices are made and edges close: each vertex's step, kind and
     witness rank, each edge's u and v, and the arena ``members`` of int32
     ranks, with edge e's run at ``first[e]:first[e + 1]``.  :meth:`graph`
@@ -341,7 +358,7 @@ class _Replay:
         self.ids = self.index.ids
         self.active = np.zeros(len(s), dtype=bool)
         self.group = np.arange(len(s))
-        self.open: dict[int, tuple[int, np.ndarray]] = {}
+        self.opened = np.zeros(len(s), dtype=np.int64)
         self.cur = np.empty(0, dtype=np.int64)
         self.step, self.kind, self.witness = array("q"), array("b"), array("q")
         self.u, self.v = array("q"), array("q")
@@ -372,7 +389,15 @@ class _Replay:
             step, kind, self.ids[witness], self.index.rows_at(witness, step), u, v,
             first, members, self.ids, epsilon, metadata)
 
-    def close_groups(self, k: int, labels, root: np.ndarray | None) -> None:
+    def runs(self, labels: np.ndarray) -> dict[int, np.ndarray]:
+        """The sorted int32 member ranks of each open group of `labels`, by
+        label in increasing order; labels may repeat."""
+        flag = np.zeros(self.group.shape[0], dtype=bool)
+        flag[labels] = True
+        ranks = np.flatnonzero(flag[self.group]).astype(np.int32)
+        return _pieces(ranks, self.group[ranks])
+
+    def close_groups(self, k: int, labels: np.ndarray, root: np.ndarray | None) -> None:
         """Close the open groups `labels`, in order of label.
 
         A group none of whose members is active dies whole, at a Disappear
@@ -381,15 +406,14 @@ class _Replay:
         whose least member is active opens an edge, and any other dies, at
         a Disappear vertex of its own.
         """
-        for g in sorted(labels):
-            u, run = self.open.pop(g)
+        for g, run in self.runs(labels).items():
             live = self.active[run].any()
             vid = self.new_vertex(_SPLIT if live else _DISAPPEAR, k, g)
-            self.add_edge(u, run, vid)
+            self.add_edge(int(self.opened[g]), run, vid)
             if live:
                 for x, piece in _pieces(run, root[run]).items():
                     if self.active[x]:
-                        self.open[x] = (vid, piece)
+                        self.opened[x] = vid
                     else:
                         self.add_edge(vid, piece, self.new_vertex(_DISAPPEAR, k, x))
         if root is not None:
@@ -401,11 +425,8 @@ class _Replay:
         if np.count_nonzero(self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
             raise ContractError(f"appear at step {k}: trajectory already present")
         self.active[ranks] = True
-        self.group[ranks] = ranks
-        # the arena's runs are int32
-        runs = ranks.astype(np.int32)
-        for i, x in enumerate(ranks.tolist()):
-            self.open[x] = (self.new_vertex(_APPEAR, k, x), runs[i:i + 1])
+        for x in ranks.tolist():
+            self.opened[x] = self.new_vertex(_APPEAR, k, x)
 
     def connect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
         if np.count_nonzero(~(self.active[ra] & self.active[rb])):
@@ -424,14 +445,13 @@ class _Replay:
             return
         ga, gb = ga[apart], gb[apart]
         root = component_roots(self.group.shape[0], ga, gb)
-        labels = np.sort(np.concatenate((ga, gb)))
-        labels = labels[np.diff(labels, prepend=-1) != 0]
+        runs = self.runs(np.concatenate((ga, gb)))
+        labels = np.fromiter(runs, np.int64, len(runs))
         for g, merged in _pieces(labels, root[labels]).items():
-            preds = [self.open.pop(x) for x in merged.tolist()]
             vid = self.new_vertex(_MERGE, k, g)
-            for p in preds:
-                self.add_edge(*p, vid)
-            self.open[g] = (vid, np.sort(np.concatenate([run for _, run in preds])))
+            for x in merged.tolist():
+                self.add_edge(int(self.opened[x]), runs[x], vid)
+            self.opened[g] = vid
         self.group = root[self.group]
 
     def disconnect(self, k: int, ra: np.ndarray, rb: np.ndarray, code: np.ndarray) -> None:
@@ -448,7 +468,7 @@ class _Replay:
         root = component_roots(self.group.shape[0], cur >> 31, cur & _LOW31)
         cut = (root[ra] != root[rb]).nonzero()[0]
         if cut.shape[0]:
-            self.close_groups(k, set(self.group[ra[cut]].tolist()), root)
+            self.close_groups(k, self.group[ra[cut]], root)
 
     def disappear(self, k: int, ranks: np.ndarray) -> None:
         if np.count_nonzero(~self.active[ranks]) or np.count_nonzero(ranks[1:] == ranks[:-1]):
@@ -463,7 +483,9 @@ class _Replay:
         # where a group is left in part
         cut = da != db
         root = component_roots(self.group.shape[0], a[~cut], b[~cut]) if cut.any() else None
-        self.close_groups(k, set(self.group[ranks].tolist()), root)
+        self.close_groups(k, self.group[ranks], root)
+        # a rank that has left is its own label again, so it may appear again
+        self.group[ranks] = ranks
 
 
 def build_reeb(
@@ -511,9 +533,8 @@ def build_reeb(
                 rp.connect(k, ra, rb, code)
             else:
                 rp.disconnect(k, ra, rb, code)
-    if rp.open:
-        left = ids[np.concatenate([run for _, run in rp.open.values()])]
-        raise ContractError(f"groups left open after replay: {sorted(left.tolist())}")
+    if rp.active.any():
+        raise ContractError(f"groups left open after replay: {ids[rp.active].tolist()}")
     metadata = dict(s.metadata)
     metadata["n_trajectories"] = str(len(s))
     return rp.graph(float(epsilon), metadata)

@@ -195,6 +195,24 @@ def test_reeb_json_interval_other_than_its_vertices_steps_is_format_error(steps,
                                f"{tuple(interval)}, but its vertices' steps are {steps})")
 
 
+@pytest.mark.parametrize("edit, want", [
+    ({"members": [-1]}, "edge 0 has a negative member"),
+    ({"witness": -5}, "vertex 0 has a negative witness"),
+    ({"step": -3, "interval": [-3, 2]}, "vertex 0 has a negative step"),
+    ({"witness": 1 << 63}, "a step or an id is outside the int64 range"),
+], ids=["negative-member", "negative-witness", "negative-step", "witness-past-int64"])
+def test_reeb_json_id_or_step_no_trajectory_can_have_is_format_error(edit, want):
+    """A one-trajectory document over steps 0..2 whose member, witness or
+    first vertex's step is negative, or whose witness is past int64, is
+    refused in one line; the negative ones were read into a graph."""
+    obj = json.loads(graph_to_json(tr.build_reeb(tr.make_set([[(0, 0, 0)] * 3]), 1.0)))
+    for key, value in edit.items():
+        (obj["edges"][0] if key in ("members", "interval") else obj["vertices"][0])[key] = value
+    with pytest.raises(tr.FormatError) as info:
+        graph_from_json(json.dumps(obj))
+    assert str(info.value) == f"reeb json: malformed document ({want})"
+
+
 def test_single_trajectory_roundtrip():
     s = tr.make_set([[(0, 0, 0), (1, 0, 0)]])
     r = tr.build_reeb(s, 1.0)

@@ -408,8 +408,7 @@ def test_differential_inputs_reach_every_closing_branch(monkeypatch):
     close = _Replay.close_groups
 
     def counted(rp, k, labels, root):
-        for g in labels:
-            run = rp.open[g][1]
+        for g, run in rp.runs(labels).items():
             if not rp.active[run].any():
                 counts["whole death"] += 1
                 continue
@@ -510,6 +509,42 @@ def test_replay_peak_below_20_mb_at_20k_trajectories():
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"replay peaked at {peak / 1e6:.1f} MB"
+
+
+def test_appear_holds_no_run_per_group():
+    """Appearing every trajectory of make_bundle(20_000, 10) holds at most
+    64 bytes a trajectory (~17 measured: its Appear vertex's step, kind and
+    witness).  The group labels and each label's opening vertex are
+    allocated with the replay; a run of ranks per open group, a view in a
+    dict of tuples, held ~290."""
+    s = tr.make_bundle(20_000, 10)
+    n = len(s)
+    rp = _Replay(s)
+    tracemalloc.start()
+    try:
+        rp.appear(0, np.arange(n))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * n, f"appear held {held / n:.0f} bytes a trajectory"
+
+
+def test_reappearing_trajectories_replay_as_the_oracles():
+    """A schedule built from events may let a trajectory leave and appear
+    again within its steps: after its whole group died (0 and 1 at step 2,
+    back at steps 4 and 6) and after it left in a piece of two (0 and 1 at
+    step 7, 1 back at step 8).  Each comes back as a singleton group, as in the
+    frozenset and the Even-Shiloach replays, whatever group it left."""
+    s = build_set([(t, [(k, 0.3 * t, 0) for k in range(10)], 0) for t in range(3)])
+    schedule = _schedule(
+        (_A, 0, (0,)), (_A, 0, (1,)), (_A, 0, (2,)), (_C, 0, (0, 1)),
+        (_X, 2, (0,)), (_X, 2, (1,)), (_A, 4, (0,)), (_C, 4, (0, 2)),
+        (_A, 6, (1,)), (_C, 6, (0, 1)), (_C, 6, (1, 2)), (_X, 7, (0,)), (_X, 7, (1,)),
+        (_A, 8, (1,)), (_C, 8, (1, 2)), (_X, 9, (1,)), (_X, 9, (2,)))
+    text = tr.graph_to_json(tr.build_reeb(s, 1.0, schedule=schedule))
+    assert text == tr.graph_to_json(ReebGraph(*frozenset_replay(s, 1.0, schedule)))
+    assert text == tr.graph_to_json(oracle_replay(s, 1.0, schedule))
+    assert [str(v.kind) for v in tr.graph_from_json(text).vertices].count("appear") == 6
 
 
 def test_graph_holds_its_members_in_one_arena(monkeypatch):
@@ -783,6 +818,32 @@ def test_edge_interval_other_than_its_vertices_steps_refused(steps, interval):
         ReebGraph((v, w), (ReebEdge(0, 0, 1, frozenset({0}), interval),), 1.0, {})
     edge = ReebEdge(0, 0, 1, frozenset({0}), steps)
     assert ReebGraph((v, w), (edge,), 1.0, {}).edges == (edge,)
+
+
+@pytest.mark.parametrize("vertex, member, want", [
+    ((1, "step", -3), 3, "vertex 1 has a negative step"),
+    ((2, "witness", -5), 3, "vertex 2 has a negative witness"),
+    ((0, "step", 0), -1, "edge 1 has a negative member"),
+    ((1, "witness", 1 << 63), 3, "a step or an id is outside the int64 range"),
+    ((1, "step", 1 << 63), 3, "a step or an id is outside the int64 range"),
+    ((0, "step", 0), 1 << 63, "a step or an id is outside the int64 range"),
+], ids=["negative-step", "negative-witness", "negative-member", "witness-past-int64",
+        "step-past-int64", "member-past-int64"])
+def test_id_or_step_no_trajectory_can_have_refused(vertex, member, want):
+    """Ids and steps are non-negative int64, as a Trajectory's and an
+    Event's are.  A graph whose vertex step or witness, or whose member id,
+    is negative was stored, and an int64 overflow raised a bare
+    OverflowError.  Edge 1 holds `member` beside 3, and a negative step
+    comes with the interval that matches it."""
+    where, field, value = vertex
+    vs = [ReebVertex(i, i, VertexKind.MERGE, tr.Point3(0, 0, 0), 3) for i in range(3)]
+    vs[where] = ReebVertex(where, value if field == "step" else where, VertexKind.MERGE,
+                           tr.Point3(0, 0, 0), value if field == "witness" else 3)
+    steps = [v.step for v in vs]
+    es = [ReebEdge(0, 0, 1, frozenset({3}), (steps[0], steps[1])),
+          ReebEdge(1, 1, 2, frozenset({member, 3}), (steps[1], steps[2]))]
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        ReebGraph(vs, es, 1.0, {})
 
 
 def test_build_rejects_bad_inputs(pair_set):
