@@ -44,10 +44,10 @@ index holds the trajectories in id order, and pairs are coded by its rows,
 so codes order as the id pairs do: a pair ended by a disappearance drops
 out through a lookup of its members' last steps, and each step's connects
 and disconnects are the codes that the current or the previous sorted code
-array lacks, found by one binary search.  The schedule it returns keeps
-those rows: its subjects are rows of the index's id column, which serves
-as the schedule's id table, so detection gathers no id.  Ids, and
-:class:`Event` objects, are made only where a caller looks at events.
+array lacks, found by one binary search.  Each step's sorted appear rows,
+connects, disconnects and disappear rows, joined step by step, are in
+schedule order, and the chunks that are not empty are its runs; the rows,
+with the index's ids as their table, are its subjects.  No event is sorted.
 
 Detection reads the points through the set's step index
 (:class:`trajreeb.geometry._StepIndex`), which the set makes once and
@@ -126,17 +126,17 @@ _JSONL_BLOCK = 512
 class EventSchedule:
     """Step-ordered event sequence; the input alphabet of the FSM.
 
-    Stored as columns sorted by (step, kind, subjects): one sorted int64 id
-    table ``_ids`` and, per event, its step (int64), its kind (int8) and
-    its subjects ``a`` and ``b`` as int32 rows of that table, with
-    ``b == a`` for appear and disappear.  Rows order as the ids do.  A
-    schedule made by :func:`detect_all_events` takes its set's step index
-    as its table, ids and rows alike, and derives each location from it,
-    as row ``a``'s point at the event step.  A schedule built from events
-    makes its table of the subjects it holds and keeps their locations as
-    an (n, 3) float64 array.  Ids are gathered from the table only where
-    events are shown: the :class:`Event` objects, built only when asked
-    for, :meth:`to_jsonl` and comparison.
+    Stored as runs in (step, kind, subjects) order, a run being the events
+    of one kind at one step: per run its step (int64), its kind (int8) and
+    ``_first``, its first event, plus one entry holding the event count;
+    per event only its subjects ``a`` and ``b``, int32 rows of a sorted
+    int64 id table ``_ids`` (rows order as ids do), with ``b == a`` for
+    appear and disappear.  A detected schedule's table is its set's step
+    index, which gives each location as row ``a``'s point at the event step;
+    one built from events keeps its locations as an (n, 3) float64 array.
+    Steps and kinds are expanded from the runs, and ids gathered, a block
+    at a time where events are shown: :class:`Event` objects, built only
+    when asked for, :meth:`to_jsonl` and comparison.
     """
 
     def __init__(self, events):
@@ -147,27 +147,37 @@ class EventSchedule:
         # the distinct subjects, sorted; np.unique would import numpy.ma
         ids = np.sort(np.concatenate((a, b)))
         self._ids = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
-        self._step = np.fromiter((e.step for e in evs), dtype=np.int64, count=n)
-        self._kind = np.fromiter((e.kind for e in evs), dtype=np.int8, count=n)
-        self._a = self._ids.searchsorted(a).astype(np.int32)
-        self._b = self._ids.searchsorted(b).astype(np.int32)
+        step = np.fromiter((e.step for e in evs), dtype=np.int64, count=n)
+        kind = np.fromiter((e.kind for e in evs), dtype=np.int8, count=n)
+        # runs start where step or kind changes, compared apart: (step, kind) packed wraps
+        first = np.flatnonzero(np.append(n > 0, (step[1:] != step[:-1]) | (kind[1:] != kind[:-1])))
+        self._run_step, self._run_kind, self._first = step[first], kind[first], np.append(first, n)
+        self._a, self._b = (self._ids.searchsorted(x).astype(np.int32) for x in (a, b))
         self._locations = np.array([tuple(e.location) for e in evs],
                                    dtype=np.float64).reshape(n, 3)
         self._index = None
 
     @classmethod
-    def _from_columns(cls, index: _StepIndex, step, kind, a, b) -> "EventSchedule":
+    def _from_columns(cls, index: _StepIndex, run_step, run_kind, first, a, b) -> "EventSchedule":
         """A detected schedule, whose subjects are rows of the step index."""
         out = cls.__new__(cls)
-        out._ids, out._step, out._kind, out._a, out._b = index.ids, step, kind, a, b
+        out._ids, out._a, out._b = index.ids, a, b
+        out._run_step, out._run_kind, out._first = run_step, run_kind, first
         out._locations, out._index = None, index
         return out
+
+    def _expand(self, lo: int, hi: int):
+        """Step and kind of events lo..hi-1 (hi may pass the end), from their runs."""
+        r0, r1 = self._first.searchsorted((lo, hi), side="right").tolist()
+        counts = np.diff(self._first[r0 - 1:r1 + 1].clip(lo, hi))
+        return self._run_step[r0 - 1:r1].repeat(counts), self._run_kind[r0 - 1:r1].repeat(counts)
 
     def _columns(self, lo: int, hi: int):
         """Step, kind, the subjects' ids a and b (equal for appear and
         disappear) and the (n, 3) locations of events lo..hi-1, a detected
         schedule's locations by one gather over the step index."""
-        step, kind, a, b = (c[lo:hi] for c in (self._step, self._kind, self._a, self._b))
+        step, kind = self._expand(lo, hi)
+        a, b = self._a[lo:hi], self._b[lo:hi]
         if self._locations is None:
             locations = self._index.rows_at(a, step)
         else:
@@ -181,16 +191,12 @@ class EventSchedule:
             yield Event(EventKind(kind), k, (a,) if a == b else (a, b), Point3._make(loc))
 
     def _runs(self):
-        """(step, kind, lo, hi) of each run lo..hi-1 of events of one kind
-        at one step, in schedule order."""
-        cuts = np.flatnonzero(np.diff(self._step * 4 + self._kind)) + 1
-        bounds = [0, *cuts.tolist(), len(self)] if len(self) else []
-        step, kind = self._step.tolist(), self._kind.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield step[lo], kind[lo], lo, hi
+        """(step, kind, lo, hi) of each run, events lo..hi-1, in schedule order."""
+        first = self._first.tolist()
+        return zip(self._run_step.tolist(), self._run_kind.tolist(), first, first[1:])
 
     def __len__(self) -> int:
-        return self._step.shape[0]
+        return int(self._first[-1])
 
     def __iter__(self):
         return self._slice(0, len(self))
@@ -207,10 +213,13 @@ class EventSchedule:
 
     @property
     def steps(self) -> list[int]:
-        return np.unique(self._step).tolist()
+        return np.unique(self._run_step).tolist()
 
     def at_step(self, k: int) -> list[Event]:
-        lo, hi = np.searchsorted(self._step, (k, k + 1)).tolist()
+        """The events at step k, none unless k is an integer in [0, 2**63)."""
+        if not _in_id_range(k):
+            return []
+        lo, hi = self._first[[self._run_step.searchsorted(k, s) for s in ("left", "right")]]
         return list(self._slice(lo, hi))
 
     def to_jsonl(self) -> str:
@@ -277,12 +286,8 @@ _FORWARD_ROWS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
 def _hits(xyz: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs (ii, jj) of the epsilon-connected points among the
     columns of one step's (3, n) coordinates, and their squared distances.
-
-    Candidates share or neighbour a grid cell: each point meets the rest of
-    its own cell and the cell after it, and the cells x - 1 to x + 1 of the
-    4 neighbouring rows whose codes x + nx*(y + ny*z) are larger.  Each of
-    those 5 runs of cells is a window [lo, hi) of cell-sorted positions,
-    found by binary search in the sorted codes.
+    Each point's 5 runs of cells (see the module docstring) are windows
+    [lo, hi) of cell-sorted positions, found by binary search.
     """
     n = xyz.shape[1]
     if n < 2:
@@ -494,21 +499,12 @@ def _centred(xyz: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     """One event schedule per epsilon of an increasing list, from one pass
-    over the steps.
-
-    Each step's pairs are found once, with their squared distances, from
-    the candidate list of the largest epsilon, which the grid rebuilds when
-    the list cannot serve the step; every epsilon keeps the pairs within its
-    own radius and diffs them against its previous step.  The list holds
-    every pair of a smaller epsilon, and thresholding the same d2 decides
-    ties exactly as a separate pass would.  Pairs are coded by the step
-    index's rows, which are in id order, and each schedule keeps those
-    rows as its subjects.
-    """
+    over the steps (see the module docstring).  The list of the largest
+    epsilon holds every pair of a smaller one, and thresholding the same d2
+    decides ties exactly as a separate pass would."""
     for e in epsilons:
         _check_epsilon(e)
     index = s._index
-    n = len(s)
 
     kmin, kmax = s.step_range
     squares = [e * e for e in epsilons]
@@ -518,6 +514,10 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
     # trajectories appearing at step k, and ending at step k - 1
     appear = np.bincount(index.start - kmin, minlength=kmax - kmin + 1)
     ended = np.bincount(index.end + 1 - kmin, minlength=kmax - kmin + 2)
+    # the rows that appear at step kmin + i are born[born_at[i]:born_at[i + 1]]
+    # and those that disappear at it dying[dying_at[i]:dying_at[i + 1]], in row order
+    born, dying = (np.argsort(x, kind="stable").astype(np.int32) for x in (index.start, index.end))
+    born_at, dying_at = [0, *np.cumsum(appear).tolist()], np.cumsum(ended).tolist()
     prev = [np.empty(0, dtype=np.int64) for _ in epsilons]
     # per epsilon: connect and disconnect codes of every step, in step order
     parts: list[list[np.ndarray]] = [[] for _ in epsilons]
@@ -529,6 +529,7 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
                 listed.prune(index.end[listed.rows] >= k)
             d2 = listed.distances(index, k, delta, slack)
         if d2 is None:
+            listed = None  # dropped before the grid's transients, detect's peak
             listed, d2 = _CandidateList.grid(index, k, reach)
         curs = [listed.code[d2 <= sq] for sq in squares]
         # held into the next step's grid, it fragments the heap and raises
@@ -541,24 +542,21 @@ def _detect(s: TrajectorySet, epsilons: list[float]) -> list[EventSchedule]:
             parts[j] += (new, gone)
             prev[j] = cur
 
-    # appear and disappear of every trajectory, by row; a stable sort by
-    # (step, kind) then yields the (step, kind, subjects) order, because
-    # pair codes come in step order and sorted within each step
-    life_step = np.concatenate([index.start, index.end])
-    life_kind = np.repeat(np.int8([EventKind.APPEAR, EventKind.DISAPPEAR]), n)
-    life_a = np.tile(np.arange(n, dtype=np.int32), 2)
-    pair_kind = np.tile(np.int8([EventKind.CONNECT, EventKind.DISCONNECT]), kmax - kmin + 1)
-    pair_step = np.repeat(np.arange(kmin, kmax + 1), 2)
+    # appear and disappear code their row r as the pair (r, r)
+    born, dying = ((r.astype(np.int64) << 31) + r for r in (born, dying))
     out = []
-    for chunks in parts:
-        sizes = [c.shape[0] for c in chunks]
+    for pairs in parts:
+        # each step's appear, connect, disconnect and disappear codes; runs are the non-empty chunks
+        chunks = [c for i in range(kmax - kmin + 1) for c in (
+            born[born_at[i]:born_at[i + 1]], pairs[2 * i], pairs[2 * i + 1],
+            dying[dying_at[i]:dying_at[i + 1]])]
+        sizes = np.array([c.shape[0] for c in chunks])
+        runs = np.flatnonzero(sizes)
+        first = np.concatenate(([0], np.cumsum(sizes[runs])))
         code = np.concatenate(chunks)
-        step = np.concatenate([life_step, np.repeat(pair_step, sizes)])
-        kind = np.concatenate([life_kind, np.repeat(pair_kind, sizes)])
-        order = np.argsort(step * 4 + kind, kind="stable")
-        a = np.concatenate([life_a, code >> 31], dtype=np.int32)[order]
-        b = np.concatenate([life_a, code & _LOW31], dtype=np.int32)[order]
-        out.append(EventSchedule._from_columns(index, step[order], kind[order], a, b))
+        out.append(EventSchedule._from_columns(
+            index, kmin + runs // 4, (runs % 4).astype(np.int8), first,
+            (code >> 31).astype(np.int32), (code & _LOW31).astype(np.int32)))
     return out
 
 

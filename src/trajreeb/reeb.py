@@ -512,7 +512,7 @@ def build_reeb(
     # that it names the first bad event in schedule order, its a before its b
     for lo in range(0, len(schedule), _CHECK_BLOCK):
         hi = lo + _CHECK_BLOCK
-        step = schedule._step[lo:hi]
+        step = schedule._expand(lo, hi)[0]
         at = rows[np.stack((schedule._a[lo:hi], schedule._b[lo:hi]))]
         outside = (step < start[at]) | (step > end[at])
         if outside.any():
@@ -547,6 +547,8 @@ def groups_at_step(s: TrajectorySet, epsilon: float, k: int) -> list[frozenset[i
     still active at their final step.
     """
     _check_epsilon(epsilon)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"step {k!r} is not an integer")
     kmin, kmax = s.step_range
     if not (kmin <= k <= kmax):
         raise ValueError(f"step {k} outside global range [{kmin}, {kmax}]")

@@ -313,7 +313,11 @@ def oracle_grid_detect(s, epsilons):
         order = np.argsort(step * 4 + kind, kind="stable")
         a = np.concatenate([life_a, sorted_ids.searchsorted(code >> 31)])[order]
         b = np.concatenate([life_a, sorted_ids.searchsorted(code & _LOW31)])[order]
-        out.append(EventSchedule._from_columns(s._index, step[order], kind[order].astype(np.int8),
+        # the runs: where the sorted step or kind changes
+        step, kind = step[order], kind[order]
+        first = np.flatnonzero(np.diff(step, prepend=-1) | np.diff(kind, prepend=-1))
+        out.append(EventSchedule._from_columns(s._index, step[first], kind[first].astype(np.int8),
+                                               np.append(first, len(order)),
                                                a.astype(np.int32), b.astype(np.int32)))
     return out
 

@@ -146,9 +146,10 @@ def test_event_refuses_a_step_or_subject_that_is_not_an_integer(step, subjects):
 
 def test_detected_schedule_holds_rows_of_the_index_not_ids():
     """A detected schedule's subjects are int32 rows of its set's step
-    index, whose ids are its table, and its kinds are int8: it holds at
-    most 20 bytes an event (17 measured, the step index made beforehand),
-    where four int64 columns of ids held 32."""
+    index, whose ids are its table, and its steps and kinds are held once
+    per run: it holds at most 10 bytes an event (8.05 measured, the step
+    index made beforehand), where a step and a kind per event held 17 and
+    four int64 columns of ids 32."""
     s = tr.make_bundle(20_000, 10)
     s.step_range  # the step index, which the set holds anyway
     tracemalloc.start()
@@ -158,7 +159,7 @@ def test_detected_schedule_holds_rows_of_the_index_not_ids():
     finally:
         tracemalloc.stop()
     assert len(sched) > 250_000
-    assert held <= 20 * len(sched), f"{held / len(sched):.1f} bytes an event"
+    assert held <= 10 * len(sched), f"{held / len(sched):.1f} bytes an event"
     assert sched._ids is s._index.ids
 
 
@@ -228,8 +229,12 @@ def test_grid_equals_brute():
 
 
 def assert_same_columns(got, want):
-    for g, w in zip((got._ids, got._step, got._kind, got._a, got._b),
-                    (want._ids, want._step, want._kind, want._a, want._b)):
+    """The same id table, runs and subjects, and the same step and kind
+    per event as each side expands them from its runs."""
+    for g, w in zip((got._ids, got._run_step, got._run_kind, got._first, got._a, got._b,
+                     *got._columns(0, len(got))[:2]),
+                    (want._ids, want._run_step, want._run_kind, want._first, want._a, want._b,
+                     *want._columns(0, len(want))[:2])):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
@@ -632,6 +637,35 @@ def test_schedule_from_events_equals_detected_columns():
         assert any(ev.kind is EventKind.CONNECT for ev in sched)
         for ev in sched:
             assert ev.location == s.by_id(ev.subjects[0]).location_at(ev.step)
+
+
+def test_runs_keep_steps_apart_that_a_packed_key_would_merge():
+    """Steps 2**62 apart, which (step * 4 + kind) in int64 maps to one key,
+    and a step at 2**63 - 1 stay separate runs: iteration, at_step, steps,
+    the replay's runs and the JSON lines all see each event's own step."""
+    far, top = 5 + 2**62, 2**63 - 1
+    evs = [tr.Event(EventKind.APPEAR, 5, (0,), tr.Point3(0.0, 0.0, 0.0)),
+           tr.Event(EventKind.APPEAR, far, (1,), tr.Point3(1.0, 0.0, 0.0)),
+           tr.Event(EventKind.CONNECT, far, (0, 1), tr.Point3(0.0, 0.0, 0.0)),
+           tr.Event(EventKind.DISAPPEAR, top, (0,), tr.Point3(0.0, 0.0, 0.0)),
+           tr.Event(EventKind.DISAPPEAR, top, (1,), tr.Point3(1.0, 0.0, 0.0))]
+    sched = tr.EventSchedule(reversed(evs))
+    assert list(sched) == evs and len(sched) == 5
+    assert list(sched._runs()) == [(5, 0, 0, 1), (far, 0, 1, 2), (far, 1, 2, 3), (top, 3, 3, 5)]
+    assert sched.steps == [5, far, top]
+    assert sched.at_step(5) == evs[:1] and sched.at_step(far) == evs[1:3]
+    assert sched.at_step(top) == evs[3:] and sched.at_step(6) == []
+    assert sched.to_jsonl() == "".join(json.dumps(e.to_dict()) + "\n" for e in evs)
+
+
+def test_at_step_takes_integer_steps_only(pair_set):
+    """at_step gives exactly step k's events: none for a step between two
+    event steps or outside [0, 2**63), and a numpy integer finds its step."""
+    sched = tr.detect_all_events(pair_set, 1.5)
+    assert [str(e.kind) for e in sched.at_step(4)] == ["disconnect"]
+    assert sched.at_step(np.int64(2)) == sched.at_step(2) != []
+    for k in (2.5, 3.5, -1, 2**63, 2**64):
+        assert sched.at_step(k) == []
 
 
 def test_jsonl_dump(pair_set):
