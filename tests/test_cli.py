@@ -577,6 +577,80 @@ def test_cli_metrics_load_no_numpy_ma(tmp_path, args):
     assert (tmp_path / "out.csv").stat().st_size > 0
 
 
+@pytest.mark.parametrize("command, executes", [
+    (["build", "--epsilon", "1"], False),
+    (["export-schedule", "--epsilon", "1"], False),
+    (["compare"], False),
+    (["metrics", "--epsilon", "1"], True),
+], ids=["build", "export-schedule", "compare", "metrics"])
+def test_cli_executes_networkx_only_for_a_metric(tmp_path, command, executes):
+    """networkx is loaded on first use: a command that computes no metric
+    never runs its import, which loads networkx.algorithms (~0.1 s, ~13 MB)."""
+    if command == ["compare"]:
+        for name, shift in (("a", 0.0), ("b", 0.5)):
+            (tmp_path / f"{name}.csv").write_text(tr.reports_to_csv(
+                [tr.MetricsReport(1.0, 4 + k, 3, shift, 0.1 * k, 0.2, 0.5) for k in range(3)]))
+        args = ["compare", "--cohort-a", str(tmp_path / "a.csv"),
+                "--cohort-b", str(tmp_path / "b.csv")]
+    else:
+        tck = tmp_path / "bundle.tck"
+        tck.write_bytes(tr.to_tck(tr.make_bundle(12, 10, seed=1)))
+        args = [*command, "--input", str(tck)]
+    code = (
+        "import sys, trajreeb.cli; "
+        f"code = trajreeb.cli.run({[*args, '--output', str(tmp_path / 'out')]!r}); "
+        "print(code, 'networkx.algorithms' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, f"0 {executes}"), proc.stderr
+
+
+_HIDE_NETWORKX = (
+    "from importlib.machinery import PathFinder\n"
+    "class Hidden(PathFinder):\n"
+    "    @classmethod\n"
+    "    def find_spec(cls, name, path=None, target=None):\n"
+    "        return None if name == 'networkx' else super().find_spec(name, path, target)\n"
+    "sys.meta_path[sys.meta_path.index(PathFinder)] = Hidden\n"
+)
+
+
+@pytest.mark.parametrize("setup", ["sys.modules['networkx'] = None\n", _HIDE_NETWORKX],
+                         ids=["none-in-sys-modules", "not-installed"])
+def test_import_without_networkx_fails(setup):
+    """networkx runs on first use, but a missing networkx still fails
+    `import trajreeb`, not the first metric: trajreeb.metrics.nx is never
+    None."""
+    code = (
+        f"import sys\n{setup}"
+        "try:\n"
+        "    import trajreeb\n"
+        "except ModuleNotFoundError as e:\n"
+        "    sys.exit(0 if e.name == 'networkx' else repr(e))\n"
+        "sys.exit('imported without networkx')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first", ["import networkx", "pass"],
+                         ids=["networkx-first", "trajreeb-first"])
+def test_metrics_holds_the_one_networkx_module(first):
+    """trajreeb.metrics.nx is the module in sys.modules, whether networkx was
+    imported before trajreeb or is loaded by its first use: no second module
+    object, so the benchmark's tracer wraps the functions metrics calls."""
+    code = (
+        f"import sys; {first}; import trajreeb.metrics as m; "
+        "before = m.nx is sys.modules['networkx']; m.nx.Graph(); "
+        "sys.exit(0 if before and m.nx is sys.modules['networkx'] else 1)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
 def test_cli_build_orient_align_holds_one_copy_of_the_points(tmp_path):
     """`build --orient-align` on a ragged, half-reversed Float64 TCK: the
@@ -801,6 +875,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("command", [
     ["build", "--epsilon", "1"],
+    ["export-schedule", "--epsilon", "1"],
     ["metrics", "--epsilon", "1"],
     ["sweep", "--epsilon-range", "0.8:1.2:0.2"],
 ])
